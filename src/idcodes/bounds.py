@@ -11,14 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import verify as _verify
-from .graph import Graph, bipartition, diameter as graph_diameter
+from .cograph import gamma_id_cograph, gamma_ld_cograph
+from .graph import bipartition, diameter as graph_diameter
 from .models import (
     CotreeNode,
     IntervalModel,
     Leaf,
+    Model,
     PermutationModel,
     is_unit_model,
     model_to_graph,
@@ -228,9 +230,6 @@ def min_parameter_exact(graph_class: GraphClass, kind: ProblemKind, n: int) -> F
     return _EXACT_LOWER[key](n)
 
 
-Model = Union[Graph, IntervalModel, PermutationModel, Leaf, CotreeNode]
-
-
 def attest_class(model: Model) -> GraphClass:
     """The tightest class the model itself evidences."""
     if isinstance(model, IntervalModel):
@@ -293,39 +292,30 @@ _FAMILY_CLASS = {
 }
 
 
+# Separating kind -> the dominating variant whose cograph bound certifies it,
+# and that variant's minimum size.
+_SEP_GAMMA = {
+    ProblemKind.SEP_ID: (ProblemKind.IC, gamma_id_cograph),
+    ProblemKind.SEP_LD: (ProblemKind.LD, gamma_ld_cograph),
+}
+
+
 def certify_instance(instance) -> BoundReport:
     """Certify a generated extremal instance against its family's class bound
     (separating kinds are checked against the matching dominating-variant
     bound)."""
-    kind = instance.kind
-    if kind is ProblemKind.SEP_ID:
-        kind = ProblemKind.IC
-        solution = instance.solution
-        g = instance.graph
-        # The separating witness may not dominate; certify against gamma by
-        # reusing the claimed value: the bound applies to any identifying
-        # code, and gamma <= sep+1, so check with the repaired size.
-        from .cograph import gamma_id_cograph
-
-        k = gamma_id_cograph(instance.model)
-        max_n = max_order(BoundQuery(GraphClass.COGRAPH, ProblemKind.IC, k, None))
+    if instance.kind in _SEP_GAMMA:
+        # The separating witness may not dominate, so it is not itself a
+        # solution of the dominating variant.  The bound holds for every
+        # solution, so it is checked with the minimum size gamma <= sep + 1.
+        kind, gamma = _SEP_GAMMA[instance.kind]
+        n = instance.graph.n
+        max_n = max_order(BoundQuery(GraphClass.COGRAPH, kind, gamma(instance.model), None))
         return BoundReport(
             max_n=max_n,
-            theorem_label=bound_label(GraphClass.COGRAPH, ProblemKind.IC),
-            satisfied=g.n <= max_n,
-            slack=max_n - g.n,
-        )
-    if kind is ProblemKind.SEP_LD:
-        from .cograph import gamma_ld_cograph
-
-        g = instance.graph
-        k = gamma_ld_cograph(instance.model)
-        max_n = max_order(BoundQuery(GraphClass.COGRAPH, ProblemKind.LD, k, None))
-        return BoundReport(
-            max_n=max_n,
-            theorem_label=bound_label(GraphClass.COGRAPH, ProblemKind.LD),
-            satisfied=g.n <= max_n,
-            slack=max_n - g.n,
+            theorem_label=bound_label(GraphClass.COGRAPH, kind),
+            satisfied=n <= max_n,
+            slack=max_n - n,
         )
     family_class = _FAMILY_CLASS.get(instance.family.split("-", 1)[0])
-    return certify(instance.model, instance.solution, kind, graph_class=family_class)
+    return certify(instance.model, instance.solution, instance.kind, graph_class=family_class)

@@ -116,15 +116,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cograph(args) -> int:
     model = _load_model(args.cotree)
-    if isinstance(model, Graph):
-        try:
-            tree = cograph_recognize(model)
-        except NotCograph as exc:
-            raise CliError(f"error: not a cograph: {exc}", EXIT_DOMAIN)
-    elif isinstance(model, (Leaf, CotreeNode)):
+    if isinstance(model, (Leaf, CotreeNode)):
         tree = model
     else:
-        tree = cograph_recognize(model_to_graph(model))
+        try:
+            tree = cograph_recognize(model_to_graph(model))
+        except NotCograph as exc:
+            raise CliError(f"error: not a cograph: {exc}", EXIT_DOMAIN)
     try:
         if args.problem == "ic":
             summary = cograph.sep_id_dp(tree)
@@ -235,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="idcodes",
         description="Identification problems on graphs: solvers, models, bounds.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved for randomized sweeps; fixed commands ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="exact minimum solution by enumeration")

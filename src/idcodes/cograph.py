@@ -9,18 +9,25 @@ properties are
   univ: every minimum separating set has a vertex dominated by the whole set
         (for the "ld" flavor that vertex must lie outside the set).
 
-The closed-form combination rules are table-driven below, one entry per
-flavor and node kind, so that the two-leaf special cases stay isolated: the
+One merge rule, ``_merge``, combines two subtrees for every flavor and both
+node kinds.  A union adds one to the value exactly when both parts have emp;
+emp carries over from either part, and univ survives only when one part is
+a single vertex and the other has univ without emp.  A join is the same rule
+with emp and univ exchanged, because complementing a cograph swaps unions
+with joins and emp with univ.  The flavors differ only when both parts are
+single vertices, and those exceptions are data, ``_TWO_SINGLETONS``: the
 "id" flavor needs univ(single ⊕ single) = True and the "old" flavor needs
 emp(single ⋈ single) = True, both forced by the literal definitions and
-cross-checked exhaustively against the subset-enumeration oracle.
+cross-checked exhaustively against the subset-enumeration oracle.  The value
+fold and the witness builder both run this rule on one post-order walk of
+the cotree (``models.fold_cotree``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import OpenTwinsPresent, TwinsPresent, all_min_sets, min_set
+from .exact import OpenTwinsPresent, TwinsPresent, min_set
 from .graph import Graph, Disconnected
 from .models import (
     Cotree,
@@ -30,6 +37,7 @@ from .models import (
     UNION,
     all_cotrees,
     cotree_to_graph,
+    fold_cotree,
     validate_cotree,
 )
 from .verify import ProblemKind
@@ -74,155 +82,87 @@ class CographSummary:
     n: int
 
 
-# -- flag rule tables ---------------------------------------------------------
+# -- the merge rule -----------------------------------------------------------
 #
-# Internal state per subtree: (k, emp, univ, n, special, isolated) where
-# `special` marks subtrees containing a universal vertex and `isolated` ones
-# containing a vertex of degree 0; both exist only to drive the twin gates.
-# All rules treat a 1-vertex subtree (n == 1) specially exactly where the
-# definitions demand it.
+# A subtree's state is (k, emp, univ, n).  The flavor exceptions, both for
+# two single vertices: two isolated ones under "id" (each singleton set
+# covers itself, so univ) and an adjacent pair under "old" (each singleton
+# set misses its own vertex, so emp).
+
+_TWO_SINGLETONS = {("id", UNION), ("old", JOIN)}
+
+_LEAF = (0, True, True, 1)
 
 
-def _id_union(a, b):
-    k = a[0] + b[0] + (1 if a[1] and b[1] else 0)
-    emp = a[1] or b[1]
-    if a[3] == 1 and b[3] == 1:
-        univ = True  # two isolated vertices: each singleton set covers itself
-    elif a[3] == 1:
-        univ = b[2] and not b[1]
-    elif b[3] == 1:
-        univ = a[2] and not a[1]
+def _merge(a, b, kind: str, flavor: str) -> tuple[int, bool, bool, int]:
+    """State of the union (or join) of two subtrees with states a and b."""
+    ka, emp_a, univ_a, na = a
+    kb, emp_b, univ_b, nb = b
+    join = kind == JOIN
+    if join:
+        emp_a, univ_a, emp_b, univ_b = univ_a, emp_a, univ_b, emp_b
+    if na == 1 and nb == 1 and (flavor, kind) in _TWO_SINGLETONS:
+        univ = True
+    elif na == 1:
+        univ = univ_b and not emp_b
+    elif nb == 1:
+        univ = univ_a and not emp_a
     else:
         univ = False
-    return k, emp, univ
+    k = ka + kb + (1 if emp_a and emp_b else 0)
+    emp = emp_a or emp_b
+    if join:
+        emp, univ = univ, emp
+    return k, emp, univ, na + nb
 
 
-def _id_join(a, b):
-    k = a[0] + b[0] + (1 if a[2] and b[2] else 0)
-    univ = a[2] or b[2]
-    if a[3] == 1:
-        emp = b[1] and not b[2]
-    elif b[3] == 1:
-        emp = a[1] and not a[2]
-    else:
-        emp = False
-    return k, emp, univ
-
-
-def _ld_union(a, b):
-    k = a[0] + b[0] + (1 if a[1] and b[1] else 0)
-    emp = a[1] or b[1]
-    if a[3] == 1:
-        univ = b[2] and not b[1]
-    elif b[3] == 1:
-        univ = a[2] and not a[1]
-    else:
-        univ = False
-    return k, emp, univ
-
-
-def _ld_join(a, b):
-    k = a[0] + b[0] + (1 if a[2] and b[2] else 0)
-    univ = a[2] or b[2]
-    if a[3] == 1:
-        emp = b[1] and not b[2]
-    elif b[3] == 1:
-        emp = a[1] and not a[2]
-    else:
-        emp = False
-    return k, emp, univ
-
-
-def _old_union(a, b):
-    k = a[0] + b[0] + (1 if a[1] and b[1] else 0)
-    emp = a[1] or b[1]
-    if a[3] == 1:
-        univ = b[2] and not b[1]
-    elif b[3] == 1:
-        univ = a[2] and not a[1]
-    else:
-        univ = False
-    return k, emp, univ
-
-
-def _old_join(a, b):
-    k = a[0] + b[0] + (1 if a[2] and b[2] else 0)
-    univ = a[2] or b[2]
-    if a[3] == 1 and b[3] == 1:
-        emp = True  # adjacent pair: each singleton set misses its own vertex
-    elif a[3] == 1:
-        emp = b[1] and not b[2]
-    elif b[3] == 1:
-        emp = a[1] and not a[2]
-    else:
-        emp = False
-    return k, emp, univ
-
-
-_STEPS = {
-    ("id", UNION): _id_union,
-    ("id", JOIN): _id_join,
-    ("ld", UNION): _ld_union,
-    ("ld", JOIN): _ld_join,
-    ("old", UNION): _old_union,
-    ("old", JOIN): _old_join,
+# The twin gate each flavor needs: closed twins appear exactly when a join
+# merges two parts that both contain a universal vertex, open twins exactly
+# when a union merges two parts that both contain an isolated vertex.
+_TWIN_GATES = {
+    "id": (JOIN, TwinsPresent, "cotree joins two parts with universal vertices"),
+    "old": (UNION, OpenTwinsPresent, "cotree unites two parts with isolated vertices"),
 }
 
 
-def _fold(t: Cotree, flavor: str) -> tuple[int, bool, bool, int, bool, bool]:
-    """Iterative post-order fold; n-ary nodes are combined left to right.
+def _fold(t: Cotree, flavor: str) -> tuple[int, bool, bool, int]:
+    """Post-order fold of the merge rule; n-ary nodes are combined left to right.
 
-    Raises TwinsPresent / OpenTwinsPresent as soon as a join (union) step
-    would merge two parts that both contain a universal (isolated) vertex,
-    which is exactly when the compiled graph has closed (open) twins.
+    Raises TwinsPresent / OpenTwinsPresent as soon as a merge hits the
+    flavor's twin gate, which is exactly when the compiled graph has closed
+    (open) twins.
     """
     validate_cotree(t)
-    union_step = _STEPS[(flavor, UNION)]
-    join_step = _STEPS[(flavor, JOIN)]
-    check_closed = flavor == "id"
-    check_open = flavor == "old"
+    gate_kind, gate_error, gate_message = _TWIN_GATES.get(flavor, (None, None, None))
 
-    done: dict[int, tuple[int, bool, bool, int, bool, bool]] = {}
-    stack: list[tuple[Cotree, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            done[id(node)] = (0, True, True, 1, True, True)
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.children)
-            continue
-        step = union_step if node.kind == UNION else join_step
-        acc = done[id(node.children[0])]
-        for child in node.children[1:]:
-            b = done[id(child)]
-            if node.kind == JOIN:
-                if check_closed and acc[4] and b[4]:
-                    raise TwinsPresent("cotree joins two parts with universal vertices")
-                special = acc[4] or b[4]
-                isolated = False
+    # Each value is (state, has a universal vertex, has an isolated vertex).
+    def merge_children(node: CotreeNode, kids: list) -> tuple:
+        kind = node.kind
+        join = kind == JOIN
+        state, universal, isolated = kids[0]
+        for b, b_universal, b_isolated in kids[1:]:
+            if kind == gate_kind and (
+                (universal and b_universal) if join else (isolated and b_isolated)
+            ):
+                raise gate_error(gate_message)
+            state = _merge(state, b, kind, flavor)
+            if join:
+                universal, isolated = universal or b_universal, False
             else:
-                if check_open and acc[5] and b[5]:
-                    raise OpenTwinsPresent("cotree unites two parts with isolated vertices")
-                special = False
-                isolated = acc[5] or b[5]
-            k, emp, univ = step(acc, b)
-            acc = (k, emp, univ, acc[3] + b[3], special, isolated)
-        done[id(node)] = acc
-    return done[id(t)]
+                universal, isolated = False, isolated or b_isolated
+        return state, universal, isolated
+
+    return fold_cotree(t, lambda _leaf: (_LEAF, True, True), merge_children)[0]
 
 
 def sep_id_dp(t: Cotree) -> CographSummary:
     """Minimum closed-signature separating-set size of a twin-free cograph."""
-    k, emp, univ, n, _, _ = _fold(t, "id")
-    return CographSummary(k, emp, univ, n)
+    return CographSummary(*_fold(t, "id"))
 
 
 def sep_ld_dp(t: Cotree) -> CographSummary:
     """Minimum size of a set separating the vertices outside it (any cograph)."""
-    k, emp, univ, n, _, _ = _fold(t, "ld")
-    return CographSummary(k, emp, univ, n)
+    return CographSummary(*_fold(t, "ld"))
 
 
 def gamma_id_cograph(t: Cotree) -> int:
@@ -285,7 +225,7 @@ def enable_old_dp(max_leaves: int = 9) -> None:
                 oracle = min_set(g, ProblemKind.SEP_OLD)
             except OpenTwinsPresent:
                 continue
-            k, emp, univ, _, _, _ = _fold(t, "old")
+            k, emp, univ, _ = _fold(t, "old")
             o_emp, o_univ = emp_univ_oracle(g, "old")
             if (k, emp, univ) != (oracle.size, o_emp, o_univ):
                 raise NotValidated(
@@ -299,8 +239,7 @@ def sep_old_dp(t: Cotree) -> CographSummary:
     """Open-signature analog of sep_id_dp; gated behind enable_old_dp()."""
     if not _OLD_GATE_PASSED:
         raise NotValidated("call enable_old_dp() before using the open recurrence")
-    k, emp, univ, n, _, _ = _fold(t, "old")
-    return CographSummary(k, emp, univ, n)
+    return CographSummary(*_fold(t, "old"))
 
 
 def gamma_old_cograph(t: Cotree) -> int:
@@ -314,41 +253,19 @@ def gamma_old_cograph(t: Cotree) -> int:
 # -- witness reconstruction ---------------------------------------------------
 
 
-def _node_summaries(t: Cotree, flavor: str):
-    """Recursive fold that keeps the per-node fold states for the witness pass."""
-    step_u = _STEPS[(flavor, UNION)]
-    step_j = _STEPS[(flavor, JOIN)]
-
-    def rec(node: Cotree):
-        if isinstance(node, Leaf):
-            return (0, True, True, 1)
-        states = [rec(c) for c in node.children]
-        step = step_u if node.kind == UNION else step_j
-        acc = states[0]
-        for b in states[1:]:
-            k, emp, univ = step(acc, b)
-            acc = (k, emp, univ, acc[3] + b[3])
-        return acc
-
-    return rec
-
-
 class _WitnessBuilder:
     """Bottom-up assembly of a canonical minimum separating set.
 
     The carried set always satisfies, on its node's induced subgraph:
     it separates, has the fold's size, dominates everything when emp is
     False, and has no vertex dominated by the whole set when univ is False.
-    Where the constructive case analysis cannot satisfy these side
-    conditions, the builder falls back to enumerating minimum sets of the
-    induced subgraph and never returns an unverified set.
+    When no constructive candidate meets these side conditions the build
+    raises WitnessUnavailable rather than return an unverified set.
     """
 
     def __init__(self, g: Graph, flavor: str):
         self.g = g
         self.flavor = flavor
-        self.step_u = _STEPS[(flavor, UNION)]
-        self.step_j = _STEPS[(flavor, JOIN)]
 
     # Signatures restricted to the subtree's vertex set.
     def _sig(self, verts: frozenset[int], cand: frozenset[int], v: int) -> frozenset[int]:
@@ -390,35 +307,11 @@ class _WitnessBuilder:
             return False
         return True
 
-    def _oracle_fallback(self, verts, state) -> frozenset[int]:
-        order = sorted(verts)
-        index = {v: i for i, v in enumerate(order)}
-        sub = Graph(
-            len(order),
-            [
-                (index[u], index[v])
-                for u in order
-                for v in self.g.adj[u]
-                if v in verts and u < v
-            ],
-        )
-        kind = {"id": ProblemKind.SEP_ID, "ld": ProblemKind.SEP_LD}[self.flavor]
-        for cand in all_min_sets(sub, kind):
-            lifted = frozenset(order[i] for i in cand)
-            if self._canonical(verts, lifted, state):
-                return lifted
-        raise WitnessUnavailable("no minimum separating set meets the side conditions")
-
-    def build(self, node: Cotree) -> tuple[frozenset[int], tuple, frozenset[int]]:
-        """Returns (vertices, fold state, witness) for the subtree."""
-        if isinstance(node, Leaf):
-            return frozenset([node.vertex]), (0, True, True, 1), frozenset()
-        step = self.step_u if node.kind == UNION else self.step_j
-        verts, state, cand = self.build(node.children[0])
-        for child in node.children[1:]:
-            bverts, bstate, bcand = self.build(child)
+    def _merge_children(self, node: CotreeNode, kids: list) -> tuple:
+        verts, state, cand = kids[0]
+        for bverts, bstate, bcand in kids[1:]:
             nverts = verts | bverts
-            nstate = step(state, bstate) + (state[3] + bstate[3],)
+            nstate = _merge(state, bstate, node.kind, self.flavor)
             base = cand | bcand
             bumped = nstate[0] == state[0] + bstate[0] + 1
             candidates = []
@@ -447,9 +340,19 @@ class _WitnessBuilder:
                     chosen = c
                     break
             if chosen is None:
-                chosen = self._oracle_fallback(nverts, nstate)
+                raise WitnessUnavailable(
+                    "no constructive candidate meets the side conditions"
+                )
             verts, state, cand = nverts, nstate, chosen
         return verts, state, cand
+
+    def build(self, t: Cotree) -> tuple[frozenset[int], tuple, frozenset[int]]:
+        """Returns (vertices, fold state, witness) for the whole tree."""
+        return fold_cotree(
+            t,
+            lambda leaf: (frozenset([leaf.vertex]), _LEAF, frozenset()),
+            self._merge_children,
+        )
 
 
 def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:

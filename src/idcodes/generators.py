@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import verify
 from .cograph import sep_id_dp, sep_ld_dp, witness_cograph
@@ -27,9 +27,12 @@ from .models import (
     IntervalModel,
     JOIN,
     Leaf,
+    Model,
     PermutationModel,
     UNION,
+    _relabel_dfs,
     canonicalize,
+    cotree_size,
     interval_graph,
     is_unit_model,
     model_to_graph,
@@ -62,9 +65,6 @@ __all__ = [
     "FAMILIES",
     "generate",
 ]
-
-Model = Union[Graph, IntervalModel, PermutationModel, Leaf, CotreeNode]
-
 
 class GeneratorError(Exception):
     pass
@@ -727,14 +727,9 @@ def ext_bipperm_old(k: int) -> ExtremalInstance:
 # -- cograph families ----------------------------------------------------------
 
 
-def _shift(t: Cotree, offset: int) -> Cotree:
-    if isinstance(t, Leaf):
-        return Leaf(t.vertex + offset)
-    return CotreeNode(t.kind, tuple(_shift(c, offset) for c in t.children))
-
-
-def _compose(kind: str, left: Cotree, left_n: int, right: Cotree) -> Cotree:
-    return canonicalize(CotreeNode(kind, (left, _shift(right, left_n))))
+# Each family tree is built as an unlabelled shape: a base tree, wrapped by a
+# chain of two-child steps (kind, head) from the inside out.  The shape is
+# canonicalised and labelled 0..n-1 in depth-first order once, at the end.
 
 
 def _indep(n: int) -> Cotree:
@@ -749,24 +744,37 @@ def _clique(n: int) -> Cotree:
     return CotreeNode(JOIN, tuple(Leaf(v) for v in range(n)))
 
 
+def _family_tree(family: str, n: int, variant: int, bases: dict, steps: dict) -> Cotree:
+    """Follow ``steps[variant] = (min_n, kind, head, next_variant)`` from
+    (n, variant) down to a base, then wrap the base in the heads."""
+    chain = []
+    while (n, variant) not in bases:
+        step = steps.get(variant)
+        if step is None or n < step[0]:
+            raise GeneratorError(f"{family}: ({n}, variant {variant}) is unreachable")
+        _min_n, kind, head, variant = step
+        chain.append((kind, head))
+        n -= cotree_size(head)
+    t = bases[(n, variant)]
+    for kind, head in reversed(chain):
+        t = CotreeNode(kind, (head, t))
+    return _relabel_dfs(canonicalize(t))
+
+
 def _cograph_id_tree(n: int, variant: int) -> Cotree:
     bases = {
         (3, 2): _indep(3),
-        (3, 3): _compose(JOIN, Leaf(0), 1, _indep(2)),  # star = P3
+        (3, 3): CotreeNode(JOIN, (Leaf(0), _indep(2))),  # star = P3
         (4, 2): _indep(4),
-        (4, 3): _compose(JOIN, _indep(2), 2, _indep(2)),  # C4
+        (4, 3): CotreeNode(JOIN, (_indep(2), _indep(2))),  # C4
     }
-    if (n, variant) in bases:
-        return bases[(n, variant)]
-    if variant == 1 and n >= 6:
-        return _compose(JOIN, _indep(3), 3, _cograph_id_tree(n - 3, 2))
-    if variant == 2 and n >= 5:
-        return _compose(UNION, Leaf(0), 1, _cograph_id_tree(n - 1, 4))
-    if variant == 3 and n >= 5:
-        return _compose(JOIN, Leaf(0), 1, _cograph_id_tree(n - 1, 4))
-    if variant == 4 and n >= 4:
-        return _compose(UNION, Leaf(0), 1, _cograph_id_tree(n - 1, 3))
-    raise GeneratorError(f"cograph-id: ({n}, variant {variant}) is unreachable")
+    steps = {
+        1: (6, JOIN, _indep(3), 2),
+        2: (5, UNION, Leaf(0), 4),
+        3: (5, JOIN, Leaf(0), 4),
+        4: (4, UNION, Leaf(0), 3),
+    }
+    return _family_tree("cograph-id", n, variant, bases, steps)
 
 
 _ID_CLAIMS = {1: lambda n: (n + 2 + 1) // 2, 2: lambda n: (n + 1 + 1) // 2,
@@ -801,20 +809,16 @@ def _cograph_ld_tree(n: int, variant: int) -> Cotree:
         (2, 3): _clique(2),
         (3, 2): _indep(3),
         (3, 3): _clique(3),
-        (4, 2): _compose(UNION, _indep(2), 2, _clique(2)),
-        (4, 3): _compose(JOIN, Leaf(0), 1, _compose(UNION, Leaf(0), 1, _clique(2))),
+        (4, 2): CotreeNode(UNION, (_indep(2), _clique(2))),
+        (4, 3): CotreeNode(JOIN, (Leaf(0), CotreeNode(UNION, (Leaf(0), _clique(2))))),
     }
-    if (n, variant) in bases:
-        return bases[(n, variant)]
-    if variant == 1 and n >= 4:
-        return _compose(UNION, _clique(2), 2, _cograph_ld_tree(n - 2, 3))
-    if variant == 2 and n >= 5:
-        return _compose(UNION, Leaf(0), 1, _cograph_ld_tree(n - 1, 1))
-    if variant == 3 and n >= 5:
-        return _compose(JOIN, Leaf(0), 1, _cograph_ld_tree(n - 1, 1))
-    if variant == 4 and n >= 3:
-        return _compose(UNION, Leaf(0), 1, _cograph_ld_tree(n - 1, 3))
-    raise GeneratorError(f"cograph-ld: ({n}, variant {variant}) is unreachable")
+    steps = {
+        1: (4, UNION, _clique(2), 3),
+        2: (5, UNION, Leaf(0), 1),
+        3: (5, JOIN, Leaf(0), 1),
+        4: (3, UNION, Leaf(0), 3),
+    }
+    return _family_tree("cograph-ld", n, variant, bases, steps)
 
 
 _LD_CLAIMS = {1: lambda n: (n + 2 + 2) // 3, 2: lambda n: (n + 1 + 2) // 3,

@@ -32,6 +32,8 @@ __all__ = [
     "leaf",
     "union_node",
     "join_node",
+    "walk_cotree",
+    "fold_cotree",
     "cotree_leaves",
     "cotree_size",
     "canonicalize",
@@ -219,64 +221,92 @@ def join_node(*children: Cotree) -> CotreeNode:
     return CotreeNode(JOIN, tuple(children))
 
 
-def cotree_leaves(t: Cotree) -> list[int]:
-    """Leaf vertex labels in depth-first order (iterative; trees can be deep)."""
-    out: list[int] = []
-    stack = [t]
+def walk_cotree(t: Cotree) -> Iterator[tuple[Cotree, bool]]:
+    """Depth-first walk of a cotree, children in order, without recursion.
+
+    Yields ``(node, True)`` on entering and ``(node, False)`` on leaving an
+    internal node, and ``(leaf, False)`` once per leaf, so the ``False``
+    events alone are the post-order.  Every cotree traversal goes through
+    here, which keeps trees of any depth inside the interpreter's stack.
+    """
+    # A node still to enter is pushed bare; one to leave, as a 1-tuple.
+    stack: list = [t]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.vertex)
+        node = pop()
+        if node.__class__ is tuple:
+            yield node[0], False
+        elif isinstance(node, CotreeNode):
+            yield node, True
+            push((node,))
+            extend(reversed(node.children))
         else:
-            stack.extend(reversed(node.children))
-    return out
+            yield node, False
+
+
+def fold_cotree(t: Cotree, leaf_fn, node_fn):
+    """Post-order fold over :func:`walk_cotree`.
+
+    ``leaf_fn(leaf)`` gives a leaf's value and ``node_fn(node, values)`` an
+    internal node's, from the values of its children in order.  Child values
+    wait on one value stack, so no node needs a dictionary entry.
+    """
+    values: list = []
+    for node, entering in walk_cotree(t):
+        if isinstance(node, Leaf):
+            values.append(leaf_fn(node))
+        elif not entering:
+            base = len(values) - len(node.children)
+            kids = values[base:]
+            del values[base:]
+            values.append(node_fn(node, kids))
+    return values[0]
+
+
+def cotree_leaves(t: Cotree) -> list[int]:
+    """Leaf vertex labels in depth-first order."""
+    return [node.vertex for node, _ in walk_cotree(t) if isinstance(node, Leaf)]
 
 
 def cotree_size(t: Cotree) -> int:
     return len(cotree_leaves(t))
 
 
+def _merge_chains(kind: str, kids: list[Cotree]) -> Cotree:
+    """A node of the given kind over canonical kids, made canonical: kids of
+    the same kind give up their children, and a single kid stands alone."""
+    merged: list[Cotree] = []
+    for c in kids:
+        if isinstance(c, CotreeNode) and c.kind == kind:
+            merged.extend(c.children)
+        else:
+            merged.append(c)
+    return merged[0] if len(merged) == 1 else CotreeNode(kind, tuple(merged))
+
+
 def canonicalize(t: Cotree) -> Cotree:
     """Merge same-kind parent/child chains and flatten single-child nodes."""
-    # Iterative post-order rewrite keeps very deep trees inside the stack limit.
-    done: dict[int, Cotree] = {}
-    stack: list[tuple[Cotree, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            done[id(node)] = node
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.children)
-            continue
-        merged: list[Cotree] = []
-        for child in node.children:
-            c = done[id(child)]
-            if isinstance(c, CotreeNode) and c.kind == node.kind:
-                merged.extend(c.children)
-            else:
-                merged.append(c)
-        done[id(node)] = merged[0] if len(merged) == 1 else CotreeNode(node.kind, tuple(merged))
-    return done[id(t)]
+    return fold_cotree(t, lambda leaf: leaf, lambda node, kids: _merge_chains(node.kind, kids))
 
 
 def validate_cotree(t: Cotree) -> None:
     """Raise MalformedCotree unless t is canonical and labels 0..n-1 exactly once."""
     labels = []
-    stack = [(t, None)]
-    while stack:
-        node, parent_kind = stack.pop()
+    kinds: list[str] = []  # kinds of the internal nodes above the current one
+    for node, entering in walk_cotree(t):
         if isinstance(node, Leaf):
             labels.append(node.vertex)
+            continue
+        if not entering:
+            kinds.pop()
             continue
         if node.kind not in (UNION, JOIN):
             raise MalformedCotree(f"unknown node kind {node.kind!r}")
         if len(node.children) < 2:
             raise MalformedCotree("internal cotree node with fewer than 2 children")
-        if node.kind == parent_kind:
+        if kinds and node.kind == kinds[-1]:
             raise MalformedCotree("same-kind parent/child chain; canonicalize first")
-        stack.extend((c, node.kind) for c in node.children)
+        kinds.append(node.kind)
     if sorted(labels) != list(range(len(labels))):
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
 
@@ -284,31 +314,19 @@ def validate_cotree(t: Cotree) -> None:
 def cotree_to_graph(t: Cotree) -> Graph:
     """Evaluate the cotree: UNION keeps parts apart, JOIN adds all cross edges."""
     validate_cotree(t)
-    n = len(cotree_leaves(t))
     edges: list[tuple[int, int]] = []
-    # Post-order evaluation carrying each subtree's vertex list.
-    verts: dict[int, list[int]] = {}
-    stack: list[tuple[Cotree, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            verts[id(node)] = [node.vertex]
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.children)
-            continue
-        child_sets = [verts[id(c)] for c in node.children]
+    add = edges.append
+
+    def node_vertices(node: CotreeNode, parts: list[list[int]]) -> list[int]:
         if node.kind == JOIN:
-            for i in range(len(child_sets)):
-                for j in range(i + 1, len(child_sets)):
-                    for u in child_sets[i]:
-                        for v in child_sets[j]:
-                            edges.append((min(u, v), max(u, v)))
-        merged = []
-        for cs in child_sets:
-            merged.extend(cs)
-        verts[id(node)] = merged
+            for i in range(len(parts)):
+                for j in range(i + 1, len(parts)):
+                    for u in parts[i]:
+                        for v in parts[j]:
+                            add((min(u, v), max(u, v)))
+        return [v for part in parts for v in part]
+
+    n = len(fold_cotree(t, lambda leaf: [leaf.vertex], node_vertices))
     return Graph(n, edges)
 
 
@@ -351,12 +369,14 @@ def cograph_recognize(g: Graph) -> Cotree:
     return canonicalize(build(list(range(g.n))))
 
 
+_SWAPPED = {UNION: JOIN, JOIN: UNION}
+
+
 def complement_cotree(t: Cotree) -> Cotree:
     """Cotree of the complement graph: swap UNION and JOIN everywhere."""
-    if isinstance(t, Leaf):
-        return t
-    swapped = JOIN if t.kind == UNION else UNION
-    return CotreeNode(swapped, tuple(complement_cotree(c) for c in t.children))
+    return fold_cotree(
+        t, lambda leaf: leaf, lambda node, kids: CotreeNode(_SWAPPED[node.kind], tuple(kids))
+    )
 
 
 # -- cotree enumeration and sampling -----------------------------------------
@@ -411,14 +431,13 @@ def _shapes(n: int, root: str) -> list[Cotree]:
 
 
 def _relabel_dfs(t: Cotree) -> Cotree:
-    counter = iter(range(10**9))
-
-    def rec(node: Cotree) -> Cotree:
-        if isinstance(node, Leaf):
-            return Leaf(next(counter))
-        return CotreeNode(node.kind, tuple(rec(c) for c in node.children))
-
-    return rec(t)
+    """The same shape with leaves labelled 0..n-1 in depth-first order."""
+    labels = itertools.count()
+    return fold_cotree(
+        t,
+        lambda _leaf: Leaf(next(labels)),
+        lambda node, kids: CotreeNode(node.kind, tuple(kids)),
+    )
 
 
 def all_cotrees(n: int) -> list[Cotree]:
@@ -504,7 +523,10 @@ def parse_interval_model(text: str) -> IntervalModel:
         parts = ln.split()
         if len(parts) != 3:
             raise ModelFormatError(f"bad interval line: {ln!r}")
-        vid = int(parts[0])
+        try:
+            vid = int(parts[0])
+        except ValueError:
+            raise ModelFormatError(f"bad interval line: {ln!r}") from None
         if vid in rows:
             raise ModelFormatError(f"duplicate interval id {vid}")
         rows[vid] = (_parse_rational(parts[1]), _parse_rational(parts[2]))
@@ -559,48 +581,56 @@ def parse_cotree(text: str) -> Cotree:
         ln for ln in text.splitlines() if not ln.lstrip().startswith("#")
     )
     tokens = body.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse() -> Cotree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ModelFormatError("unexpected end of cotree expression")
+    if not tokens:
+        raise ModelFormatError("unexpected end of cotree expression")
+    # Open operators with the children read so far; the innermost is last.
+    open_nodes: list[tuple[str, list[Cotree]]] = []
+    pos, end = 0, len(tokens)
+    while True:
         tok = tokens[pos]
         pos += 1
         if tok == "(":
-            if pos >= len(tokens) or tokens[pos] not in (UNION, JOIN):
+            if pos >= end or tokens[pos] not in (UNION, JOIN):
                 raise ModelFormatError("expected U or J after '('")
-            kind = tokens[pos]
+            open_nodes.append((tokens[pos], []))
             pos += 1
-            children = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                children.append(parse())
-            if pos >= len(tokens):
-                raise ModelFormatError("missing ')'")
-            pos += 1
-            if len(children) < 2:
-                raise ModelFormatError("cotree operator needs at least 2 children")
-            return CotreeNode(kind, tuple(children))
-        if tok == ")":
-            raise ModelFormatError("unexpected ')'")
-        try:
-            return Leaf(int(tok))
-        except ValueError:
-            raise ModelFormatError(f"bad cotree token: {tok!r}") from None
-
-    t = parse()
-    if pos != len(tokens):
+        else:
+            if tok == ")":
+                if not open_nodes:
+                    raise ModelFormatError("unexpected ')'")
+                kind, children = open_nodes.pop()
+                if len(children) < 2:
+                    raise ModelFormatError("cotree operator needs at least 2 children")
+                # Children are complete and canonical, so this is canonical too.
+                node: Cotree = _merge_chains(kind, children)
+            else:
+                try:
+                    node = Leaf(int(tok))
+                except ValueError:
+                    raise ModelFormatError(f"bad cotree token: {tok!r}") from None
+            if not open_nodes:
+                break
+            open_nodes[-1][1].append(node)
+        if pos >= end:
+            raise ModelFormatError("missing ')'")
+    if pos != end:
         raise ModelFormatError("trailing tokens after cotree expression")
-    t = canonicalize(t)
-    validate_cotree(t)
-    return t
+    validate_cotree(node)
+    return node
 
 
 def format_cotree(t: Cotree) -> str:
-    if isinstance(t, Leaf):
-        return str(t.vertex)
-    inner = " ".join(format_cotree(c) for c in t.children)
-    return f"({t.kind} {inner})"
+    # Every token gets its leading space and the first one is cut at the
+    # end, so the text is built in one pass, linear on any shape.
+    parts = []
+    for node, entering in walk_cotree(t):
+        if isinstance(node, Leaf):
+            parts.append(f" {node.vertex}")
+        elif entering:
+            parts.append(f" ({node.kind}")
+        else:
+            parts.append(")")
+    return "".join(parts)[1:]
 
 
 Model = Union[Graph, IntervalModel, PermutationModel, Leaf, CotreeNode]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from .graph import Graph, Disconnected, all_pairs_distances, is_connected
+from .graph import Graph, Disconnected, bfs_distances, is_connected
 
 __all__ = [
     "ProblemKind",
@@ -129,11 +129,10 @@ def is_resolving_set(g: Graph, candidate: Iterable[int]) -> bool:
     """Distance vectors to the candidate distinguish all vertex pairs."""
     if not is_connected(g):
         raise Disconnected("resolving sets need a connected graph")
-    s = sorted(set(candidate))
-    dist = all_pairs_distances(g)
+    rows = [bfs_distances(g, x) for x in sorted(set(candidate))]
     seen = set()
     for v in range(g.n):
-        key = tuple(dist[x][v] for x in s)
+        key = tuple(row[v] for row in rows)
         if key in seen:
             return False
         seen.add(key)

@@ -47,6 +47,12 @@ class TestSolve:
         code, _, err = run_cli(["solve", "--problem", "ic", "--input", bad], capsys)
         assert code == 3
 
+    def test_bad_interval_id_exit_3(self, workdir, capsys):
+        bad = workdir / "bad.intervals"
+        bad.write_text("intervals 2\nx 0 2\n1 1 3\n")
+        code, _, err = run_cli(["verify", "--problem", "ic", "--input", bad, "--set", "0"], capsys)
+        assert code == 3 and "parse error" in err
+
     def test_cap_exit_4(self, workdir, capsys):
         big = workdir / "big.graph"
         big.write_text("graph 40\n" + "".join(f"e {i} {i+1}\n" for i in range(39)))
@@ -111,6 +117,13 @@ class TestCographCmd:
         )
         assert code == 2 and "not a cograph" in err
 
+    def test_not_cograph_model_exit_2(self, workdir, capsys):
+        # the path P4 as an interval model
+        p4 = workdir / "p4.intervals"
+        p4.write_text("intervals 4\n0 0 2\n1 1 4\n2 3 6\n3 5 7\n")
+        code, _, err = run_cli(["cograph", "--problem", "ic", "--cotree", p4], capsys)
+        assert code == 2 and "not a cograph" in err
+
 
 class TestGenerateCertify:
     def test_round_trip_tight(self, workdir, capsys):
@@ -151,6 +164,15 @@ class TestGenerateCertify:
         )
         assert code == 0
         assert (workdir / "cg.cotree").exists()
+
+    def test_generate_deep_cograph_family(self, workdir, capsys):
+        # its cotree is deeper than a recursive walk of the family allows
+        code, out, _ = run_cli(
+            ["generate", "--family", "cograph-id", "--n", "480", "--variant", "2",
+             "--out", workdir / "deep"],
+            capsys,
+        )
+        assert code == 0 and out.startswith("cograph-id-v2 sep-id 241 - 480 ")
 
     @pytest.mark.parametrize(
         "family,k",

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -27,9 +28,15 @@ from idcodes.exact import (
 )
 from idcodes.graph import Disconnected, closed_twins, is_connected, open_twins
 from idcodes.models import (
+    CotreeNode,
+    JOIN,
+    Leaf,
+    UNION,
     all_cotrees,
+    canonicalize,
     complement_cotree,
     cotree_to_graph,
+    format_cotree,
     join_node,
     leaf,
     parse_cotree,
@@ -286,3 +293,44 @@ class TestScaling:
         summary = sep_id_dp(t)
         assert time.monotonic() - start < 1.0
         assert summary.n == 50_000
+
+
+class TestDeepCotrees:
+    """An alternating U/J caterpillar deeper than the recursion limit.
+
+    The limit is lowered to a little above the test's own stack depth, so a
+    small tree is already too deep for any recursive walk.  Trees are
+    compared through their text, since dataclass equality itself recurses.
+    """
+
+    LEAVES = 300
+
+    @staticmethod
+    def _caterpillar(n):
+        # (J 0 (U 1 (J 2 ... (J n-2 n-1))))
+        t = Leaf(n - 1)
+        for v in range(n - 2, -1, -1):
+            t = CotreeNode(JOIN if v % 2 == 0 else UNION, (Leaf(v), t))
+        return t
+
+    def test_walks_need_no_recursion(self):
+        t = self._caterpillar(self.LEAVES)
+        text = format_cotree(t)
+        g = cotree_to_graph(t)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert self.LEAVES > sys.getrecursionlimit()
+            assert format_cotree(parse_cotree(text)) == text
+            assert format_cotree(complement_cotree(complement_cotree(t))) == text
+            assert format_cotree(canonicalize(t)) == text
+            summary = sep_ld_dp(t)
+            w = witness_cograph(t, ProblemKind.LD)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert summary.n == self.LEAVES
+        assert check(g, w, ProblemKind.LD)
+        assert len(w) == gamma_ld_cograph(t)

@@ -207,6 +207,8 @@ class TestFileFormats:
         with pytest.raises(ModelFormatError):
             parse_interval_model("intervals 2\n0 0 1\n")  # missing id 1
         with pytest.raises(ModelFormatError):
+            parse_interval_model("intervals 2\nx 0 2\n1 1 3\n")  # non-integer id
+        with pytest.raises(ModelFormatError):
             parse_permutation_model("permutation 1\n0 0\n")
         with pytest.raises(ModelFormatError):
             parse_cotree("(X 0 1)")
