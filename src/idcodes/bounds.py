@@ -244,6 +244,16 @@ def attest_class(model: Model) -> GraphClass:
     return GraphClass.GENERAL
 
 
+# Separating kind -> the dominating variant whose cograph bound certifies it,
+# and that variant's minimum size.  A separating set may not dominate, so it
+# is not itself a solution of the dominating variant; the bound holds for
+# every solution, so it is applied at the minimum size gamma <= sep + 1.
+_SEP_GAMMA = {
+    ProblemKind.SEP_ID: (ProblemKind.IC, gamma_id_cograph),
+    ProblemKind.SEP_LD: (ProblemKind.LD, gamma_ld_cograph),
+}
+
+
 def certify(
     model: Model,
     solution,
@@ -255,8 +265,14 @@ def certify(
     Without an explicit graph_class the tightest class the model attests is
     used; passing one makes sense when the model incidentally lands in a
     subclass (e.g. a small permutation diagram that happens to be bipartite).
+    On a cotree, SEP_ID / SEP_LD solutions are checked against the matching
+    dominating variant's bound at that variant's minimum size.
     """
-    kind = _normalize_kind(kind)
+    cotree = isinstance(model, (Leaf, CotreeNode))
+    if kind in _SEP_GAMMA and cotree and graph_class in (None, GraphClass.COGRAPH):
+        bound_kind, gamma = _SEP_GAMMA[kind]
+    else:
+        bound_kind, gamma = _normalize_kind(kind), None
     g = model_to_graph(model)
     solution = frozenset(solution)
     if not _verify.check(g, solution, kind):
@@ -268,16 +284,16 @@ def certify(
         raise VerifierFailed(f"solution fails the {kind.value} verifier{detail}")
     if graph_class is None:
         graph_class = attest_class(model)
-    k = len(solution)
+    k = len(solution) if gamma is None else gamma(model)
     d = None
-    if (graph_class, kind) in _NEEDS_D:
+    if (graph_class, bound_kind) in _NEEDS_D:
         d = graph_diameter(g)
-    if graph_class is GraphClass.COGRAPH and kind is ProblemKind.IC and g.n < 2:
+    if graph_class is GraphClass.COGRAPH and bound_kind is ProblemKind.IC and g.n < 2:
         raise HypothesisNotMet("the cograph identifying-code bound assumes n >= 2")
-    max_n = max_order(BoundQuery(graph_class, kind, k, d))
+    max_n = max_order(BoundQuery(graph_class, bound_kind, k, d))
     return BoundReport(
         max_n=max_n,
-        theorem_label=bound_label(graph_class, kind),
+        theorem_label=bound_label(graph_class, bound_kind),
         satisfied=g.n <= max_n,
         slack=max_n - g.n,
     )
@@ -292,30 +308,9 @@ _FAMILY_CLASS = {
 }
 
 
-# Separating kind -> the dominating variant whose cograph bound certifies it,
-# and that variant's minimum size.
-_SEP_GAMMA = {
-    ProblemKind.SEP_ID: (ProblemKind.IC, gamma_id_cograph),
-    ProblemKind.SEP_LD: (ProblemKind.LD, gamma_ld_cograph),
-}
-
-
 def certify_instance(instance) -> BoundReport:
     """Certify a generated extremal instance against its family's class bound
     (separating kinds are checked against the matching dominating-variant
     bound)."""
-    if instance.kind in _SEP_GAMMA:
-        # The separating witness may not dominate, so it is not itself a
-        # solution of the dominating variant.  The bound holds for every
-        # solution, so it is checked with the minimum size gamma <= sep + 1.
-        kind, gamma = _SEP_GAMMA[instance.kind]
-        n = instance.graph.n
-        max_n = max_order(BoundQuery(GraphClass.COGRAPH, kind, gamma(instance.model), None))
-        return BoundReport(
-            max_n=max_n,
-            theorem_label=bound_label(GraphClass.COGRAPH, kind),
-            satisfied=n <= max_n,
-            slack=max_n - n,
-        )
     family_class = _FAMILY_CLASS.get(instance.family.split("-", 1)[0])
     return certify(instance.model, instance.solution, instance.kind, graph_class=family_class)

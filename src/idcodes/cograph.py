@@ -26,9 +26,10 @@ the cotree (``models.fold_cotree``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .exact import OpenTwinsPresent, TwinsPresent, min_set
-from .graph import Graph, Disconnected
+from .graph import Disconnected, bits
 from .models import (
     Cotree,
     CotreeNode,
@@ -36,11 +37,12 @@ from .models import (
     Leaf,
     UNION,
     all_cotrees,
+    cotree_masks,
     cotree_to_graph,
     fold_cotree,
     validate_cotree,
 )
-from .verify import ProblemKind
+from .verify import ProblemKind, check_masks, covered, first_collision, undominated
 
 __all__ = [
     "CographSummary",
@@ -256,56 +258,48 @@ def gamma_old_cograph(t: Cotree) -> int:
 class _WitnessBuilder:
     """Bottom-up assembly of a canonical minimum separating set.
 
-    The carried set always satisfies, on its node's induced subgraph:
-    it separates, has the fold's size, dominates everything when emp is
-    False, and has no vertex dominated by the whole set when univ is False.
-    When no constructive candidate meets these side conditions the build
-    raises WitnessUnavailable rather than return an unverified set.
+    Works on the graph's adjacency masks; a subtree's vertex set and the
+    set carried for it are int masks.  The carried set always satisfies, on
+    its node's induced subgraph: it separates, has the fold's size,
+    dominates everything when emp is False, and has no vertex dominated by
+    the whole set when univ is False.  When no constructive candidate meets
+    these side conditions the build raises WitnessUnavailable rather than
+    return an unverified set.
     """
 
-    def __init__(self, g: Graph, flavor: str):
-        self.g = g
+    def __init__(self, masks: tuple[int, ...], flavor: str):
+        self.masks = masks
         self.flavor = flavor
+        self.kind = ProblemKind.SEP_ID if flavor == "id" else ProblemKind.SEP_LD
 
-    # Signatures restricted to the subtree's vertex set.
-    def _sig(self, verts: frozenset[int], cand: frozenset[int], v: int) -> frozenset[int]:
-        return (self.g.adj[v] & verts & cand) | ({v} if v in cand else frozenset())
-
-    def _separates(self, verts: frozenset[int], cand: frozenset[int]) -> bool:
-        seen = {}
-        for v in sorted(verts):
-            if self.flavor == "ld" and v in cand:
-                continue
-            key = self._sig(verts, cand, v)
-            if key in seen:
-                return False
-            seen[key] = v
-        return True
-
-    def _empty_sig_vertices(self, verts: frozenset[int], cand: frozenset[int]) -> list[int]:
-        return sorted(
-            v for v in verts if v not in cand and not (self.g.adj[v] & cand & verts)
-        )
-
-    def _covered_vertices(self, verts: frozenset[int], cand: frozenset[int]) -> list[int]:
-        out = []
-        for v in sorted(verts):
-            if self.flavor == "ld" and v in cand:
-                continue
-            closed = (self.g.adj[v] & verts) | {v}
-            if cand <= closed:
-                out.append(v)
-        return out
-
-    def _canonical(self, verts, cand, state) -> bool:
+    # The carried set lies inside the subtree, so signatures over the whole
+    # graph restricted to the subtree's vertices are the subtree's own.
+    def _canonical(self, verts: int, cand: int, state) -> bool:
         k, emp, univ, _ = state
-        if len(cand) != k or not self._separates(verts, cand):
+        masks, kind = self.masks, self.kind
+        if cand.bit_count() != k or first_collision(masks, cand, kind, verts):
             return False
-        if not emp and self._empty_sig_vertices(verts, cand):
+        if not emp and undominated(masks, cand, kind, verts):
             return False
-        if not univ and self._covered_vertices(verts, cand):
+        if not univ and covered(masks, cand, kind, verts):
             return False
         return True
+
+    def _candidates(self, verts: int, base: int, kind: str) -> Iterator[int]:
+        """Sets of one more vertex tried at a merge whose value grows by one."""
+        if kind == UNION:
+            for u in bits(undominated(self.masks, base, self.kind, verts)):
+                yield base | 1 << u
+            return
+        colliders = covered(self.masks, base, self.kind, verts)
+        if self.flavor == "ld":
+            for u in bits(colliders):
+                yield base | 1 << u
+            return
+        # A closed neighbourhood meeting exactly one collider splits it off.
+        for w in bits(verts):
+            if ((self.masks[w] | 1 << w) & colliders).bit_count() == 1:
+                yield base | 1 << w
 
     def _merge_children(self, node: CotreeNode, kids: list) -> tuple:
         verts, state, cand = kids[0]
@@ -313,32 +307,11 @@ class _WitnessBuilder:
             nverts = verts | bverts
             nstate = _merge(state, bstate, node.kind, self.flavor)
             base = cand | bcand
-            bumped = nstate[0] == state[0] + bstate[0] + 1
-            candidates = []
-            if not bumped:
-                candidates.append(base)
-            elif node.kind == UNION:
-                for u in self._empty_sig_vertices(nverts, base):
-                    candidates.append(base | {u})
+            if nstate[0] == state[0] + bstate[0] + 1:
+                candidates = self._candidates(nverts, base, node.kind)
             else:
-                colliders = self._covered_vertices(nverts, base)
-                if self.flavor == "ld":
-                    for u in colliders:
-                        candidates.append(base | {u})
-                else:
-                    for w in sorted(nverts):
-                        hits = sum(
-                            1
-                            for u in colliders
-                            if w == u or (w in self.g.adj[u] and w in nverts)
-                        )
-                        if hits == 1:
-                            candidates.append(base | {w})
-            chosen = None
-            for c in candidates:
-                if self._canonical(nverts, c, nstate):
-                    chosen = c
-                    break
+                candidates = [base]
+            chosen = next((c for c in candidates if self._canonical(nverts, c, nstate)), None)
             if chosen is None:
                 raise WitnessUnavailable(
                     "no constructive candidate meets the side conditions"
@@ -346,13 +319,9 @@ class _WitnessBuilder:
             verts, state, cand = nverts, nstate, chosen
         return verts, state, cand
 
-    def build(self, t: Cotree) -> tuple[frozenset[int], tuple, frozenset[int]]:
-        """Returns (vertices, fold state, witness) for the whole tree."""
-        return fold_cotree(
-            t,
-            lambda leaf: (frozenset([leaf.vertex]), _LEAF, frozenset()),
-            self._merge_children,
-        )
+    def build(self, t: Cotree) -> tuple[int, tuple, int]:
+        """Returns (vertex mask, fold state, witness mask) for the whole tree."""
+        return fold_cotree(t, lambda leaf: (1 << leaf.vertex, _LEAF, 0), self._merge_children)
 
 
 def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:
@@ -360,9 +329,9 @@ def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:
 
     Supports IC and LD (separating witness plus the single repair vertex when
     needed), RS on connected cographs, and the raw SEP_ID / SEP_LD witnesses.
+    The graph is never built: the builder and the final check run on the
+    adjacency masks of :func:`models.cotree_masks`.
     """
-    from . import verify
-
     flavor_kind = {
         ProblemKind.IC: ("id", True),
         ProblemKind.SEP_ID: ("id", False),
@@ -376,17 +345,18 @@ def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:
     summary = sep_id_dp(t) if flavor == "id" else sep_ld_dp(t)
     if kind is ProblemKind.RS and isinstance(t, CotreeNode) and t.kind != JOIN:
         raise Disconnected("cotree root is a union: graph is disconnected")
-    g = cotree_to_graph(t)
-    builder = _WitnessBuilder(g, flavor)
+    masks = cotree_masks(t)
+    builder = _WitnessBuilder(masks, flavor)
     verts, state, cand = builder.build(t)
     if repair and summary.emp:
-        holes = builder._empty_sig_vertices(verts, cand)
+        holes = bits(undominated(masks, cand, builder.kind, verts))
         if len(holes) != 1:
             raise WitnessUnavailable("expected exactly one undominated vertex")
-        cand = cand | {holes[0]}
-    if not verify.check(g, cand, kind):
+        cand |= 1 << holes[0]
+    witness = frozenset(bits(cand))
+    if not check_masks(masks, witness, kind):
         raise WitnessUnavailable(f"assembled set failed the {kind} verifier")
     expected = summary.k + (1 if repair and summary.emp else 0)
-    if len(cand) != expected:
+    if len(witness) != expected:
         raise WitnessUnavailable("assembled set has the wrong size")
-    return cand
+    return witness

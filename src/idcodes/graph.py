@@ -2,11 +2,18 @@
 
 Vertices are always 0..n-1.  Graphs are immutable after construction, so
 instances can be shared freely between threads and reused as dict keys.
+
+Besides its frozenset adjacency, a graph has one int-bitmask view of it,
+``Graph.masks``: bit w of ``masks[v]`` is set when vw is an edge.  Searches
+(breadth-first distances, components, complement components) and the
+verifiers in :mod:`idcodes.verify` run on the masks, expanding a whole
+frontier of vertices per step.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -16,6 +23,9 @@ __all__ = [
     "InvalidVertex",
     "Disconnected",
     "GraphFormatError",
+    "bits",
+    "mask_components",
+    "mask_distances",
     "bfs_distances",
     "all_pairs_distances",
     "diameter",
@@ -55,9 +65,14 @@ class GraphFormatError(GraphError):
 
 
 class Graph:
-    """Immutable simple undirected graph with adjacency-set storage."""
+    """Immutable simple undirected graph.
 
-    __slots__ = ("n", "adj", "_hash")
+    ``adj[v]`` is the frozenset of v's neighbours.  ``masks[v]`` is the same
+    set as an int with bit w set for each neighbour w; it is built on first
+    use and cached, like the hash.
+    """
+
+    __slots__ = ("n", "adj", "_masks", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -72,7 +87,42 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self._masks = None
         self._hash = None
+
+    @classmethod
+    def from_masks(cls, masks: Iterable[int]) -> "Graph":
+        """The graph whose adjacency masks are `masks` (see :attr:`masks`)."""
+        masks = tuple(masks)
+        n = len(masks)
+        for v, m in enumerate(masks):
+            if m < 0 or m >> n:
+                raise InvalidVertex(f"mask of vertex {v} out of range for n={n}")
+            if m >> v & 1:
+                raise GraphError(f"self-loop at vertex {v}")
+        adj = tuple(frozenset(bits(m)) for m in masks)
+        if any(v not in adj[w] for v in range(n) for w in adj[v]):
+            raise GraphError("adjacency masks are not symmetric")
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "_masks", masks)
+        object.__setattr__(g, "_hash", None)
+        return g
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency as ints: bit w of ``masks[v]`` is set when vw is an edge."""
+        if self._masks is None:
+            rows = []
+            for s in self.adj:
+                # One digit per vertex, read lowest bit last as a binary number.
+                row = bytearray(b"0" * self.n)
+                for w in s:
+                    row[w] = 49  # ord("1")
+                rows.append(int(row[::-1], 2))
+            object.__setattr__(self, "_masks", tuple(rows))
+        return self._masks
 
     # -- basic queries ----------------------------------------------------
 
@@ -169,20 +219,43 @@ class Graph:
 # -- traversal and metric helpers ------------------------------------------
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bits(m: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, in increasing order."""
+    digits = bin(m)[:1:-1].encode().translate(_DIGIT_VALUES)  # lowest bit first
+    return list(compress(range(len(digits)), digits))
+
+
+def _bfs_layers(masks: tuple[int, ...], v: int) -> Iterator[int]:
+    """Vertex masks of the vertices at distance 0, 1, 2, ... from v."""
+    frontier = 1 << v
+    unseen = ((1 << len(masks)) - 1) ^ frontier
+    while frontier:
+        yield frontier
+        reach = 0
+        for u in bits(frontier):
+            reach |= masks[u]
+            if reach & unseen == unseen:
+                break
+        frontier = reach & unseen
+        unseen ^= frontier
+
+
+def mask_distances(masks: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """Breadth-first distances from v over adjacency masks (INFINITE if unreachable)."""
+    dist = [INFINITE] * len(masks)
+    for d, layer in enumerate(_bfs_layers(masks, v)):
+        for u in bits(layer):
+            dist[u] = d
+    return tuple(dist)
+
+
 def bfs_distances(g: Graph, v: int) -> tuple[int, ...]:
     """Breadth-first distances from v; unreachable vertices get INFINITE."""
     g.check_vertex(v)
-    dist = [INFINITE] * g.n
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adj[u]:
-            if dist[w] == INFINITE:
-                dist[w] = du + 1
-                queue.append(w)
-    return tuple(dist)
+    return mask_distances(g.masks, v)
 
 
 def all_pairs_distances(g: Graph) -> list[tuple[int, ...]]:
@@ -194,12 +267,16 @@ def diameter(g: Graph) -> int:
     """Largest distance between any two vertices of a connected graph."""
     if g.n == 0:
         raise GraphError("diameter of the empty graph is undefined")
+    everything = (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        dist = bfs_distances(g, v)
-        if INFINITE in dist:
+        reached, eccentricity = 0, -1
+        for layer in _bfs_layers(g.masks, v):
+            reached |= layer
+            eccentricity += 1
+        if reached != everything:
             raise Disconnected("graph is not connected")
-        best = max(best, max(dist))
+        best = max(best, eccentricity)
     return best
 
 
@@ -257,25 +334,39 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
+def mask_components(masks: tuple[int, ...], within: int, co: bool = False) -> list[int]:
+    """Components of the subgraph induced by the vertex mask `within`.
+
+    With ``co=True`` they are the components of its complement: a frontier
+    vertex u reaches the unvisited vertices outside ``masks[u]``.  Components
+    come as vertex masks, ordered by their smallest vertex.
+    """
+    comps = []
+    rest = within
+    while rest:
+        comp = frontier = rest & -rest
+        rest ^= frontier
+        while frontier and rest:
+            found = 0
+            for u in bits(frontier):
+                step = rest & ~masks[u] if co else rest & masks[u]
+                if step:
+                    found |= step
+                    rest ^= step
+                    if not rest:
+                        break
+            comp |= found
+            frontier = found
+        comps.append(comp)
+    return comps
+
+
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of the vertices by reachability, ordered by smallest member."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    return [
+        frozenset(bits(comp))
+        for comp in mask_components(g.masks, (1 << g.n) - 1)
+    ]
 
 
 def is_connected(g: Graph) -> bool:

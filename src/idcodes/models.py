@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .graph import Graph, complement, connected_components
+from .graph import Graph, mask_components
 
 __all__ = [
     "ModelError",
@@ -41,6 +41,7 @@ __all__ = [
     "interval_graph",
     "is_unit_model",
     "permutation_graph",
+    "cotree_masks",
     "cotree_to_graph",
     "cograph_recognize",
     "complement_cotree",
@@ -200,10 +201,35 @@ class Leaf:
     vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CotreeNode:
+    """An internal cotree node.
+
+    Equality, hashing and repr walk the tree with :func:`walk_cotree`, so
+    they work at any depth; two nodes are equal when they have the same
+    kinds, child counts and leaf labels in the same order.
+    """
+
     kind: str  # UNION or JOIN
     children: tuple["Cotree", ...]
+
+    def _tokens(self) -> Iterator:
+        for node, entering in walk_cotree(self):
+            if entering:
+                yield node.kind, len(node.children)
+            elif isinstance(node, Leaf):
+                yield node.vertex
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CotreeNode):
+            return NotImplemented
+        return self is other or list(self._tokens()) == list(other._tokens())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._tokens()))
+
+    def __repr__(self) -> str:
+        return f"<CotreeNode {format_cotree(self)}>"
 
 
 Cotree = Union[Leaf, CotreeNode]
@@ -311,62 +337,79 @@ def validate_cotree(t: Cotree) -> None:
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
 
 
+def cotree_masks(t: Cotree) -> tuple[int, ...]:
+    """Adjacency masks of the cotree's graph, as :attr:`Graph.masks` has them.
+
+    A fold gives every node the mask of its leaves; a join then hands each
+    part the union of the other parts, and a walk down the folded tree ORs
+    those gifts into the leaves below.
+    """
+    validate_cotree(t)
+
+    def node_value(node: CotreeNode, kids: list) -> tuple:
+        mask = 0
+        for kid_mask, _ in kids:
+            mask |= kid_mask
+        return mask, (node.kind, kids)
+
+    root = fold_cotree(t, lambda leaf: (1 << leaf.vertex, leaf.vertex), node_value)
+    masks = [0] * root[0].bit_length()
+    stack = [(root, 0)]
+    while stack:
+        (mask, body), inherited = stack.pop()
+        if body.__class__ is int:
+            masks[body] = inherited
+            continue
+        kind, kids = body
+        for kid in kids:
+            stack.append((kid, inherited | (mask ^ kid[0]) if kind == JOIN else inherited))
+    return tuple(masks)
+
+
 def cotree_to_graph(t: Cotree) -> Graph:
     """Evaluate the cotree: UNION keeps parts apart, JOIN adds all cross edges."""
-    validate_cotree(t)
-    edges: list[tuple[int, int]] = []
-    add = edges.append
-
-    def node_vertices(node: CotreeNode, parts: list[list[int]]) -> list[int]:
-        if node.kind == JOIN:
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    for u in parts[i]:
-                        for v in parts[j]:
-                            add((min(u, v), max(u, v)))
-        return [v for part in parts for v in part]
-
-    n = len(fold_cotree(t, lambda leaf: [leaf.vertex], node_vertices))
-    return Graph(n, edges)
+    return Graph.from_masks(cotree_masks(t))
 
 
 def cograph_recognize(g: Graph) -> Cotree:
-    """Build a cotree for g by component / co-component splitting.
+    """Build the canonical cotree of g by component / co-component splitting.
+
+    Runs on vertex masks with an explicit stack.  A disconnected vertex set
+    becomes a union of its components, a connected one a join of its
+    co-components (the components of its complement).  A component is
+    connected, so it splits into co-components, and a co-component into
+    components; children come ordered by their smallest vertex.
 
     Raises NotCograph when some induced subgraph and its complement are both
     connected on more than one vertex.
     """
-
-    def build(vertices: list[int]) -> Cotree:
-        if len(vertices) == 1:
-            return Leaf(vertices[0])
-        index = {v: i for i, v in enumerate(vertices)}
-        sub = Graph(
-            len(vertices),
-            [
-                (index[u], index[v])
-                for u in vertices
-                for v in vertices
-                if u < v and v in g.adj[u]
-            ],
-        )
-        comps = connected_components(sub)
-        if len(comps) > 1:
-            return CotreeNode(
-                UNION,
-                tuple(build(sorted(vertices[i] for i in comp)) for comp in comps),
-            )
-        co_comps = connected_components(complement(sub))
-        if len(co_comps) > 1:
-            return CotreeNode(
-                JOIN,
-                tuple(build(sorted(vertices[i] for i in comp)) for comp in co_comps),
-            )
-        raise NotCograph("graph contains an induced 4-vertex path")
-
     if g.n == 0:
         raise ModelError("cotrees require at least one vertex")
-    return canonicalize(build(list(range(g.n))))
+    masks = g.masks
+    values: list[Cotree] = []
+    # A vertex mask to split, with whether by co-components (None: try both),
+    # or a node kind with the number of finished children it takes.
+    work: list[tuple] = [((1 << g.n) - 1, None)]
+    while work:
+        item, co = work.pop()
+        if item.__class__ is str:
+            base = len(values) - co
+            node = CotreeNode(item, tuple(values[base:]))
+            del values[base:]
+            values.append(node)
+            continue
+        if not item & (item - 1):
+            values.append(Leaf(item.bit_length() - 1))
+            continue
+        parts = mask_components(masks, item, co=bool(co))
+        if co is None and len(parts) == 1:
+            co = True
+            parts = mask_components(masks, item, co=True)
+        if len(parts) == 1:
+            raise NotCograph("graph contains an induced 4-vertex path")
+        work.append((JOIN if co else UNION, len(parts)))
+        work.extend((part, not co) for part in reversed(parts))
+    return values[0]
 
 
 _SWAPPED = {UNION: JOIN, JOIN: UNION}

@@ -1,7 +1,14 @@
 """Predicates deciding whether a vertex set solves an identification problem.
 
-Signatures are kept as explicit vertex sets rather than hashes so that a
-failing pair can always be reported back to the caller.
+Every predicate runs on the graph's adjacency masks (``Graph.masks``: bit w
+of ``masks[v]`` is set when vw is an edge) with the candidate set as one int
+mask.  A vertex's signature is its closed neighbourhood mask (its open one
+for the OLD kinds) ANDed with the candidate mask.  One kernel,
+:func:`first_collision`, visits vertices in increasing order and returns
+the first pair with equal signatures, so a failing pair can always be
+reported back; domination is one mask test per vertex (:func:`undominated`).
+Both take an optional vertex mask to look at, which is how the cotree
+witness builder checks a set on the vertices of one subtree.
 """
 
 from __future__ import annotations
@@ -9,10 +16,21 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from .graph import Graph, Disconnected, bfs_distances, is_connected
+from .graph import (
+    Disconnected,
+    Graph,
+    InvalidVertex,
+    bits,
+    mask_components,
+    mask_distances,
+)
 
 __all__ = [
     "ProblemKind",
+    "vertex_mask",
+    "first_collision",
+    "undominated",
+    "covered",
     "closed_signature",
     "open_signature",
     "is_dominating",
@@ -26,6 +44,7 @@ __all__ = [
     "emp_flag",
     "univ_flag",
     "check",
+    "check_masks",
 ]
 
 
@@ -45,27 +64,130 @@ class ProblemKind(Enum):
     SEP_OLD = "sep-old"
 
 
+# Signature rules per kind: the OLD kinds use open neighbourhoods, the LD
+# kinds compare only the vertices outside the set, and IC/LD/OLD also ask
+# every vertex to have a nonempty signature.
+_OPEN = frozenset({ProblemKind.OLD, ProblemKind.SEP_OLD})
+_OUTSIDE = frozenset({ProblemKind.LD, ProblemKind.SEP_LD})
+_DOMINATING = frozenset({ProblemKind.IC, ProblemKind.LD, ProblemKind.OLD})
+
+# The emp/univ flavors of the cotree fold are the separating kinds.
+_FLAVOR_KIND = {"id": ProblemKind.SEP_ID, "ld": ProblemKind.SEP_LD, "old": ProblemKind.SEP_OLD}
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The int with bit v set for each vertex v."""
+    m = 0
+    for v in vertices:
+        if v < 0:
+            raise InvalidVertex(f"vertex {v} is negative")
+        m |= 1 << v
+    return m
+
+
+def _everything(masks: tuple[int, ...]) -> int:
+    return (1 << len(masks)) - 1
+
+
+def first_collision(
+    masks: tuple[int, ...], s: int, kind: ProblemKind, domain: int | None = None
+) -> tuple[int, int] | None:
+    """First pair u < v of vertices with equal signatures under the set mask s.
+
+    Vertices of `domain` (default: all) are visited in increasing order, less
+    the members of s for the LD kinds, and v is the first one whose signature
+    an earlier vertex u already had.  None when all of them are separated.
+    """
+    if domain is None:
+        domain = _everything(masks)
+    if kind in _OUTSIDE:
+        domain &= ~s
+    loop = 0 if kind in _OPEN else 1  # a closed neighbourhood holds v itself
+    seen: dict[int, int] = {}
+    for v in bits(domain):
+        first = seen.setdefault((masks[v] | loop << v) & s, v)
+        if first != v:
+            return (first, v)
+    return None
+
+
+def undominated(
+    masks: tuple[int, ...], s: int, kind: ProblemKind, domain: int | None = None
+) -> int:
+    """Mask of the vertices of `domain` (default: all) with an empty signature."""
+    if domain is None:
+        domain = _everything(masks)
+    loop = 0 if kind in _OPEN else 1
+    out = 0
+    for v in bits(domain):
+        if not (masks[v] | loop << v) & s:
+            out |= 1 << v
+    return out
+
+
+def covered(
+    masks: tuple[int, ...], s: int, kind: ProblemKind, domain: int | None = None
+) -> int:
+    """Mask of the vertices of `domain` (default: all) whose signature is all
+    of s; for the LD kinds only vertices outside s count."""
+    if domain is None:
+        domain = _everything(masks)
+    if kind in _OUTSIDE:
+        domain &= ~s
+    loop = 0 if kind in _OPEN else 1
+    out = 0
+    for v in bits(domain):
+        if not s & ~(masks[v] | loop << v):
+            out |= 1 << v
+    return out
+
+
+def _resolves(masks: tuple[int, ...], s: int) -> bool:
+    """Distance vectors to the members of s distinguish all vertex pairs."""
+    n = len(masks)
+    if len(mask_components(masks, _everything(masks))) > 1:
+        raise Disconnected("resolving sets need a connected graph")
+    if s >> n:
+        raise InvalidVertex(f"candidate vertex out of range for n={n}")
+    rows = [mask_distances(masks, x) for x in bits(s)]
+    if not rows:
+        return n <= 1
+    return len(set(zip(*rows))) == n
+
+
+def check_masks(masks: tuple[int, ...], candidate: Iterable[int], kind: ProblemKind) -> bool:
+    """Whether the candidate solves the kind on the graph with these masks."""
+    s = vertex_mask(candidate)
+    if kind is ProblemKind.RS:
+        return _resolves(masks, s)
+    if kind in _DOMINATING and undominated(masks, s, kind):
+        return False
+    return first_collision(masks, s, kind) is None
+
+
+def check(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
+    """Whether the candidate is a solution of the kind on g."""
+    return check_masks(g.masks, candidate, kind)
+
+
 def closed_signature(g: Graph, candidate: Iterable[int], v: int) -> frozenset[int]:
     """N[v] intersected with the candidate set."""
-    s = frozenset(candidate)
-    return (g.adj[v] | {v}) & s
+    return frozenset(bits((g.masks[v] | 1 << v) & vertex_mask(candidate)))
 
 
 def open_signature(g: Graph, candidate: Iterable[int], v: int) -> frozenset[int]:
     """N(v) intersected with the candidate set."""
-    return g.adj[v] & frozenset(candidate)
+    return frozenset(bits(g.masks[v] & vertex_mask(candidate)))
 
 
 def is_dominating(g: Graph, candidate: Iterable[int]) -> bool:
     """Every vertex has a candidate member in its closed neighbourhood."""
-    s = set(candidate)
-    return all(v in s or g.adj[v] & s for v in range(g.n))
+    return not undominated(g.masks, vertex_mask(candidate), ProblemKind.IC)
 
 
 def is_total_dominating(g: Graph, candidate: Iterable[int]) -> bool:
     """Every vertex has a candidate member among its neighbours."""
-    s = set(candidate)
-    return all(g.adj[v] & s for v in range(g.n))
+    return not undominated(g.masks, vertex_mask(candidate), ProblemKind.OLD)
 
 
 def separation_violation(
@@ -78,65 +200,40 @@ def separation_violation(
     candidate, SEP_OLD / OLD compare open signatures over all vertices.
     Returns None when all relevant pairs are separated.
     """
-    s = frozenset(candidate)
-    if kind in (ProblemKind.OLD, ProblemKind.SEP_OLD):
-        domain = range(g.n)
-        sig = lambda v: g.adj[v] & s
-    elif kind in (ProblemKind.LD, ProblemKind.SEP_LD):
-        domain = (v for v in range(g.n) if v not in s)
-        sig = lambda v: g.adj[v] & s
-    else:  # IC / SEP_ID
-        domain = range(g.n)
-        sig = lambda v: (g.adj[v] | {v}) & s
-    seen: dict[frozenset[int], int] = {}
-    for v in domain:
-        key = sig(v)
-        if key in seen:
-            return (seen[key], v)
-        seen[key] = v
-    return None
+    return first_collision(g.masks, vertex_mask(candidate), kind)
 
 
 def is_separating(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
     """Pairwise-distinct signatures over the kind's pair domain, no domination."""
     if kind not in (ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD):
         raise ValueError(f"{kind} is not a separation-only kind")
-    return separation_violation(g, candidate, kind) is None
+    return check(g, candidate, kind)
 
 
 def is_identifying_code(g: Graph, candidate: Iterable[int]) -> bool:
     """Dominating set whose closed signatures distinguish all vertices."""
-    s = frozenset(candidate)
-    return is_dominating(g, s) and separation_violation(g, s, ProblemKind.IC) is None
+    return check(g, candidate, ProblemKind.IC)
 
 
 def is_locating_dominating(g: Graph, candidate: Iterable[int]) -> bool:
     """Dominating set whose signatures distinguish the vertices outside it."""
-    s = frozenset(candidate)
-    return is_dominating(g, s) and separation_violation(g, s, ProblemKind.LD) is None
+    return check(g, candidate, ProblemKind.LD)
 
 
 def is_open_locating_dominating(g: Graph, candidate: Iterable[int]) -> bool:
     """Total dominating set whose open signatures distinguish all vertices."""
-    s = frozenset(candidate)
-    return (
-        is_total_dominating(g, s)
-        and separation_violation(g, s, ProblemKind.OLD) is None
-    )
+    return check(g, candidate, ProblemKind.OLD)
 
 
 def is_resolving_set(g: Graph, candidate: Iterable[int]) -> bool:
     """Distance vectors to the candidate distinguish all vertex pairs."""
-    if not is_connected(g):
-        raise Disconnected("resolving sets need a connected graph")
-    rows = [bfs_distances(g, x) for x in sorted(set(candidate))]
-    seen = set()
-    for v in range(g.n):
-        key = tuple(row[v] for row in rows)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return check(g, candidate, ProblemKind.RS)
+
+
+def _flavor_kind(flavor: str) -> ProblemKind:
+    if flavor not in _FLAVOR_KIND:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return _FLAVOR_KIND[flavor]
 
 
 def emp_flag(g: Graph, candidate: Iterable[int], flavor: str) -> bool:
@@ -144,12 +241,8 @@ def emp_flag(g: Graph, candidate: Iterable[int], flavor: str) -> bool:
 
     Flavor "id" and "ld" use closed neighbourhoods, "old" uses open ones.
     """
-    s = frozenset(candidate)
-    if flavor == "old":
-        return any(not (g.adj[v] & s) for v in range(g.n))
-    if flavor in ("id", "ld"):
-        return any(v not in s and not (g.adj[v] & s) for v in range(g.n))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    kind = _flavor_kind(flavor)
+    return bool(undominated(g.masks, vertex_mask(candidate), kind))
 
 
 def univ_flag(g: Graph, candidate: Iterable[int], flavor: str) -> bool:
@@ -159,25 +252,5 @@ def univ_flag(g: Graph, candidate: Iterable[int], flavor: str) -> bool:
     itself), the "ld" flavor only vertices outside the candidate, and the
     "old" flavor requires all candidate members to be proper neighbours.
     """
-    s = frozenset(candidate)
-    if flavor == "id":
-        return any(s <= (g.adj[v] | {v}) for v in range(g.n))
-    if flavor == "ld":
-        return any(v not in s and s <= g.adj[v] for v in range(g.n))
-    if flavor == "old":
-        return any(s <= g.adj[v] for v in range(g.n))
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def check(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
-    """Dispatch to the predicate matching the problem kind."""
-    s = frozenset(candidate)
-    if kind is ProblemKind.IC:
-        return is_identifying_code(g, s)
-    if kind is ProblemKind.LD:
-        return is_locating_dominating(g, s)
-    if kind is ProblemKind.OLD:
-        return is_open_locating_dominating(g, s)
-    if kind is ProblemKind.RS:
-        return is_resolving_set(g, s)
-    return is_separating(g, s, kind)
+    kind = _flavor_kind(flavor)
+    return bool(covered(g.masks, vertex_mask(candidate), kind))

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import idcodes
 from idcodes.cli import main
 
 P5 = "graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
@@ -165,6 +168,24 @@ class TestGenerateCertify:
         assert code == 0
         assert (workdir / "cg.cotree").exists()
 
+    @pytest.mark.parametrize("family,problem", [("cograph-id", "sep-id"), ("cograph-ld", "sep-ld")])
+    def test_certify_separating_kind_on_cotree(self, workdir, capsys, family, problem):
+        prefix = workdir / family
+        code, _, _ = run_cli(
+            ["generate", "--family", family, "--n", "12", "--variant", "1", "--out", prefix],
+            capsys,
+        )
+        assert code == 0
+        manifest = (workdir / f"{family}.manifest").read_text().strip()
+        assert manifest.split()[1] == problem
+        solution = manifest.split("solution=")[1]
+        code, out, err = run_cli(
+            ["certify", "--input", workdir / f"{family}.cotree", "--set", solution,
+             "--problem", problem],
+            capsys,
+        )
+        assert code == 0 and out.startswith("satisfied "), err
+
     def test_generate_deep_cograph_family(self, workdir, capsys):
         # its cotree is deeper than a recursive walk of the family allows
         code, out, _ = run_cli(
@@ -238,6 +259,10 @@ class TestCompileModel:
         # byte-identical output across runs of the real process
         cmd = [sys.executable, "-m", "idcodes.cli", "solve", "--problem", "ic",
                "--input", str(workdir / "p5.graph")]
-        r1 = subprocess.run(cmd, capture_output=True)
-        r2 = subprocess.run(cmd, capture_output=True)
+        # the child imports the same package as this test, installed or not
+        src = str(Path(idcodes.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        r1 = subprocess.run(cmd, capture_output=True, env=env)
+        r2 = subprocess.run(cmd, capture_output=True, env=env)
         assert r1.returncode == 0 and r1.stdout == r2.stdout

@@ -34,6 +34,7 @@ from idcodes.models import (
     UNION,
     all_cotrees,
     canonicalize,
+    cograph_recognize,
     complement_cotree,
     cotree_to_graph,
     format_cotree,
@@ -299,8 +300,7 @@ class TestDeepCotrees:
     """An alternating U/J caterpillar deeper than the recursion limit.
 
     The limit is lowered to a little above the test's own stack depth, so a
-    small tree is already too deep for any recursive walk.  Trees are
-    compared through their text, since dataclass equality itself recurses.
+    small tree is already too deep for any recursive walk.
     """
 
     LEAVES = 300
@@ -313,15 +313,21 @@ class TestDeepCotrees:
             t = CotreeNode(JOIN if v % 2 == 0 else UNION, (Leaf(v), t))
         return t
 
-    def test_walks_need_no_recursion(self):
-        t = self._caterpillar(self.LEAVES)
-        text = format_cotree(t)
-        g = cotree_to_graph(t)
+    @staticmethod
+    def _lower_recursion_limit():
+        """Set the limit 100 frames above the caller's depth; returns the old one."""
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         saved = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
+        return saved
+
+    def test_walks_need_no_recursion(self):
+        t = self._caterpillar(self.LEAVES)
+        text = format_cotree(t)
+        g = cotree_to_graph(t)
+        saved = self._lower_recursion_limit()
         try:
             assert self.LEAVES > sys.getrecursionlimit()
             assert format_cotree(parse_cotree(text)) == text
@@ -334,3 +340,30 @@ class TestDeepCotrees:
         assert summary.n == self.LEAVES
         assert check(g, w, ProblemKind.LD)
         assert len(w) == gamma_ld_cograph(t)
+
+    def test_recognition_needs_no_recursion(self):
+        t = self._caterpillar(600)
+        g = cotree_to_graph(t)
+        saved = self._lower_recursion_limit()
+        try:
+            assert sys.getrecursionlimit() < 600
+            recognized = cograph_recognize(g)
+        finally:
+            sys.setrecursionlimit(saved)
+        assert format_cotree(recognized) == format_cotree(t)
+
+    def test_equality_hash_and_repr_at_depth(self):
+        a, b = self._caterpillar(3000), self._caterpillar(3000)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(a) == f"<CotreeNode {format_cotree(a)}>"
+        c = CotreeNode(a.kind, (a.children[0], self._caterpillar(2999)))
+        assert a != c
+
+    def test_equality_and_hash_as_before_on_small_trees(self):
+        # structurally equal trees compare equal and hash alike, others differ
+        trees = [t for n in range(1, 7) for t in all_cotrees(n)]
+        rebuilt = [parse_cotree(format_cotree(t)) for t in trees]
+        for i, t in enumerate(trees):
+            assert t == rebuilt[i] and hash(t) == hash(rebuilt[i])
+            for u in trees[i + 1:]:
+                assert (t == u) == (format_cotree(t) == format_cotree(u))

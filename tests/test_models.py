@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from idcodes.graph import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
+from idcodes.graph import Graph, complete_graph, cycle_graph, empty_graph, path_graph, star_graph
 from idcodes.models import (
     DegenerateInterval,
     DuplicateIndex,
@@ -158,6 +158,17 @@ class TestCotree:
             t = random_cotree(rng.randint(9, 10), rng)
             g = cotree_to_graph(t)
             assert cotree_to_graph(cograph_recognize(g)) == g
+
+    def test_round_trip_random_large(self):
+        # shuffled labels, so recognition cannot lean on depth-first order
+        rng = random.Random(17)
+        for n in (30, 75, 150, 300):
+            for _ in range(3):
+                g = cotree_to_graph(random_cotree(n, rng))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                assert cotree_to_graph(cograph_recognize(g)) == g
 
     def test_cotree_file_comments(self):
         assert parse_cotree("# a comment\n(U 0 1)\n") == union_node(leaf(0), leaf(1))

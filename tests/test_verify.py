@@ -15,6 +15,15 @@ from idcodes.graph import (
     path_graph,
     star_graph,
 )
+from idcodes.exact import NoSolution, OpenTwinsPresent, TwinsPresent, _Checker
+from idcodes.models import (
+    IntervalModel,
+    PermutationModel,
+    all_cotrees,
+    cotree_to_graph,
+    interval_graph,
+    permutation_graph,
+)
 from idcodes.verify import (
     ProblemKind,
     check,
@@ -186,3 +195,61 @@ class TestImplicationChain:
         assert check(p3, [0, 1], ProblemKind.LD)
         assert check(p3, [0], ProblemKind.RS)
         assert check(p3, [0], ProblemKind.SEP_LD)
+
+
+def _brute_violation(g, s, kind):
+    """First colliding pair, from the definitions on frozenset adjacency."""
+    s = frozenset(s)
+    seen = {}
+    for v in range(g.n):
+        if kind in (ProblemKind.LD, ProblemKind.SEP_LD) and v in s:
+            continue
+        nbhd = g.adj[v] if kind in (ProblemKind.OLD, ProblemKind.SEP_OLD) else g.adj[v] | {v}
+        key = nbhd & s
+        if key in seen:
+            return (seen[key], v)
+        seen[key] = v
+    return None
+
+
+def _kernel_graphs():
+    """Every cograph on at most 7 vertices, then 30 seeded random interval
+    and permutation graphs on at most 8 vertices."""
+    for n in range(1, 8):
+        for t in all_cotrees(n):
+            yield cotree_to_graph(t)
+    rng = random.Random(29)
+    for i in range(30):
+        n = rng.randint(1, 8)
+        if i % 2:
+            bottoms = list(range(n))
+            rng.shuffle(bottoms)
+            yield permutation_graph(PermutationModel(enumerate(bottoms)))
+        else:
+            ends = [sorted(rng.sample(range(2 * n + 2), 2)) for _ in range(n)]
+            yield interval_graph(IntervalModel(ends))
+
+
+class TestMaskKernel:
+    """The mask kernel against the subset-enumeration checker and the
+    definitions, on every subset of every small graph and every kind."""
+
+    def test_check_matches_exact_checker(self):
+        for g in _kernel_graphs():
+            for kind in ProblemKind:
+                try:
+                    reference = _Checker(g, kind)
+                except (TwinsPresent, OpenTwinsPresent, NoSolution, Disconnected):
+                    continue
+                for mask in range(1 << g.n):
+                    subset = tuple(v for v in range(g.n) if mask >> v & 1)
+                    assert check(g, subset, kind) == reference(subset, mask), (g, kind, subset)
+
+    def test_first_pair_matches_brute_force(self):
+        for g in _kernel_graphs():
+            for mask in range(1 << g.n):
+                subset = [v for v in range(g.n) if mask >> v & 1]
+                for kind in ProblemKind:
+                    if kind is ProblemKind.RS:
+                        continue
+                    assert separation_violation(g, subset, kind) == _brute_violation(g, subset, kind)
