@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .exact import OpenTwinsPresent, TwinsPresent, min_set
+from .exact import OpenTwinsPresent, TwinsPresent
 from .graph import Disconnected, bits
 from .models import (
     Cotree,
@@ -36,9 +36,7 @@ from .models import (
     JOIN,
     Leaf,
     UNION,
-    all_cotrees,
     cotree_masks,
-    cotree_to_graph,
     fold_cotree,
     validate_cotree,
 )
@@ -46,7 +44,6 @@ from .verify import ProblemKind, check_masks, covered, first_collision, undomina
 
 __all__ = [
     "CographSummary",
-    "NotValidated",
     "NoOldSolution",
     "WitnessUnavailable",
     "sep_id_dp",
@@ -56,14 +53,9 @@ __all__ = [
     "gamma_ld_cograph",
     "gamma_old_cograph",
     "dim_cograph",
-    "enable_old_dp",
     "witness_cograph",
     "graph_has_isolated_vertex",
 ]
-
-
-class NotValidated(Exception):
-    """The open-locating recurrence was used before its validation gate ran."""
 
 
 class NoOldSolution(Exception):
@@ -204,43 +196,8 @@ def graph_has_isolated_vertex(t: Cotree) -> bool:
     return any(isinstance(c, Leaf) for c in t.children)
 
 
-# -- open flavor: validation gate ---------------------------------------------
-
-_OLD_GATE_PASSED = False
-
-
-def enable_old_dp(max_leaves: int = 9) -> None:
-    """Run the open-flavor recurrence against the oracle before allowing it.
-
-    Checks every open-twin-free cograph with up to `max_leaves` vertices:
-    value and both flags must match the subset-enumeration oracle exactly.
-    """
-    global _OLD_GATE_PASSED
-    if _OLD_GATE_PASSED:
-        return
-    from .exact import emp_univ_oracle
-
-    for n in range(1, max_leaves + 1):
-        for t in all_cotrees(n):
-            g = cotree_to_graph(t)
-            try:
-                oracle = min_set(g, ProblemKind.SEP_OLD)
-            except OpenTwinsPresent:
-                continue
-            k, emp, univ, _ = _fold(t, "old")
-            o_emp, o_univ = emp_univ_oracle(g, "old")
-            if (k, emp, univ) != (oracle.size, o_emp, o_univ):
-                raise NotValidated(
-                    f"open recurrence disagrees with oracle on n={n}: "
-                    f"dp=({k},{emp},{univ}) oracle=({oracle.size},{o_emp},{o_univ})"
-                )
-    _OLD_GATE_PASSED = True
-
-
 def sep_old_dp(t: Cotree) -> CographSummary:
-    """Open-signature analog of sep_id_dp; gated behind enable_old_dp()."""
-    if not _OLD_GATE_PASSED:
-        raise NotValidated("call enable_old_dp() before using the open recurrence")
+    """Open-signature analog of sep_id_dp (needs an open-twin-free cograph)."""
     return CographSummary(*_fold(t, "old"))
 
 

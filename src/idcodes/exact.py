@@ -59,11 +59,11 @@ class SolveResult:
 
 
 def _closed_masks(g: Graph) -> list[int]:
-    return [(1 << v) | sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    return [m | 1 << v for v, m in enumerate(g.masks)]
 
 
 def _open_masks(g: Graph) -> list[int]:
-    return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    return list(g.masks)
 
 
 class _Checker:
@@ -81,7 +81,7 @@ class _Checker:
             twins = open_twins(g)
             if twins:
                 raise OpenTwinsPresent(f"open twins present, e.g. {twins[0]}")
-            if kind is ProblemKind.OLD and any(not g.adj[v] for v in range(g.n)):
+            if kind is ProblemKind.OLD and not all(g.masks):
                 raise NoSolution("a degree-0 vertex cannot be totally dominated")
             self.masks = _open_masks(g)
         elif kind in (ProblemKind.LD, ProblemKind.SEP_LD):

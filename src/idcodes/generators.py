@@ -17,6 +17,7 @@ from .cograph import sep_id_dp, sep_ld_dp, witness_cograph
 from .graph import (
     Disconnected,
     Graph,
+    all_pairs_distances,
     bipartition,
     diameter as graph_diameter,
     is_connected,
@@ -372,36 +373,31 @@ def _config_based_family(k: int, kind: ProblemKind, family: str) -> ExtremalInst
     trank = {t: r for r, t in enumerate(tops)}  # rank 0..k-1
     brank = {b: r for r, b in enumerate(bots)}
 
-    def cell_nbhd(i: int, j: int) -> frozenset[int]:
+    def cell_nbhd(i: int, j: int) -> int:
         # Solution member x crosses cell (i, j) iff exactly one of its ranks
         # is passed: top rank <= i-1 ... encoded with gap semantics below.
-        out = []
+        out = 0
         for idx, (t, b) in enumerate(code):
             top_passed = trank[t] < i  # cell top lies right of x's top
             bot_passed = brank[b] < j
             if top_passed != bot_passed:
-                out.append(idx)
-        return frozenset(out)
+                out |= 1 << idx
+        return out
 
-    open_sigs = []
-    closed_sigs = []
-    gph = permutation_graph(PermutationModel(normalized_segments(code).segments))
-    for v in range(k):
-        open_sigs.append(frozenset(gph.adj[v]))
-        closed_sigs.append(frozenset(gph.adj[v]) | {v})
-
-    groups: dict[frozenset[int], tuple[int, int]] = {}
+    groups: dict[int, tuple[int, int]] = {}
     for i in range(k + 1):
         for j in range(k + 1):
             sig = cell_nbhd(i, j)
             if sig not in groups:
                 groups[sig] = (i, j)
 
-    banned: set[frozenset[int]] = {frozenset()}
+    # Signatures are masks over the solution, which is the path's vertices 0..k-1.
+    path_masks = permutation_graph(normalized_segments(code)).masks
+    banned = {0}
     if kind is ProblemKind.IC:
-        banned.update(closed_sigs)
+        banned.update(m | 1 << v for v, m in enumerate(path_masks))
     elif kind is ProblemKind.OLD:
-        banned.update(open_sigs)
+        banned.update(path_masks)
     cells = sorted(cell for sig, cell in groups.items() if sig not in banned)
 
     # Realize one segment per kept cell: place tops/bottoms inside their gaps.
@@ -504,20 +500,17 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
     if not with_fillers:
         return normalized_segments(positions), solution, len(positions)
 
-    from .graph import all_pairs_distances
-    from .models import permutation_graph as _pgraph
-
-    base_graph = _pgraph(normalized_segments(positions))
+    base_graph = permutation_graph(normalized_segments(positions))
     dist = all_pairs_distances(base_graph)
-    adj = [set(base_graph.adj[v]) for v in range(base_graph.n)]
+    masks = list(base_graph.masks)
     vectors = {tuple(dist[x][v] for x in solution) for v in range(base_graph.n)}
     vec_of = [tuple(dist[x][v] for x in solution) for v in range(base_graph.n)]
 
     def crosses(p1, p2) -> bool:
         return (p1[0] - p2[0]) * (p1[1] - p2[1]) < 0
 
-    def within_two(u: int, w: int) -> bool:
-        return u == w or w in adj[u] or bool(adj[u] & adj[w])
+    def within_two(u: int, w: int) -> int:
+        return masks[u] >> w & 1 or masks[u] & masks[w]
 
     all_tops = sorted(t for t, _ in positions)
     target = half_k + 2
@@ -553,9 +546,11 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
                 continue
             new_id = len(positions)
             positions.append(cand)
-            adj.append(set(nbrs))
+            row = 0
             for w in nbrs:
-                adj[w].add(new_id)
+                masks[w] |= 1 << new_id
+                row |= 1 << w
+            masks.append(row)
             vectors.add(vec)
             vec_of.append(vec)
             accepted += 1

@@ -3,17 +3,19 @@
 Vertices are always 0..n-1.  Graphs are immutable after construction, so
 instances can be shared freely between threads and reused as dict keys.
 
-Besides its frozenset adjacency, a graph has one int-bitmask view of it,
-``Graph.masks``: bit w of ``masks[v]`` is set when vw is an edge.  Searches
-(breadth-first distances, components, complement components) and the
-verifiers in :mod:`idcodes.verify` run on the masks, expanding a whole
-frontier of vertices per step.
+A graph stores its adjacency once, as int bitmasks, ``Graph.masks``: bit w
+of ``masks[v]`` is set when vw is an edge.  Every constructor builds the
+masks directly, and searches (breadth-first distances, components,
+complement components), twin detection and the verifiers in
+:mod:`idcodes.verify` run on them, expanding a whole frontier of vertices
+per step.  ``Graph.adj`` is a frozenset view derived from the masks on
+demand.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -65,29 +67,30 @@ class GraphFormatError(GraphError):
 
 
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph stored as adjacency masks.
 
-    ``adj[v]`` is the frozenset of v's neighbours.  ``masks[v]`` is the same
-    set as an int with bit w set for each neighbour w; it is built on first
-    use and cached, like the hash.
+    ``masks[v]`` is an int with bit w set for each neighbour w of v; it is
+    the only adjacency a graph stores.  ``adj[v]``, the frozenset of v's
+    neighbours, is a read-only view derived from the masks on first use and
+    cached, like the hash.
     """
 
-    __slots__ = ("n", "adj", "_masks", "_hash")
+    __slots__ = ("n", "masks", "_adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._masks = None
+        self.masks: tuple[int, ...] = tuple(masks)
+        self._adj = None
         self._hash = None
 
     @classmethod
@@ -100,29 +103,26 @@ class Graph:
                 raise InvalidVertex(f"mask of vertex {v} out of range for n={n}")
             if m >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
-        adj = tuple(frozenset(bits(m)) for m in masks)
-        if any(v not in adj[w] for v in range(n) for w in adj[v]):
+        if any(not masks[w] >> v & 1 for v, m in enumerate(masks) for w in bits(m)):
             raise GraphError("adjacency masks are not symmetric")
+        return cls._adopt(masks)
+
+    @classmethod
+    def _adopt(cls, masks: tuple[int, ...]) -> "Graph":
+        """A graph on masks already known to be symmetric and loop-free."""
         g = cls.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        object.__setattr__(g, "_masks", masks)
+        object.__setattr__(g, "n", len(masks))
+        object.__setattr__(g, "masks", masks)
+        object.__setattr__(g, "_adj", None)
         object.__setattr__(g, "_hash", None)
         return g
 
     @property
-    def masks(self) -> tuple[int, ...]:
-        """Adjacency as ints: bit w of ``masks[v]`` is set when vw is an edge."""
-        if self._masks is None:
-            rows = []
-            for s in self.adj:
-                # One digit per vertex, read lowest bit last as a binary number.
-                row = bytearray(b"0" * self.n)
-                for w in s:
-                    row[w] = 49  # ord("1")
-                rows.append(int(row[::-1], 2))
-            object.__setattr__(self, "_masks", tuple(rows))
-        return self._masks
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Neighbour sets, derived from :attr:`masks`: ``adj[v]`` holds v's neighbours."""
+        if self._adj is None:
+            object.__setattr__(self, "_adj", tuple(frozenset(bits(m)) for m in self.masks))
+        return self._adj
 
     # -- basic queries ----------------------------------------------------
 
@@ -133,38 +133,37 @@ class Graph:
     def open_nbhd(self, v: int) -> frozenset[int]:
         """Neighbours of v, excluding v itself."""
         self.check_vertex(v)
-        return self.adj[v]
+        return frozenset(bits(self.masks[v]))
 
     def closed_nbhd(self, v: int) -> frozenset[int]:
         """Neighbours of v together with v."""
         self.check_vertex(v)
-        return self.adj[v] | {v}
+        return frozenset(bits(self.masks[v] | 1 << v))
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
-        return v in self.adj[u]
+        return bool(self.masks[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) pairs with u < v, sorted."""
-        for u in range(self.n):
-            for v in sorted(self.adj[u]):
-                if u < v:
-                    yield (u, v)
+        for u, m in enumerate(self.masks):
+            for w in bits(m >> u + 1):
+                yield (u, u + 1 + w)
 
     def num_edges(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.masks == other.masks
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n, self.adj)))
+            object.__setattr__(self, "_hash", hash(self.masks))
         return self._hash
 
     def __setattr__(self, name, value):
@@ -192,8 +191,7 @@ class Graph:
             n = int(head[1])
         except ValueError:
             raise GraphFormatError(f"bad vertex count: {head[1]!r}") from None
-        edges = []
-        seen = set()
+        masks = [0] * n
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != 3 or parts[0] != "e":
@@ -204,11 +202,14 @@ class Graph:
                 raise GraphFormatError(f"bad edge line: {ln!r}") from None
             if not (0 <= u < v < n):
                 raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
-            if (u, v) in seen:
+            if masks[u] >> v & 1:
                 raise GraphFormatError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            edges.append((u, v))
-        return cls(n, edges)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        if n < 0:
+            # Graph(n) rejects the count; bad edge lines were reported first.
+            return cls(n)
+        return cls._adopt(tuple(masks))
 
     def to_text(self) -> str:
         lines = [f"graph {self.n}"]
@@ -280,58 +281,41 @@ def diameter(g: Graph) -> int:
     return best
 
 
+def _equal_pairs(keys: Iterable) -> list[tuple[int, int]]:
+    """All pairs u < v of positions holding equal keys, sorted."""
+    groups: dict = {}
+    for v, key in enumerate(keys):
+        groups.setdefault(key, []).append(v)
+    return sorted(pair for members in groups.values() for pair in combinations(members, 2))
+
+
 def closed_twins(g: Graph) -> list[tuple[int, int]]:
     """All pairs u < v with identical closed neighbourhoods."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v] | {v}, []).append(v)
-    pairs = []
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    return sorted(pairs)
+    return _equal_pairs(m | 1 << v for v, m in enumerate(g.masks))
 
 
 def open_twins(g: Graph) -> list[tuple[int, int]]:
     """All pairs u < v with identical open neighbourhoods."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v], []).append(v)
-    pairs = []
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    return sorted(pairs)
+    return _equal_pairs(g.masks)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Place g2 after g1 with no cross edges; g2's vertex v becomes g1.n + v."""
-    shift = g1.n
-    edges = list(g1.edges())
-    edges.extend((u + shift, v + shift) for u, v in g2.edges())
-    return Graph(g1.n + g2.n, edges)
+    return Graph.from_masks(g1.masks + tuple(m << g1.n for m in g2.masks))
 
 
 def complete_join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
-    shift = g1.n
-    edges = list(g1.edges())
-    edges.extend((u + shift, v + shift) for u, v in g2.edges())
-    edges.extend((u, v + shift) for u in range(g1.n) for v in range(g2.n))
-    return Graph(g1.n + g2.n, edges)
+    left, right = (1 << g1.n) - 1, ((1 << g2.n) - 1) << g1.n
+    return Graph.from_masks(
+        tuple(m | right for m in g1.masks) + tuple(m << g1.n | left for m in g2.masks)
+    )
 
 
 def complement(g: Graph) -> Graph:
     """Edge present exactly when absent in g."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if v not in g.adj[u]
-    ]
-    return Graph(g.n, edges)
+    everything = (1 << g.n) - 1
+    return Graph.from_masks(everything ^ m ^ 1 << v for v, m in enumerate(g.masks))
 
 
 def mask_components(masks: tuple[int, ...], within: int, co: bool = False) -> list[int]:
@@ -383,7 +367,7 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.adj[u]:
+            for w in bits(g.masks[u]):
                 if colour[w] == -1:
                     colour[w] = 1 - colour[u]
                     queue.append(w)

@@ -7,9 +7,7 @@ import pytest
 from idcodes.cograph import (
     CographSummary,
     NoOldSolution,
-    NotValidated,
     dim_cograph,
-    enable_old_dp,
     gamma_id_cograph,
     gamma_ld_cograph,
     gamma_old_cograph,
@@ -140,7 +138,6 @@ class TestOracleEquivalence:
                 except TwinsPresent:
                     assert has_closed
                 has_open = bool(open_twins(g))
-                enable_old_dp()
                 try:
                     sep_old_dp(t)
                     assert not has_open
@@ -168,25 +165,24 @@ class TestComplementDuality:
 
 
 class TestOldFlavor:
-    def test_gate_required(self):
-        import idcodes.cograph as mod
-
-        saved = mod._OLD_GATE_PASSED
-        mod._OLD_GATE_PASSED = False
-        try:
-            with pytest.raises(NotValidated):
-                sep_old_dp(leaf(0))
-        finally:
-            mod._OLD_GATE_PASSED = saved
+    def test_sep_old_matches_oracle_up_to_nine_leaves(self):
+        for n in range(1, 10):
+            for t in all_cotrees(n):
+                g = cotree_to_graph(t)
+                try:
+                    oracle = min_set(g, ProblemKind.SEP_OLD)
+                except OpenTwinsPresent:
+                    continue
+                s = sep_old_dp(t)
+                expected = (oracle.size, *emp_univ_oracle(g, "old"))
+                assert (s.k, s.emp, s.univ) == expected, format_cotree(t)
 
     def test_gate_and_gamma(self):
-        enable_old_dp()
         assert gamma_old_cograph(join_node(leaf(0), leaf(1))) == 2
         with pytest.raises(NoOldSolution):
             gamma_old_cograph(leaf(0))
 
     def test_gamma_old_matches_oracle(self):
-        enable_old_dp()
         for n in range(1, 8):
             for t in all_cotrees(n):
                 g = cotree_to_graph(t)
@@ -197,7 +193,6 @@ class TestOldFlavor:
                 assert gamma_old_cograph(t) == expected
 
     def test_sep_old_random_sample(self):
-        enable_old_dp()
         rng = random.Random(46)
         checked = 0
         while checked < 100:

@@ -1,16 +1,19 @@
 import random
+import re
 
 import pytest
 
 from idcodes.graph import (
     Disconnected,
     Graph,
+    GraphError,
     GraphFormatError,
     INFINITE,
     InvalidVertex,
     all_pairs_distances,
     bfs_distances,
     bipartition,
+    bits,
     closed_twins,
     complement,
     complete_graph,
@@ -30,8 +33,12 @@ def k_power_of_path(n, k):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, min(i + k + 1, n))])
 
 
+def random_edges(n, p, rng):
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
 def random_graph(n, p, rng):
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    return Graph(n, random_edges(n, p, rng))
 
 
 class TestNeighbourhoods:
@@ -143,6 +150,20 @@ class TestOperations:
         p4 = path_graph(4)
         assert complement(complement(p4)) == p4
 
+    def test_operations_match_edge_lists_random(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            n1, n2 = rng.randint(0, 20), rng.randint(0, 20)
+            e1, e2 = random_edges(n1, rng.random(), rng), random_edges(n2, rng.random(), rng)
+            g1, g2 = Graph(n1, e1), Graph(n2, e2)
+            shifted = [(u + n1, v + n1) for u, v in e2]
+            cross = [(u, n1 + v) for u in range(n1) for v in range(n2)]
+            assert disjoint_union(g1, g2) == Graph(n1 + n2, e1 + shifted)
+            assert complete_join(g1, g2) == Graph(n1 + n2, e1 + shifted + cross)
+            present = set(e1)
+            missing = [(u, v) for u in range(n1) for v in range(u + 1, n1) if (u, v) not in present]
+            assert complement(g1) == Graph(n1, missing)
+
     def test_complement_involution_random(self):
         rng = random.Random(3)
         for _ in range(30):
@@ -183,6 +204,31 @@ class TestConstruction:
         g = path_graph(3)
         with pytest.raises(AttributeError):
             g.n = 5
+        with pytest.raises(AttributeError):
+            g.masks = (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "masks, cls, message",
+        [
+            ((-1, 0), InvalidVertex, "mask of vertex 0 out of range for n=2"),
+            ((0, 0b100), InvalidVertex, "mask of vertex 1 out of range for n=2"),
+            ((0, 0b10), GraphError, "self-loop at vertex 1"),
+            ((0b10, 0), GraphError, "adjacency masks are not symmetric"),
+        ],
+    )
+    def test_from_masks_rejects(self, masks, cls, message):
+        with pytest.raises(cls, match=f"^{re.escape(message)}$") as caught:
+            Graph.from_masks(masks)
+        assert type(caught.value) is cls
+
+    def test_constructors_agree_random(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            n = rng.randint(0, 40)
+            g = Graph(n, random_edges(n, rng.random(), rng))
+            for h in (Graph.from_masks(g.masks), Graph.from_text(g.to_text())):
+                assert h == g and hash(h) == hash(g)
+            assert all(g.adj[v] == frozenset(bits(m)) for v, m in enumerate(g.masks))
 
 
 class TestTextFormat:
@@ -205,6 +251,22 @@ class TestTextFormat:
     def test_duplicate_edge(self):
         with pytest.raises(GraphFormatError):
             Graph.from_text("graph 3\ne 0 1\ne 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text, cls, message",
+        [
+            ("graph -1\n", GraphError, "vertex count must be nonnegative"),
+            ("graph -1\ne 0 1\n", GraphFormatError, "edge (0,1) violates 0 <= u < v < n"),
+            ("graph 3\ne 0 1\ne 0 1\n", GraphFormatError, "duplicate edge (0,1)"),
+            ("graph 3\ne 1 0\n", GraphFormatError, "edge (1,0) violates 0 <= u < v < n"),
+            ("graph 3\ne 0 x\n", GraphFormatError, "bad edge line: 'e 0 x'"),
+            ("e 0 1\n", GraphFormatError, "missing 'graph <n>' header"),
+        ],
+    )
+    def test_bad_text_class_and_message(self, text, cls, message):
+        with pytest.raises(cls, match=f"^{re.escape(message)}$") as caught:
+            Graph.from_text(text)
+        assert type(caught.value) is cls
 
     def test_all_pairs(self):
         g = path_graph(4)
