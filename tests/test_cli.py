@@ -56,6 +56,19 @@ class TestSolve:
         code, _, err = run_cli(["verify", "--problem", "ic", "--input", bad, "--set", "0"], capsys)
         assert code == 3 and "parse error" in err
 
+    @pytest.mark.parametrize(
+        "text,code,message",
+        [
+            ("(U 0 1", 3, "parse error: missing ')'"),
+            ("(U 0 2)", 2, "invalid model: leaf labels must be exactly 0..n-1"),
+        ],
+    )
+    def test_bad_cotree_exit_codes(self, workdir, capsys, text, code, message):
+        bad = workdir / "bad.cotree"
+        bad.write_text(text)
+        got, out, err = run_cli(["cograph", "--problem", "ic", "--cotree", bad], capsys)
+        assert (got, out, err) == (code, "", message + "\n")
+
     def test_cap_exit_4(self, workdir, capsys):
         big = workdir / "big.graph"
         big.write_text("graph 40\n" + "".join(f"e {i} {i+1}\n" for i in range(39)))

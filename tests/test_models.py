@@ -10,6 +10,7 @@ from idcodes.models import (
     IntervalModel,
     Leaf,
     MalformedCotree,
+    ModelError,
     ModelFormatError,
     NotCograph,
     PermutationModel,
@@ -225,6 +226,30 @@ class TestFileFormats:
             parse_cotree("(X 0 1)")
         with pytest.raises(ModelFormatError):
             parse_model("nonsense\n")
+
+    # Exact class and message per bad cotree text; a syntax error wins over
+    # a label error, so "(U -1 0" is a format error, not a malformed tree.
+    BAD_COTREES = [
+        ("", ModelFormatError, "unexpected end of cotree expression"),
+        ("(", ModelFormatError, "expected U or J after '('"),
+        (")", ModelFormatError, "unexpected ')'"),
+        ("(X 0 1)", ModelFormatError, "expected U or J after '('"),
+        ("(U 0)", ModelFormatError, "cotree operator needs at least 2 children"),
+        ("(U 0 1", ModelFormatError, "missing ')'"),
+        ("(U 0 1) 2", ModelFormatError, "trailing tokens after cotree expression"),
+        ("(U 0 a)", ModelFormatError, "bad cotree token: 'a'"),
+        ("(U 0 2)", MalformedCotree, "leaf labels must be exactly 0..n-1"),
+        ("(U 0 0)", MalformedCotree, "leaf labels must be exactly 0..n-1"),
+        ("(U -1 0)", MalformedCotree, "leaf labels must be exactly 0..n-1"),
+        ("(U -1 0", ModelFormatError, "missing ')'"),
+    ]
+
+    @pytest.mark.parametrize("text,error,message", BAD_COTREES)
+    def test_bad_cotree_class_and_message(self, text, error, message):
+        with pytest.raises(ModelError) as info:
+            parse_cotree(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_rational_endpoints(self):
         m = parse_interval_model("intervals 1\n0 1/2 5/2\n")
