@@ -17,9 +17,8 @@ from . import verify as _verify
 from .cograph import gamma_id_cograph, gamma_ld_cograph
 from .graph import bipartition, diameter as graph_diameter
 from .models import (
-    CotreeNode,
+    Cotree,
     IntervalModel,
-    Leaf,
     Model,
     PermutationModel,
     is_unit_model,
@@ -239,7 +238,7 @@ def attest_class(model: Model) -> GraphClass:
         if bipartition(g) is not None:
             return GraphClass.BIPARTITE_PERMUTATION
         return GraphClass.PERMUTATION
-    if isinstance(model, (Leaf, CotreeNode)):
+    if isinstance(model, Cotree):
         return GraphClass.COGRAPH
     return GraphClass.GENERAL
 
@@ -268,7 +267,7 @@ def certify(
     On a cotree, SEP_ID / SEP_LD solutions are checked against the matching
     dominating variant's bound at that variant's minimum size.
     """
-    cotree = isinstance(model, (Leaf, CotreeNode))
+    cotree = isinstance(model, Cotree)
     if kind in _SEP_GAMMA and cotree and graph_class in (None, GraphClass.COGRAPH):
         bound_kind, gamma = _SEP_GAMMA[kind]
     else:

@@ -13,9 +13,8 @@ import sys
 from . import bounds, cograph, exact, generators, models, verify
 from .graph import Disconnected, Graph, GraphError, GraphFormatError
 from .models import (
-    CotreeNode,
+    Cotree,
     IntervalModel,
-    Leaf,
     ModelError,
     ModelFormatError,
     NotCograph,
@@ -116,7 +115,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cograph(args) -> int:
     model = _load_model(args.cotree)
-    if isinstance(model, (Leaf, CotreeNode)):
+    if isinstance(model, Cotree):
         tree = model
     else:
         try:
@@ -134,7 +133,7 @@ def _cmd_cograph(args) -> int:
             witness_kind = ProblemKind.LD
         else:  # md
             summary = cograph.sep_ld_dp(tree)
-            if isinstance(tree, CotreeNode) and tree.kind != models.JOIN:
+            if tree.root_kind == models.UNION:
                 raise Disconnected("cotree root is a union")
             value = summary.k
             witness_kind = ProblemKind.RS

@@ -19,8 +19,9 @@ single vertices, and those exceptions are data, ``_TWO_SINGLETONS``: the
 "id" flavor needs univ(single ⊕ single) = True and the "old" flavor needs
 emp(single ⋈ single) = True, both forced by the literal definitions and
 cross-checked exhaustively against the subset-enumeration oracle.  The value
-fold and the witness builder both run this rule on one post-order walk of
-the cotree (``models.fold_cotree``).
+fold, with its twin gate, and the witness builder both run this rule in one
+pass over the cotree's post-order codes (:class:`models.Cotree`), keeping
+the children's values on a stack.
 """
 
 from __future__ import annotations
@@ -30,16 +31,7 @@ from typing import Iterator
 
 from .exact import OpenTwinsPresent, TwinsPresent
 from .graph import Disconnected, bits
-from .models import (
-    Cotree,
-    CotreeNode,
-    JOIN,
-    Leaf,
-    UNION,
-    cotree_masks,
-    fold_cotree,
-    validate_cotree,
-)
+from .models import JOIN, UNION, Cotree, cotree_masks, fold_cotree, validate_cotree
 from .verify import ProblemKind, check_masks, covered, first_collision, undominated
 
 __all__ = [
@@ -88,7 +80,7 @@ _TWO_SINGLETONS = {("id", UNION), ("old", JOIN)}
 _LEAF = (0, True, True, 1)
 
 
-def _merge(a, b, kind: str, flavor: str) -> tuple[int, bool, bool, int]:
+def _merge(a, b, kind: int, flavor: str) -> tuple[int, bool, bool, int]:
     """State of the union (or join) of two subtrees with states a and b."""
     ka, emp_a, univ_a, na = a
     kb, emp_b, univ_b, nb = b
@@ -128,13 +120,21 @@ def _fold(t: Cotree, flavor: str) -> tuple[int, bool, bool, int]:
     """
     validate_cotree(t)
     gate_kind, gate_error, gate_message = _TWIN_GATES.get(flavor, (None, None, None))
-
-    # Each value is (state, has a universal vertex, has an isolated vertex).
-    def merge_children(node: CotreeNode, kids: list) -> tuple:
-        kind = node.kind
+    # One value per finished subtree: (state, has a universal vertex, has an
+    # isolated vertex); a node's children are the last arity values.
+    values: list[tuple] = []
+    push = values.append
+    leaf_value = (_LEAF, True, True)
+    for code in t.codes:
+        if code >= 0:
+            push(leaf_value)
+            continue
+        code = ~code
+        kind = code & 1
         join = kind == JOIN
-        state, universal, isolated = kids[0]
-        for b, b_universal, b_isolated in kids[1:]:
+        base = len(values) - (code >> 1)
+        state, universal, isolated = values[base]
+        for b, b_universal, b_isolated in values[base + 1:]:
             if kind == gate_kind and (
                 (universal and b_universal) if join else (isolated and b_isolated)
             ):
@@ -144,9 +144,9 @@ def _fold(t: Cotree, flavor: str) -> tuple[int, bool, bool, int]:
                 universal, isolated = universal or b_universal, False
             else:
                 universal, isolated = False, isolated or b_isolated
-        return state, universal, isolated
-
-    return fold_cotree(t, lambda _leaf: (_LEAF, True, True), merge_children)[0]
+        del values[base:]
+        push((state, universal, isolated))
+    return values[0][0]
 
 
 def sep_id_dp(t: Cotree) -> CographSummary:
@@ -178,7 +178,7 @@ def dim_cograph(t: Cotree) -> int:
     Connected cographs have diameter at most 2, where resolving sets and
     separating sets coincide, so this is the plain separating value.
     """
-    if isinstance(t, CotreeNode) and t.kind != JOIN:
+    if t.root_kind == UNION:
         raise Disconnected("cotree root is a union: graph is disconnected")
     return sep_ld_dp(t).k
 
@@ -189,11 +189,12 @@ def graph_has_isolated_vertex(t: Cotree) -> bool:
     In a canonical cotree an isolated vertex is exactly a leaf hanging
     directly under a union root (joins give every vertex a neighbour).
     """
-    if isinstance(t, Leaf):
-        return True
-    if t.kind == JOIN:
+    if t.root_kind == JOIN:
         return False
-    return any(isinstance(c, Leaf) for c in t.children)
+    # A node's value is (is a leaf, has a leaf child); a lone leaf is both.
+    return fold_cotree(
+        t, lambda _v: (True, True), lambda _kind, kids: (False, any(k[0] for k in kids))
+    )[1]
 
 
 def sep_old_dp(t: Cotree) -> CographSummary:
@@ -242,7 +243,7 @@ class _WitnessBuilder:
             return False
         return True
 
-    def _candidates(self, verts: int, base: int, kind: str) -> Iterator[int]:
+    def _candidates(self, verts: int, base: int, kind: int) -> Iterator[int]:
         """Sets of one more vertex tried at a merge whose value grows by one."""
         if kind == UNION:
             for u in bits(undominated(self.masks, base, self.kind, verts)):
@@ -258,14 +259,14 @@ class _WitnessBuilder:
             if ((self.masks[w] | 1 << w) & colliders).bit_count() == 1:
                 yield base | 1 << w
 
-    def _merge_children(self, node: CotreeNode, kids: list) -> tuple:
+    def _merge_children(self, kind: int, kids: list) -> tuple:
         verts, state, cand = kids[0]
         for bverts, bstate, bcand in kids[1:]:
             nverts = verts | bverts
-            nstate = _merge(state, bstate, node.kind, self.flavor)
+            nstate = _merge(state, bstate, kind, self.flavor)
             base = cand | bcand
             if nstate[0] == state[0] + bstate[0] + 1:
-                candidates = self._candidates(nverts, base, node.kind)
+                candidates = self._candidates(nverts, base, kind)
             else:
                 candidates = [base]
             chosen = next((c for c in candidates if self._canonical(nverts, c, nstate)), None)
@@ -278,7 +279,7 @@ class _WitnessBuilder:
 
     def build(self, t: Cotree) -> tuple[int, tuple, int]:
         """Returns (vertex mask, fold state, witness mask) for the whole tree."""
-        return fold_cotree(t, lambda leaf: (1 << leaf.vertex, _LEAF, 0), self._merge_children)
+        return fold_cotree(t, lambda v: (1 << v, _LEAF, 0), self._merge_children)
 
 
 def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:
@@ -300,7 +301,7 @@ def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:
         raise ValueError(f"witness reconstruction does not support {kind}")
     flavor, repair = flavor_kind[kind]
     summary = sep_id_dp(t) if flavor == "id" else sep_ld_dp(t)
-    if kind is ProblemKind.RS and isinstance(t, CotreeNode) and t.kind != JOIN:
+    if kind is ProblemKind.RS and t.root_kind == UNION:
         raise Disconnected("cotree root is a union: graph is disconnected")
     masks = cotree_masks(t)
     builder = _WitnessBuilder(masks, flavor)

@@ -24,19 +24,21 @@ from .graph import (
 )
 from .models import (
     Cotree,
-    CotreeNode,
     IntervalModel,
     JOIN,
-    Leaf,
     Model,
     PermutationModel,
     UNION,
     _relabel_dfs,
     canonicalize,
     cotree_size,
+    join_node,
+    leaf,
+    union_node,
     interval_graph,
     is_unit_model,
     model_to_graph,
+    node_code,
     normalized_segments,
     permutation_graph,
 )
@@ -728,15 +730,11 @@ def ext_bipperm_old(k: int) -> ExtremalInstance:
 
 
 def _indep(n: int) -> Cotree:
-    if n == 1:
-        return Leaf(0)
-    return CotreeNode(UNION, tuple(Leaf(v) for v in range(n)))
+    return leaf(0) if n == 1 else union_node(*[leaf(0)] * n)
 
 
 def _clique(n: int) -> Cotree:
-    if n == 1:
-        return Leaf(0)
-    return CotreeNode(JOIN, tuple(Leaf(v) for v in range(n)))
+    return leaf(0) if n == 1 else join_node(*[leaf(0)] * n)
 
 
 def _family_tree(family: str, n: int, variant: int, bases: dict, steps: dict) -> Cotree:
@@ -750,24 +748,26 @@ def _family_tree(family: str, n: int, variant: int, bases: dict, steps: dict) ->
         _min_n, kind, head, variant = step
         chain.append((kind, head))
         n -= cotree_size(head)
-    t = bases[(n, variant)]
-    for kind, head in reversed(chain):
-        t = CotreeNode(kind, (head, t))
-    return _relabel_dfs(canonicalize(t))
+    # In post-order the heads come outermost first, then the base, then the
+    # step nodes innermost first.
+    codes = [code for _kind, head in chain for code in head.codes]
+    codes += bases[(n, variant)].codes
+    codes += [node_code(kind, 2) for kind, _head in reversed(chain)]
+    return _relabel_dfs(canonicalize(Cotree(codes)))
 
 
 def _cograph_id_tree(n: int, variant: int) -> Cotree:
     bases = {
         (3, 2): _indep(3),
-        (3, 3): CotreeNode(JOIN, (Leaf(0), _indep(2))),  # star = P3
+        (3, 3): join_node(leaf(0), _indep(2)),  # star = P3
         (4, 2): _indep(4),
-        (4, 3): CotreeNode(JOIN, (_indep(2), _indep(2))),  # C4
+        (4, 3): join_node(_indep(2), _indep(2)),  # C4
     }
     steps = {
         1: (6, JOIN, _indep(3), 2),
-        2: (5, UNION, Leaf(0), 4),
-        3: (5, JOIN, Leaf(0), 4),
-        4: (4, UNION, Leaf(0), 3),
+        2: (5, UNION, leaf(0), 4),
+        3: (5, JOIN, leaf(0), 4),
+        4: (4, UNION, leaf(0), 3),
     }
     return _family_tree("cograph-id", n, variant, bases, steps)
 
@@ -804,14 +804,14 @@ def _cograph_ld_tree(n: int, variant: int) -> Cotree:
         (2, 3): _clique(2),
         (3, 2): _indep(3),
         (3, 3): _clique(3),
-        (4, 2): CotreeNode(UNION, (_indep(2), _clique(2))),
-        (4, 3): CotreeNode(JOIN, (Leaf(0), CotreeNode(UNION, (Leaf(0), _clique(2))))),
+        (4, 2): union_node(_indep(2), _clique(2)),
+        (4, 3): join_node(leaf(0), union_node(leaf(0), _clique(2))),
     }
     steps = {
         1: (4, UNION, _clique(2), 3),
-        2: (5, UNION, Leaf(0), 1),
-        3: (5, JOIN, Leaf(0), 1),
-        4: (3, UNION, Leaf(0), 3),
+        2: (5, UNION, leaf(0), 1),
+        3: (5, JOIN, leaf(0), 1),
+        4: (3, UNION, leaf(0), 3),
     }
     return _family_tree("cograph-ld", n, variant, bases, steps)
 

@@ -2,14 +2,15 @@
 
 Each model compiles to a plain :class:`~idcodes.graph.Graph`.  Interval
 endpoints are exact rationals and intervals are open, so two intervals that
-merely touch at a point are not adjacent.
+merely touch at a point are not adjacent.  A cotree is a :class:`Cotree`,
+one tuple of ints in post-order; every cotree function here is a single
+loop over it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -24,15 +25,13 @@ __all__ = [
     "ModelFormatError",
     "IntervalModel",
     "PermutationModel",
-    "Leaf",
-    "CotreeNode",
     "Cotree",
     "UNION",
     "JOIN",
+    "node_code",
     "leaf",
     "union_node",
     "join_node",
-    "walk_cotree",
     "fold_cotree",
     "cotree_leaves",
     "cotree_size",
@@ -191,178 +190,209 @@ def permutation_graph(m: PermutationModel) -> Graph:
 
 
 # -- cotrees -----------------------------------------------------------------
+#
+# A cotree is one tuple of ints in post-order: a leaf is its vertex v >= 0,
+# and an internal node is the negative code ~(arity << 1 | kind), written
+# right after its arity children.  Every traversal is one loop over that
+# tuple with a value stack, so trees of any depth stay off the interpreter's
+# stack, and no node is an object of its own.
 
-UNION = "U"
-JOIN = "J"
+UNION = 0
+JOIN = 1
+_KIND_TEXT = "UJ"
+_TEXT_KIND = {"U": UNION, "J": JOIN}
 
 
-@dataclass(frozen=True)
-class Leaf:
-    vertex: int
+def node_code(kind: int, arity: int) -> int:
+    """The code of an internal node of the given kind over arity children."""
+    return ~(arity << 1 | kind)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CotreeNode:
-    """An internal cotree node.
+class Cotree:
+    """An immutable cotree stored as its post-order codes.
 
-    Equality, hashing and repr walk the tree with :func:`walk_cotree`, so
-    they work at any depth; two nodes are equal when they have the same
-    kinds, child counts and leaf labels in the same order.
+    ``codes`` holds the nodes children first: a leaf is its vertex
+    ``v >= 0`` and an internal node ``~(arity << 1 | kind)``, with kind
+    UNION (0) or JOIN (1).  Equality and hashing compare the codes, so two
+    trees are equal when they have the same kinds, child counts and leaf
+    labels in the same order.
     """
 
-    kind: str  # UNION or JOIN
-    children: tuple["Cotree", ...]
+    __slots__ = ("codes",)
 
-    def _tokens(self) -> Iterator:
-        for node, entering in walk_cotree(self):
-            if entering:
-                yield node.kind, len(node.children)
-            elif isinstance(node, Leaf):
-                yield node.vertex
+    def __init__(self, codes: Iterable[int]):
+        object.__setattr__(self, "codes", tuple(codes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cotree instances are immutable")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CotreeNode):
+        if not isinstance(other, Cotree):
             return NotImplemented
-        return self is other or list(self._tokens()) == list(other._tokens())
+        return self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash(tuple(self._tokens()))
+        return hash(self.codes)
 
     def __repr__(self) -> str:
-        return f"<CotreeNode {format_cotree(self)}>"
+        return f"<Cotree {format_cotree(self)}>"
+
+    @property
+    def root_kind(self) -> int | None:
+        """UNION or JOIN at the root, or None when the tree is a single leaf.
+
+        A union root is exactly a disconnected graph on more than one vertex.
+        """
+        code = self.codes[-1]
+        return None if code >= 0 else ~code & 1
 
 
-Cotree = Union[Leaf, CotreeNode]
+def leaf(v: int) -> Cotree:
+    if v < 0:
+        raise MalformedCotree("leaf labels must be exactly 0..n-1")
+    return Cotree((v,))
 
 
-def leaf(v: int) -> Leaf:
-    return Leaf(v)
+def _node(kind: int, children: Sequence[Cotree]) -> Cotree:
+    codes: list[int] = []
+    for child in children:
+        codes.extend(child.codes)
+    codes.append(node_code(kind, len(children)))
+    return Cotree(codes)
 
 
-def union_node(*children: Cotree) -> CotreeNode:
-    return CotreeNode(UNION, tuple(children))
+def union_node(*children: Cotree) -> Cotree:
+    return _node(UNION, children)
 
 
-def join_node(*children: Cotree) -> CotreeNode:
-    return CotreeNode(JOIN, tuple(children))
-
-
-def walk_cotree(t: Cotree) -> Iterator[tuple[Cotree, bool]]:
-    """Depth-first walk of a cotree, children in order, without recursion.
-
-    Yields ``(node, True)`` on entering and ``(node, False)`` on leaving an
-    internal node, and ``(leaf, False)`` once per leaf, so the ``False``
-    events alone are the post-order.  Every cotree traversal goes through
-    here, which keeps trees of any depth inside the interpreter's stack.
-    """
-    # A node still to enter is pushed bare; one to leave, as a 1-tuple.
-    stack: list = [t]
-    pop, push, extend = stack.pop, stack.append, stack.extend
-    while stack:
-        node = pop()
-        if node.__class__ is tuple:
-            yield node[0], False
-        elif isinstance(node, CotreeNode):
-            yield node, True
-            push((node,))
-            extend(reversed(node.children))
-        else:
-            yield node, False
+def join_node(*children: Cotree) -> Cotree:
+    return _node(JOIN, children)
 
 
 def fold_cotree(t: Cotree, leaf_fn, node_fn):
-    """Post-order fold over :func:`walk_cotree`.
+    """Post-order fold over the codes.
 
-    ``leaf_fn(leaf)`` gives a leaf's value and ``node_fn(node, values)`` an
+    ``leaf_fn(vertex)`` gives a leaf's value and ``node_fn(kind, values)`` an
     internal node's, from the values of its children in order.  Child values
     wait on one value stack, so no node needs a dictionary entry.
     """
     values: list = []
-    for node, entering in walk_cotree(t):
-        if isinstance(node, Leaf):
-            values.append(leaf_fn(node))
-        elif not entering:
-            base = len(values) - len(node.children)
+    push = values.append
+    for code in t.codes:
+        if code >= 0:
+            push(leaf_fn(code))
+        else:
+            code = ~code
+            base = len(values) - (code >> 1)
             kids = values[base:]
             del values[base:]
-            values.append(node_fn(node, kids))
+            push(node_fn(code & 1, kids))
     return values[0]
 
 
 def cotree_leaves(t: Cotree) -> list[int]:
-    """Leaf vertex labels in depth-first order."""
-    return [node.vertex for node, _ in walk_cotree(t) if isinstance(node, Leaf)]
+    """Vertex labels of the leaves, in depth-first order."""
+    return [code for code in t.codes if code >= 0]
 
 
 def cotree_size(t: Cotree) -> int:
     return len(cotree_leaves(t))
 
 
-def _merge_chains(kind: str, kids: list[Cotree]) -> Cotree:
-    """A node of the given kind over canonical kids, made canonical: kids of
-    the same kind give up their children, and a single kid stands alone."""
-    merged: list[Cotree] = []
-    for c in kids:
-        if isinstance(c, CotreeNode) and c.kind == kind:
-            merged.extend(c.children)
-        else:
-            merged.append(c)
-    return merged[0] if len(merged) == 1 else CotreeNode(kind, tuple(merged))
-
-
 def canonicalize(t: Cotree) -> Cotree:
     """Merge same-kind parent/child chains and flatten single-child nodes."""
-    return fold_cotree(t, lambda leaf: leaf, lambda node, kids: _merge_chains(node.kind, kids))
+    out: list = []
+    # Per finished subtree: its kind (2 for a leaf), where its code sits in
+    # out, and its arity.  A merged child's code is blanked in out.
+    done: list[tuple[int, int, int]] = []
+    for code in t.codes:
+        if code >= 0:
+            done.append((2, 0, 0))
+            out.append(code)
+            continue
+        code = ~code
+        kind, base = code & 1, len(done) - (code >> 1)
+        arity = 0
+        for kid_kind, at, kid_arity in done[base:]:
+            if kid_kind == kind:
+                out[at] = None
+                arity += kid_arity
+            else:
+                arity += 1
+        if arity == 1:  # a lone child of another kind stands for its parent
+            lone = [entry for entry in done[base:] if entry[0] != kind]
+            del done[base:]
+            done += lone
+            continue
+        del done[base:]
+        done.append((kind, len(out), arity))
+        out.append(node_code(kind, arity))
+    return Cotree(code for code in out if code is not None)
 
 
 def validate_cotree(t: Cotree) -> None:
     """Raise MalformedCotree unless t is canonical and labels 0..n-1 exactly once."""
-    labels = []
-    kinds: list[str] = []  # kinds of the internal nodes above the current one
-    for node, entering in walk_cotree(t):
-        if isinstance(node, Leaf):
-            labels.append(node.vertex)
+    codes = t.codes
+    kinds: list[int] = []  # per finished subtree: its kind, or 2 for a leaf
+    push = kinds.append
+    for code in codes:
+        if code >= 0:
+            push(2)
             continue
-        if not entering:
-            kinds.pop()
-            continue
-        if node.kind not in (UNION, JOIN):
-            raise MalformedCotree(f"unknown node kind {node.kind!r}")
-        if len(node.children) < 2:
+        code = ~code
+        base = len(kinds) - (code >> 1)
+        if code >> 1 < 2:
             raise MalformedCotree("internal cotree node with fewer than 2 children")
-        if kinds and node.kind == kinds[-1]:
+        if base < 0:
+            raise MalformedCotree("cotree codes are not one post-order tree")
+        kind = code & 1
+        if kind in kinds[base:]:
             raise MalformedCotree("same-kind parent/child chain; canonicalize first")
-        kinds.append(node.kind)
-    if sorted(labels) != list(range(len(labels))):
+        del kinds[base:]
+        push(kind)
+    if len(kinds) != 1:
+        raise MalformedCotree("cotree codes are not one post-order tree")
+    labels = cotree_leaves(t)
+    if max(labels) >= len(labels) or len(set(labels)) != len(labels):
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
 
 
 def cotree_masks(t: Cotree) -> tuple[int, ...]:
     """Adjacency masks of the cotree's graph, as :attr:`Graph.masks` has them.
 
-    A fold gives every node the mask of its leaves; a join then hands each
-    part the union of the other parts, and a walk down the folded tree ORs
-    those gifts into the leaves below.
+    One post-order pass gives every node the mask of its leaves and its
+    parent's index; a join hands each child the leaves of its siblings, and
+    a reverse pass, which meets every parent before its children, ORs those
+    gifts down into the leaves.
     """
     validate_cotree(t)
-
-    def node_value(node: CotreeNode, kids: list) -> tuple:
-        mask = 0
-        for kid_mask, _ in kids:
-            mask |= kid_mask
-        return mask, (node.kind, kids)
-
-    root = fold_cotree(t, lambda leaf: (1 << leaf.vertex, leaf.vertex), node_value)
-    masks = [0] * root[0].bit_length()
-    stack = [(root, 0)]
-    while stack:
-        (mask, body), inherited = stack.pop()
-        if body.__class__ is int:
-            masks[body] = inherited
-            continue
-        kind, kids = body
-        for kid in kids:
-            stack.append((kid, inherited | (mask ^ kid[0]) if kind == JOIN else inherited))
+    codes = t.codes
+    size = len(codes)
+    below = [0] * size
+    parent = [0] * size
+    done: list[int] = []  # indices of finished subtrees awaiting a parent
+    for i, code in enumerate(codes):
+        if code >= 0:
+            below[i] = 1 << code
+        else:
+            base = len(done) - (~code >> 1)
+            mask = 0
+            for kid in done[base:]:
+                parent[kid] = i
+                mask |= below[kid]
+            del done[base:]
+            below[i] = mask
+        done.append(i)
+    gifts = [0] * size
+    masks = [0] * below[-1].bit_length()
+    for i in range(size - 2, -1, -1):
+        p = parent[i]
+        gift = gifts[p]
+        if ~codes[p] & 1:  # a join
+            gift |= below[p] ^ below[i]
+        gifts[i] = gift
+        if codes[i] >= 0:
+            masks[codes[i]] = gift
     return tuple(masks)
 
 
@@ -374,11 +404,12 @@ def cotree_to_graph(t: Cotree) -> Graph:
 def cograph_recognize(g: Graph) -> Cotree:
     """Build the canonical cotree of g by component / co-component splitting.
 
-    Runs on vertex masks with an explicit stack.  A disconnected vertex set
-    becomes a union of its components, a connected one a join of its
-    co-components (the components of its complement).  A component is
-    connected, so it splits into co-components, and a co-component into
-    components; children come ordered by their smallest vertex.
+    Runs on vertex masks with an explicit stack and writes the codes
+    straight out in post-order.  A disconnected vertex set becomes a union
+    of its components, a connected one a join of its co-components (the
+    components of its complement).  A component is connected, so it splits
+    into co-components, and a co-component into components; children come
+    ordered by their smallest vertex.
 
     Raises NotCograph when some induced subgraph and its complement are both
     connected on more than one vertex.
@@ -386,20 +417,17 @@ def cograph_recognize(g: Graph) -> Cotree:
     if g.n == 0:
         raise ModelError("cotrees require at least one vertex")
     masks = g.masks
-    values: list[Cotree] = []
+    codes: list[int] = []
     # A vertex mask to split, with whether by co-components (None: try both),
-    # or a node kind with the number of finished children it takes.
+    # or a node code, written once all its children are.
     work: list[tuple] = [((1 << g.n) - 1, None)]
     while work:
         item, co = work.pop()
-        if item.__class__ is str:
-            base = len(values) - co
-            node = CotreeNode(item, tuple(values[base:]))
-            del values[base:]
-            values.append(node)
+        if item < 0:
+            codes.append(item)
             continue
         if not item & (item - 1):
-            values.append(Leaf(item.bit_length() - 1))
+            codes.append(item.bit_length() - 1)
             continue
         parts = mask_components(masks, item, co=bool(co))
         if co is None and len(parts) == 1:
@@ -407,25 +435,20 @@ def cograph_recognize(g: Graph) -> Cotree:
             parts = mask_components(masks, item, co=True)
         if len(parts) == 1:
             raise NotCograph("graph contains an induced 4-vertex path")
-        work.append((JOIN if co else UNION, len(parts)))
+        work.append((node_code(JOIN if co else UNION, len(parts)), None))
         work.extend((part, not co) for part in reversed(parts))
-    return values[0]
-
-
-_SWAPPED = {UNION: JOIN, JOIN: UNION}
+    return Cotree(codes)
 
 
 def complement_cotree(t: Cotree) -> Cotree:
     """Cotree of the complement graph: swap UNION and JOIN everywhere."""
-    return fold_cotree(
-        t, lambda leaf: leaf, lambda node, kids: CotreeNode(_SWAPPED[node.kind], tuple(kids))
-    )
+    return Cotree(code ^ 1 if code < 0 else code for code in t.codes)
 
 
 # -- cotree enumeration and sampling -----------------------------------------
 
 
-def _shapes(n: int, root: str) -> list[Cotree]:
+def _shapes(n: int, root: int) -> list[Cotree]:
     """All canonical cotree shapes with n leaves whose root has the given kind.
 
     Leaves are labelled 0..n-1 in depth-first order, which is enough to
@@ -450,7 +473,7 @@ def _shapes(n: int, root: str) -> list[Cotree]:
 
     def options(size: int) -> list[Cotree]:
         if size == 1:
-            return [Leaf(0)]
+            return [leaf(0)]
         return _shapes(size, other)
 
     results: list[Cotree] = []
@@ -469,18 +492,14 @@ def _shapes(n: int, root: str) -> list[Cotree]:
             for (size, _cnt), combo in zip(sizes_sorted, choice):
                 for idx in combo:
                     children.append(per_size[size][idx])
-            results.append(CotreeNode(root, tuple(children)))
+            results.append(_node(root, children))
     return results
 
 
 def _relabel_dfs(t: Cotree) -> Cotree:
     """The same shape with leaves labelled 0..n-1 in depth-first order."""
     labels = itertools.count()
-    return fold_cotree(
-        t,
-        lambda _leaf: Leaf(next(labels)),
-        lambda node, kids: CotreeNode(node.kind, tuple(kids)),
-    )
+    return Cotree(next(labels) if code >= 0 else code for code in t.codes)
 
 
 def all_cotrees(n: int) -> list[Cotree]:
@@ -488,26 +507,31 @@ def all_cotrees(n: int) -> list[Cotree]:
     if n < 1:
         return []
     if n == 1:
-        return [Leaf(0)]
+        return [leaf(0)]
     shapes = _shapes(n, UNION) + _shapes(n, JOIN)
     return [_relabel_dfs(s) for s in shapes]
+
+
+def _merged_pair(parts: list[list[int]], i: int, j: int, kind: int) -> None:
+    """Replace parts i < j by the node of the given kind over both, in place."""
+    codes = parts[i]
+    codes += parts[j]
+    codes.append(node_code(kind, 2))
+    parts[j] = parts[-1]
+    parts.pop()
 
 
 def random_cotree(n: int, rng: random.Random) -> Cotree:
     """Random canonical cotree on n leaves built by repeated pairwise merging."""
     if n < 1:
         raise ModelError("cotrees require at least one leaf")
-    nodes: list[Cotree] = [Leaf(v) for v in range(n)]
-    while len(nodes) > 1:
-        i, j = rng.sample(range(len(nodes)), 2)
+    parts = [[v] for v in range(n)]
+    while len(parts) > 1:
+        i, j = rng.sample(range(len(parts)), 2)
         if j < i:
             i, j = j, i
-        kind = UNION if rng.random() < 0.5 else JOIN
-        merged = CotreeNode(kind, (nodes[i], nodes[j]))
-        nodes[j] = nodes[-1]
-        nodes.pop()
-        nodes[i] = merged
-    return canonicalize(nodes[0])
+        _merged_pair(parts, i, j, UNION if rng.random() < 0.5 else JOIN)
+    return canonicalize(Cotree(parts[0]))
 
 
 def random_twin_free_cotree(n: int, rng: random.Random) -> Cotree:
@@ -518,21 +542,20 @@ def random_twin_free_cotree(n: int, rng: random.Random) -> Cotree:
     """
     if n < 1:
         raise ModelError("cotrees require at least one leaf")
-    nodes: list[tuple[Cotree, bool]] = [(Leaf(v), True) for v in range(n)]
-    while len(nodes) > 1:
-        i, j = rng.sample(range(len(nodes)), 2)
+    parts = [[v] for v in range(n)]
+    universal = [True] * n  # whether each part has a universal vertex
+    while len(parts) > 1:
+        i, j = rng.sample(range(len(parts)), 2)
         if j < i:
             i, j = j, i
-        (ti, ui), (tj, uj) = nodes[i], nodes[j]
         kind = UNION if rng.random() < 0.5 else JOIN
-        if kind == JOIN and ui and uj:
+        if kind == JOIN and universal[i] and universal[j]:
             kind = UNION
-        merged = CotreeNode(kind, (ti, tj))
-        universal = (ui or uj) if kind == JOIN else False
-        nodes[j] = nodes[-1]
-        nodes.pop()
-        nodes[i] = (merged, universal)
-    return canonicalize(nodes[0][0])
+        universal[i] = (universal[i] or universal[j]) if kind == JOIN else False
+        universal[j] = universal[-1]
+        universal.pop()
+        _merged_pair(parts, i, j, kind)
+    return canonicalize(Cotree(parts[0]))
 
 
 # -- file formats -------------------------------------------------------------
@@ -619,64 +642,100 @@ def format_permutation_model(m: PermutationModel) -> str:
 
 
 def parse_cotree(text: str) -> Cotree:
-    """Parse an s-expression like (J (U 0 1) (U 2 3)); a bare integer is a leaf."""
+    """Parse an s-expression like (J (U 0 1) (U 2 3)); a bare integer is a leaf.
+
+    Tokens go straight into post-order codes.  A node opened directly under
+    an open node of its own kind hands its children to that node, so the
+    chain is merged as it is read; each written node still needs two
+    children of its own.  Labels are checked once the text has parsed, so a
+    syntax error wins over a label error.
+    """
     body = "\n".join(
         ln for ln in text.splitlines() if not ln.lstrip().startswith("#")
     )
     tokens = body.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ModelFormatError("unexpected end of cotree expression")
-    # Open operators with the children read so far; the innermost is last.
-    open_nodes: list[tuple[str, list[Cotree]]] = []
+    codes: list[int] = []
+    emit = codes.append
+    # Open operators, innermost last: [kind, children written, children in
+    # the codes, whether its children go to the open node below it].
+    open_nodes: list[list] = []
+    negative = False
     pos, end = 0, len(tokens)
     while True:
         tok = tokens[pos]
         pos += 1
         if tok == "(":
-            if pos >= end or tokens[pos] not in (UNION, JOIN):
+            kind = _TEXT_KIND.get(tokens[pos]) if pos < end else None
+            if kind is None:
                 raise ModelFormatError("expected U or J after '('")
-            open_nodes.append((tokens[pos], []))
             pos += 1
+            open_nodes.append([kind, 0, 0, bool(open_nodes) and open_nodes[-1][0] == kind])
         else:
             if tok == ")":
                 if not open_nodes:
                     raise ModelFormatError("unexpected ')'")
-                kind, children = open_nodes.pop()
-                if len(children) < 2:
+                kind, written, arity, merged = open_nodes.pop()
+                if written < 2:
                     raise ModelFormatError("cotree operator needs at least 2 children")
-                # Children are complete and canonical, so this is canonical too.
-                node: Cotree = _merge_chains(kind, children)
+                if merged:
+                    gain = arity
+                else:
+                    emit(node_code(kind, arity))
+                    gain = 1
             else:
                 try:
-                    node = Leaf(int(tok))
+                    v = int(tok)
                 except ValueError:
                     raise ModelFormatError(f"bad cotree token: {tok!r}") from None
+                if v < 0:
+                    negative = True
+                emit(v)
+                gain = 1
             if not open_nodes:
                 break
-            open_nodes[-1][1].append(node)
+            top = open_nodes[-1]
+            top[1] += 1
+            top[2] += gain
         if pos >= end:
             raise ModelFormatError("missing ')'")
     if pos != end:
         raise ModelFormatError("trailing tokens after cotree expression")
-    validate_cotree(node)
-    return node
+    if negative:
+        raise MalformedCotree("leaf labels must be exactly 0..n-1")
+    t = Cotree(codes)
+    validate_cotree(t)
+    return t
 
 
 def format_cotree(t: Cotree) -> str:
-    # Every token gets its leading space and the first one is cut at the
-    # end, so the text is built in one pass, linear on any shape.
+    """The s-expression of t, in one pass over the codes plus one to find
+    where each node opens: before the first leaf of its subtree."""
+    codes = t.codes
+    opens: dict[int, list[int]] = {}  # first position -> node codes, innermost first
+    starts: list[int] = []  # first position of each finished subtree
+    for i, code in enumerate(codes):
+        first = i
+        if code < 0:
+            arity = ~code >> 1
+            if arity:
+                base = len(starts) - arity
+                first = starts[base]
+                del starts[base:]
+            opens.setdefault(first, []).append(code)
+        starts.append(first)
+    # Every token gets its leading space and the first one is cut at the end.
     parts = []
-    for node, entering in walk_cotree(t):
-        if isinstance(node, Leaf):
-            parts.append(f" {node.vertex}")
-        elif entering:
-            parts.append(f" ({node.kind}")
-        else:
-            parts.append(")")
+    for i, code in enumerate(codes):
+        nodes = opens.get(i)
+        if nodes:
+            parts.extend(" (" + _KIND_TEXT[~c & 1] for c in reversed(nodes))
+        parts.append(f" {code}" if code >= 0 else ")")
     return "".join(parts)[1:]
 
 
-Model = Union[Graph, IntervalModel, PermutationModel, Leaf, CotreeNode]
+Model = Union[Graph, IntervalModel, PermutationModel, Cotree]
 
 
 def parse_model(text: str) -> Model:

@@ -25,25 +25,51 @@ from idcodes.exact import (
     min_set,
 )
 from idcodes.graph import Disconnected, closed_twins, is_connected, open_twins
+from idcodes.cli import main
 from idcodes.models import (
-    CotreeNode,
     JOIN,
-    Leaf,
     UNION,
+    Cotree,
     all_cotrees,
     canonicalize,
     cograph_recognize,
     complement_cotree,
+    cotree_leaves,
     cotree_to_graph,
+    fold_cotree,
     format_cotree,
     join_node,
     leaf,
+    node_code,
     parse_cotree,
     random_cotree,
     random_twin_free_cotree,
     union_node,
 )
 from idcodes.verify import ProblemKind, check
+
+
+def _rebuilt(t, node_fn=None):
+    """t rebuilt node by node with the construction helpers; node_fn(kind,
+    kids) may see (and reorder) each node's children first."""
+
+    def node(kind, kids):
+        if node_fn is not None:
+            node_fn(kind, kids)
+        return (join_node if kind == JOIN else union_node)(*kids)
+
+    return fold_cotree(t, leaf, node)
+
+
+def _root_children(t):
+    """The root's child subtrees (none for a single leaf)."""
+    last = []
+
+    def keep(_kind, kids):
+        last[:] = kids  # the root is folded last
+
+    _rebuilt(t, keep)
+    return last
 
 
 class TestBaseCases:
@@ -214,37 +240,18 @@ class TestFoldProperties:
         for _ in range(50):
             t = random_cotree(rng.randint(2, 10), rng)
             whole = sep_ld_dp(t).k
-            if hasattr(t, "children"):
-                for c in t.children:
-                    from idcodes.models import canonicalize, cotree_leaves
-
-                    relabel = {v: i for i, v in enumerate(sorted(cotree_leaves(c)))}
-
-                    def rl(node):
-                        from idcodes.models import CotreeNode, Leaf
-
-                        if isinstance(node, Leaf):
-                            return Leaf(relabel[node.vertex])
-                        return CotreeNode(node.kind, tuple(rl(x) for x in node.children))
-
-                    assert sep_ld_dp(canonicalize(rl(c))).k <= whole
+            for c in _root_children(t):
+                relabel = {v: i for i, v in enumerate(sorted(cotree_leaves(c)))}
+                rl = Cotree(relabel[v] if v >= 0 else v for v in c.codes)
+                assert sep_ld_dp(canonicalize(rl)).k <= whole
 
     def test_child_order_invariance(self):
         # flags and value do not depend on the fold order of n-ary children
         rng = random.Random(43)
-        from idcodes.models import CotreeNode, Leaf
-
-        def shuffled(node):
-            if isinstance(node, Leaf):
-                return node
-            kids = [shuffled(c) for c in node.children]
-            rng.shuffle(kids)
-            return CotreeNode(node.kind, tuple(kids))
-
         for n in range(2, 8):
             for t in all_cotrees(n):
                 s1 = sep_ld_dp(t)
-                s2 = sep_ld_dp(shuffled(t))
+                s2 = sep_ld_dp(_rebuilt(t, lambda _kind, kids: rng.shuffle(kids)))
                 assert (s1.k, s1.emp, s1.univ) == (s2.k, s2.emp, s2.univ)
 
 
@@ -299,14 +306,14 @@ class TestDeepCotrees:
     """
 
     LEAVES = 300
+    BIG = 100_000
 
     @staticmethod
     def _caterpillar(n):
-        # (J 0 (U 1 (J 2 ... (J n-2 n-1))))
-        t = Leaf(n - 1)
-        for v in range(n - 2, -1, -1):
-            t = CotreeNode(JOIN if v % 2 == 0 else UNION, (Leaf(v), t))
-        return t
+        # (J 0 (U 1 (J 2 ... (J n-2 n-1)))): in post-order the leaves come
+        # first, then the two-child nodes from the innermost out.
+        kinds = (JOIN if v % 2 == 0 else UNION for v in range(n - 2, -1, -1))
+        return Cotree([*range(n), *(node_code(kind, 2) for kind in kinds)])
 
     @staticmethod
     def _lower_recursion_limit():
@@ -336,6 +343,32 @@ class TestDeepCotrees:
         assert check(g, w, ProblemKind.LD)
         assert len(w) == gamma_ld_cograph(t)
 
+    def test_walks_need_no_recursion_at_1e5(self, tmp_path, capsys):
+        # no witness and no graph: dense masks alone would take gigabytes
+        t = self._caterpillar(self.BIG)
+        text = format_cotree(t)
+        path = tmp_path / "deep.cotree"
+        path.write_text(text + "\n")
+        saved = self._lower_recursion_limit()
+        try:
+            assert self.BIG > sys.getrecursionlimit()
+            assert format_cotree(parse_cotree(text)) == text
+            assert complement_cotree(complement_cotree(t)) == t
+            assert complement_cotree(t) != t
+            assert canonicalize(t) == t
+            summary = sep_ld_dp(t)
+            code = main(["cograph", "--problem", "ld", "--cotree", str(path)])
+        finally:
+            sys.setrecursionlimit(saved)
+        out, _ = capsys.readouterr()
+        assert summary.n == self.BIG
+        assert code == 0
+        value = summary.k + (1 if summary.emp else 0)
+        assert out == (
+            f"k={value} emp={str(summary.emp).lower()} "
+            f"univ={str(summary.univ).lower()} sep={summary.k}\n"
+        )
+
     def test_recognition_needs_no_recursion(self):
         t = self._caterpillar(600)
         g = cotree_to_graph(t)
@@ -350,8 +383,8 @@ class TestDeepCotrees:
     def test_equality_hash_and_repr_at_depth(self):
         a, b = self._caterpillar(3000), self._caterpillar(3000)
         assert a is not b and a == b and hash(a) == hash(b)
-        assert repr(a) == f"<CotreeNode {format_cotree(a)}>"
-        c = CotreeNode(a.kind, (a.children[0], self._caterpillar(2999)))
+        assert repr(a) == f"<Cotree {format_cotree(a)}>"
+        c = join_node(leaf(0), self._caterpillar(2999))
         assert a != c
 
     def test_equality_and_hash_as_before_on_small_trees(self):

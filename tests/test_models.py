@@ -8,7 +8,6 @@ from idcodes.models import (
     DegenerateInterval,
     DuplicateIndex,
     IntervalModel,
-    Leaf,
     MalformedCotree,
     ModelError,
     ModelFormatError,
@@ -133,7 +132,7 @@ class TestCotree:
     def test_canonicalize_merges_chains(self):
         t = canonicalize(union_node(leaf(0), union_node(leaf(1), leaf(2))))
         validate_cotree(t)
-        assert len(t.children) == 3
+        assert t == union_node(leaf(0), leaf(1), leaf(2))
 
     def test_recognize_c4(self):
         t = cograph_recognize(cycle_graph(4))
@@ -207,7 +206,7 @@ class TestFileFormats:
         assert parse_cotree(format_cotree(t)) == t
 
     def test_cotree_single_leaf(self):
-        assert parse_cotree("0") == Leaf(0)
+        assert parse_cotree("0") == leaf(0)
 
     def test_parse_model_dispatch(self):
         assert isinstance(parse_model("graph 1\n"), object)
