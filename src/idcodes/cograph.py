@@ -19,9 +19,9 @@ single vertices, and those exceptions are data, ``_TWO_SINGLETONS``: the
 "id" flavor needs univ(single ⊕ single) = True and the "old" flavor needs
 emp(single ⋈ single) = True, both forced by the literal definitions and
 cross-checked exhaustively against the subset-enumeration oracle.  The value
-fold, with its twin gate, and the witness builder both run this rule in one
-pass over the cotree's post-order codes (:class:`models.Cotree`), keeping
-the children's values on a stack.
+fold, with its twin gate, and the witness builder both run this rule through
+``models.fold_cotree``: one pass over the cotree's post-order codes
+(:class:`models.Cotree`), with the children's values on a stack.
 """
 
 from __future__ import annotations
@@ -120,21 +120,12 @@ def _fold(t: Cotree, flavor: str) -> tuple[int, bool, bool, int]:
     """
     validate_cotree(t)
     gate_kind, gate_error, gate_message = _TWIN_GATES.get(flavor, (None, None, None))
-    # One value per finished subtree: (state, has a universal vertex, has an
-    # isolated vertex); a node's children are the last arity values.
-    values: list[tuple] = []
-    push = values.append
-    leaf_value = (_LEAF, True, True)
-    for code in t.codes:
-        if code >= 0:
-            push(leaf_value)
-            continue
-        code = ~code
-        kind = code & 1
+
+    # Each value is (state, has a universal vertex, has an isolated vertex).
+    def merge_children(kind: int, kids: list) -> tuple:
         join = kind == JOIN
-        base = len(values) - (code >> 1)
-        state, universal, isolated = values[base]
-        for b, b_universal, b_isolated in values[base + 1:]:
+        state, universal, isolated = kids[0]
+        for b, b_universal, b_isolated in kids[1:]:
             if kind == gate_kind and (
                 (universal and b_universal) if join else (isolated and b_isolated)
             ):
@@ -144,9 +135,10 @@ def _fold(t: Cotree, flavor: str) -> tuple[int, bool, bool, int]:
                 universal, isolated = universal or b_universal, False
             else:
                 universal, isolated = False, isolated or b_isolated
-        del values[base:]
-        push((state, universal, isolated))
-    return values[0][0]
+        return state, universal, isolated
+
+    leaf_value = (_LEAF, True, True)
+    return fold_cotree(t, lambda _v: leaf_value, merge_children)[0]
 
 
 def sep_id_dp(t: Cotree) -> CographSummary:

@@ -682,7 +682,7 @@ def parse_cotree(text: str) -> Cotree:
                 if merged:
                     gain = arity
                 else:
-                    emit(node_code(kind, arity))
+                    emit(~(arity << 1 | kind))  # node_code, inlined
                     gain = 1
             else:
                 try:
@@ -759,7 +759,11 @@ def parse_model(text: str) -> Model:
 
 def read_model(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_model(text)
 
 
 def write_model(model: Model, path: str) -> None:

@@ -69,6 +69,13 @@ class TestSolve:
         got, out, err = run_cli(["cograph", "--problem", "ic", "--cotree", bad], capsys)
         assert (got, out, err) == (code, "", message + "\n")
 
+    def test_non_utf8_file_exit_3(self, workdir, capsys):
+        bad = workdir / "bad.cotree"
+        bad.write_bytes(b"\xff(U 0 1)")
+        code, out, err = run_cli(["cograph", "--problem", "ic", "--cotree", bad], capsys)
+        assert (code, out) == (3, "")
+        assert err == "parse error: not UTF-8 text: invalid start byte at byte 0\n"
+
     def test_cap_exit_4(self, workdir, capsys):
         big = workdir / "big.graph"
         big.write_text("graph 40\n" + "".join(f"e {i} {i+1}\n" for i in range(39)))

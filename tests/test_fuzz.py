@@ -1,7 +1,8 @@
 """Property-based fuzz of cotree files through the command line.
 
 Valid cotree texts are mutated (tokens dropped, duplicated or swapped,
-labels changed, junk inserted) and fed to ``idcodes cograph``.  Every run
+labels changed, junk inserted, raw bytes among it) and fed to
+``idcodes cograph``.  Every run
 must end in a documented exit code, 0, 2, 3 or 4, without an exception
 escaping ``cli.main``.  Examples are derandomised, so a run is repeatable.
 """
@@ -31,8 +32,13 @@ def mutated_cotree(draw) -> str:
         op = draw(st.sampled_from(["drop", "duplicate", "swap", "label", "junk"]))
         i = draw(st.integers(0, len(tokens)))
         if op == "junk":
-            junk = st.sampled_from(JUNK) | st.text(
-                st.characters(blacklist_categories=("Cs",)), max_size=3
+            # raw bytes ride in the text as surrogate escapes
+            junk = (
+                st.sampled_from(JUNK)
+                | st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+                | st.binary(min_size=1, max_size=3).map(
+                    lambda b: b.decode("utf-8", "surrogateescape")
+                )
             )
             tokens.insert(i, draw(junk))
         elif i < len(tokens):
@@ -57,8 +63,8 @@ def mutated_cotree(draw) -> str:
 def test_cotree_files_end_in_documented_exit_codes(text, problem, witness):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.cotree")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8", "surrogateescape"))
         argv = ["cograph", "--problem", problem, "--cotree", path]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
