@@ -32,15 +32,15 @@ from .models import (
     _relabel_dfs,
     canonicalize,
     cotree_size,
-    join_node,
-    leaf,
-    union_node,
     interval_graph,
     is_unit_model,
+    join_node,
+    leaf,
     model_to_graph,
     node_code,
     normalized_segments,
     permutation_graph,
+    union_node,
 )
 from .verify import ProblemKind
 

@@ -682,7 +682,7 @@ def parse_cotree(text: str) -> Cotree:
                 if merged:
                     gain = arity
                 else:
-                    emit(~(arity << 1 | kind))  # node_code, inlined
+                    emit(~(arity << 1 | kind))  # node_code, inlined in the token loop
                     gain = 1
             else:
                 try:

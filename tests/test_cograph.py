@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from idcodes.cli import main
 from idcodes.cograph import (
     CographSummary,
     NoOldSolution,
@@ -25,7 +26,6 @@ from idcodes.exact import (
     min_set,
 )
 from idcodes.graph import Disconnected, closed_twins, is_connected, open_twins
-from idcodes.cli import main
 from idcodes.models import (
     JOIN,
     UNION,

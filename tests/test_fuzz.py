@@ -2,9 +2,9 @@
 
 Valid cotree texts are mutated (tokens dropped, duplicated or swapped,
 labels changed, junk inserted, raw bytes among it) and fed to
-``idcodes cograph``.  Every run
-must end in a documented exit code, 0, 2, 3 or 4, without an exception
-escaping ``cli.main``.  Examples are derandomised, so a run is repeatable.
+``idcodes cograph``.  Every run must end in a documented exit code, 0, 2,
+3 or 4, without an exception escaping ``cli.main``.  Examples are
+derandomised, so a run is repeatable.
 """
 
 import contextlib
