@@ -89,8 +89,8 @@ class BoundReport:
     slack: Optional[int] = None
 
 
-# (class, kind) -> (formula, label, needs_d).  The general-class rows are
-# prior-work reference values used for cross-checking only.
+# (class, kind) -> (formula, label); _NEEDS_D holds the rows needing D.  The
+# general-class rows are prior-work reference values for cross-checking only.
 _TABLE = {
     (GraphClass.INTERVAL, ProblemKind.IC): (lambda k, d: k * (k + 1) // 2, "n<=k(k+1)/2"),
     (GraphClass.INTERVAL, ProblemKind.OLD): (lambda k, d: k * (k + 1) // 2, "n<=k(k+1)/2"),
@@ -133,7 +133,7 @@ _TABLE = {
         "n<=k(2D-1)+2",
     ),
     (GraphClass.COGRAPH, ProblemKind.IC): (lambda k, d: 2 * k - 2, "n<=2k-2"),
-    (GraphClass.COGRAPH, ProblemKind.LD): (lambda k, d: 3 * k, "n<=3d"),
+    (GraphClass.COGRAPH, ProblemKind.LD): (lambda k, d: 3 * k, "n<=3k"),
     (GraphClass.COGRAPH, ProblemKind.RS): (lambda k, d: 3 * k, "n<=3k"),
     (GraphClass.GENERAL, ProblemKind.IC): (lambda k, d: 2**k - 1, "n<=2^k-1"),
     (GraphClass.GENERAL, ProblemKind.OLD): (lambda k, d: 2**k - 1, "n<=2^k-1"),

@@ -19,20 +19,47 @@ single vertices, and those exceptions are data, ``_TWO_SINGLETONS``: the
 "id" flavor needs univ(single ⊕ single) = True and the "old" flavor needs
 emp(single ⋈ single) = True, both forced by the literal definitions and
 cross-checked exhaustively against the subset-enumeration oracle.  The value
-fold, with its twin gate, and the witness builder both run this rule through
+fold, with its twin gate, and the witness fold both run this rule through
 ``models.fold_cotree``: one pass over the cotree's post-order codes
 (:class:`models.Cotree`), with the children's values on a stack.
+
+The witness is read off the fold.  Besides the state, each subtree carries
+three vertices of the minimum separating set built for it, each None when
+absent: ``hole``, the one vertex with an empty signature; ``cov``, the one
+vertex whose signature is the whole set; and ``nn``, a vertex of the
+subtree outside N[cov].  The set is never stored: it is the vertices added
+at bumped merges (where the value grows by one), plus the root's hole when
+IC or LD need the repair vertex.  Parts A then B merge as follows:
+
+  union, no bump: the hole is A's or B's; cov, nn are A's cov and B's hole
+      if B is one vertex, B's cov and A's hole if A is, else none.
+  union, bump: both parts have a hole.  B's is added if B is one vertex,
+      else A's, and the other stays the hole; cov, nn are B's hole and A's
+      hole for "id" with two single vertices, else none.
+  join, no bump: the hole is A's if B is one vertex, B's if A is, else
+      none; cov, nn are A's if A has a cov, else B's.
+  join, bump: both parts have a cov; no hole.  "ld" adds B's cov if B is
+      one vertex, else A's.  "id" adds the first that exists of A's hole if
+      B is one vertex, B's hole if A is, A's nn, B's nn.  cov, nn are those
+      of the part the added vertex is not in.
+
+It holds because across a union a vertex of A and one of B see disjoint
+parts of the set, so their signatures can be equal only when both are
+empty; across a join each sees the other part's whole set, so theirs can be
+equal only when both are their own part's whole set; adding a vertex never
+makes two distinct signatures equal; and in an "id" join bump the twin gate
+guarantees that A's or B's nn exists, since without one both covered
+vertices would be universal in their parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .exact import OpenTwinsPresent, TwinsPresent
-from .graph import Disconnected, bits
+from .graph import Disconnected
 from .models import JOIN, UNION, Cotree, cotree_masks, fold_cotree, validate_cotree
-from .verify import ProblemKind, check_masks, covered, first_collision, undominated
+from .verify import ProblemKind, check_masks
 
 __all__ = [
     "CographSummary",
@@ -205,82 +232,48 @@ def gamma_old_cograph(t: Cotree) -> int:
 # -- witness reconstruction ---------------------------------------------------
 
 
-class _WitnessBuilder:
-    """Bottom-up assembly of a canonical minimum separating set.
-
-    Works on the graph's adjacency masks; a subtree's vertex set and the
-    set carried for it are int masks.  The carried set always satisfies, on
-    its node's induced subgraph: it separates, has the fold's size,
-    dominates everything when emp is False, and has no vertex dominated by
-    the whole set when univ is False.  When no constructive candidate meets
-    these side conditions the build raises WitnessUnavailable rather than
-    return an unverified set.
-    """
-
-    def __init__(self, masks: tuple[int, ...], flavor: str):
-        self.masks = masks
-        self.flavor = flavor
-        self.kind = ProblemKind.SEP_ID if flavor == "id" else ProblemKind.SEP_LD
-
-    # The carried set lies inside the subtree, so signatures over the whole
-    # graph restricted to the subtree's vertices are the subtree's own.
-    def _canonical(self, verts: int, cand: int, state) -> bool:
-        k, emp, univ, _ = state
-        masks, kind = self.masks, self.kind
-        if cand.bit_count() != k or first_collision(masks, cand, kind, verts):
-            return False
-        if not emp and undominated(masks, cand, kind, verts):
-            return False
-        if not univ and covered(masks, cand, kind, verts):
-            return False
-        return True
-
-    def _candidates(self, verts: int, base: int, kind: int) -> Iterator[int]:
-        """Sets of one more vertex tried at a merge whose value grows by one."""
-        if kind == UNION:
-            for u in bits(undominated(self.masks, base, self.kind, verts)):
-                yield base | 1 << u
-            return
-        colliders = covered(self.masks, base, self.kind, verts)
-        if self.flavor == "ld":
-            for u in bits(colliders):
-                yield base | 1 << u
-            return
-        # A closed neighbourhood meeting exactly one collider splits it off.
-        for w in bits(verts):
-            if ((self.masks[w] | 1 << w) & colliders).bit_count() == 1:
-                yield base | 1 << w
-
-    def _merge_children(self, kind: int, kids: list) -> tuple:
-        verts, state, cand = kids[0]
-        for bverts, bstate, bcand in kids[1:]:
-            nverts = verts | bverts
-            nstate = _merge(state, bstate, kind, self.flavor)
-            base = cand | bcand
-            if nstate[0] == state[0] + bstate[0] + 1:
-                candidates = self._candidates(nverts, base, kind)
-            else:
-                candidates = [base]
-            chosen = next((c for c in candidates if self._canonical(nverts, c, nstate)), None)
-            if chosen is None:
-                raise WitnessUnavailable(
-                    "no constructive candidate meets the side conditions"
-                )
-            verts, state, cand = nverts, nstate, chosen
-        return verts, state, cand
-
-    def build(self, t: Cotree) -> tuple[int, tuple, int]:
-        """Returns (vertex mask, fold state, witness mask) for the whole tree."""
-        return fold_cotree(t, lambda v: (1 << v, _LEAF, 0), self._merge_children)
+def _witness_merge(a, b, kind: int, flavor: str, added: list[int]) -> tuple:
+    """(state, hole, cov, nn) of parts a and b merged; a bump appends to `added`."""
+    state_a, h_a, c_a, nn_a = a
+    state_b, h_b, c_b, nn_b = b
+    state = _merge(state_a, state_b, kind, flavor)
+    one_a, one_b = state_a[3] == 1, state_b[3] == 1
+    bump = state[0] > state_a[0] + state_b[0]
+    if kind == UNION:
+        if bump:  # both parts have a hole: one is added, the other stays
+            hole, x = (h_a, h_b) if one_b else (h_b, h_a)
+            added.append(x)
+            if flavor == "id" and one_a and one_b:
+                return state, hole, h_b, h_a
+            return state, hole, None, None
+        hole = h_b if h_a is None else h_a
+        cov, nn = (c_a, h_b) if one_b else (c_b, h_a) if one_a else (None, None)
+        return state, hole, cov, nn
+    if not bump:
+        hole = h_a if one_b else h_b if one_a else None
+        return (state, hole, c_a, nn_a) if c_a is not None else (state, hole, c_b, nn_b)
+    # A bumped join: the two parts' covered vertices collide.  The added
+    # vertex tells them apart, and the other part's one stays covered.
+    if flavor == "ld":
+        x, in_a = (c_b, False) if one_b else (c_a, True)
+    elif one_b and h_a is not None:
+        x, in_a = h_a, True
+    elif one_a and h_b is not None:
+        x, in_a = h_b, False
+    elif nn_a is not None:
+        x, in_a = nn_a, True
+    else:
+        x, in_a = nn_b, False
+    added.append(x)
+    return (state, None, c_b, nn_b) if in_a else (state, None, c_a, nn_a)
 
 
 def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:
-    """A verified minimum solution set assembled along the cotree.
+    """A verified minimum solution set read off the cotree fold.
 
     Supports IC and LD (separating witness plus the single repair vertex when
     needed), RS on connected cographs, and the raw SEP_ID / SEP_LD witnesses.
-    The graph is never built: the builder and the final check run on the
-    adjacency masks of :func:`models.cotree_masks`.
+    Only the final check builds the adjacency masks (:func:`models.cotree_masks`).
     """
     flavor_kind = {
         ProblemKind.IC: ("id", True),
@@ -295,16 +288,19 @@ def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:
     summary = sep_id_dp(t) if flavor == "id" else sep_ld_dp(t)
     if kind is ProblemKind.RS and t.root_kind == UNION:
         raise Disconnected("cotree root is a union: graph is disconnected")
-    masks = cotree_masks(t)
-    builder = _WitnessBuilder(masks, flavor)
-    verts, state, cand = builder.build(t)
+    added: list[int] = []
+
+    def merge_children(node_kind: int, kids: list) -> tuple:
+        value = kids[0]
+        for b in kids[1:]:
+            value = _witness_merge(value, b, node_kind, flavor, added)
+        return value
+
+    hole = fold_cotree(t, lambda v: (_LEAF, v, v, None), merge_children)[1]
     if repair and summary.emp:
-        holes = bits(undominated(masks, cand, builder.kind, verts))
-        if len(holes) != 1:
-            raise WitnessUnavailable("expected exactly one undominated vertex")
-        cand |= 1 << holes[0]
-    witness = frozenset(bits(cand))
-    if not check_masks(masks, witness, kind):
+        added.append(hole)
+    witness = frozenset(added)
+    if not check_masks(cotree_masks(t), witness, kind):
         raise WitnessUnavailable(f"assembled set failed the {kind} verifier")
     expected = summary.k + (1 if repair and summary.emp else 0)
     if len(witness) != expected:

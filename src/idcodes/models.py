@@ -398,7 +398,7 @@ def cotree_masks(t: Cotree) -> tuple[int, ...]:
 
 def cotree_to_graph(t: Cotree) -> Graph:
     """Evaluate the cotree: UNION keeps parts apart, JOIN adds all cross edges."""
-    return Graph.from_masks(cotree_masks(t))
+    return Graph._adopt(cotree_masks(t))  # symmetric and loop-free by construction
 
 
 def cograph_recognize(g: Graph) -> Cotree:

@@ -7,8 +7,6 @@ for the OLD kinds) ANDed with the candidate mask.  One kernel,
 :func:`first_collision`, visits vertices in increasing order and returns
 the first pair with equal signatures, so a failing pair can always be
 reported back; domination is one mask test per vertex (:func:`undominated`).
-Both take an optional vertex mask to look at, which is how the cotree
-witness builder checks a set on the vertices of one subtree.
 """
 
 from __future__ import annotations
@@ -90,53 +88,45 @@ def _everything(masks: tuple[int, ...]) -> int:
 
 
 def first_collision(
-    masks: tuple[int, ...], s: int, kind: ProblemKind, domain: int | None = None
+    masks: tuple[int, ...], s: int, kind: ProblemKind
 ) -> tuple[int, int] | None:
     """First pair u < v of vertices with equal signatures under the set mask s.
 
-    Vertices of `domain` (default: all) are visited in increasing order, less
-    the members of s for the LD kinds, and v is the first one whose signature
-    an earlier vertex u already had.  None when all of them are separated.
+    Vertices are visited in increasing order, less the members of s for the
+    LD kinds, and v is the first one whose signature an earlier vertex u
+    already had.  None when all of them are separated.
     """
-    if domain is None:
-        domain = _everything(masks)
+    visit = _everything(masks)
     if kind in _OUTSIDE:
-        domain &= ~s
+        visit &= ~s
     loop = 0 if kind in _OPEN else 1  # a closed neighbourhood holds v itself
     seen: dict[int, int] = {}
-    for v in bits(domain):
+    for v in bits(visit):
         first = seen.setdefault((masks[v] | loop << v) & s, v)
         if first != v:
             return (first, v)
     return None
 
 
-def undominated(
-    masks: tuple[int, ...], s: int, kind: ProblemKind, domain: int | None = None
-) -> int:
-    """Mask of the vertices of `domain` (default: all) with an empty signature."""
-    if domain is None:
-        domain = _everything(masks)
+def undominated(masks: tuple[int, ...], s: int, kind: ProblemKind) -> int:
+    """Mask of the vertices with an empty signature."""
     loop = 0 if kind in _OPEN else 1
     out = 0
-    for v in bits(domain):
-        if not (masks[v] | loop << v) & s:
+    for v, m in enumerate(masks):
+        if not (m | loop << v) & s:
             out |= 1 << v
     return out
 
 
-def covered(
-    masks: tuple[int, ...], s: int, kind: ProblemKind, domain: int | None = None
-) -> int:
-    """Mask of the vertices of `domain` (default: all) whose signature is all
-    of s; for the LD kinds only vertices outside s count."""
-    if domain is None:
-        domain = _everything(masks)
+def covered(masks: tuple[int, ...], s: int, kind: ProblemKind) -> int:
+    """Mask of the vertices whose signature is all of s; for the LD kinds
+    only vertices outside s count."""
+    visit = _everything(masks)
     if kind in _OUTSIDE:
-        domain &= ~s
+        visit &= ~s
     loop = 0 if kind in _OPEN else 1
     out = 0
-    for v in bits(domain):
+    for v in bits(visit):
         if not s & ~(masks[v] | loop << v):
             out |= 1 << v
     return out
@@ -195,16 +185,16 @@ def separation_violation(
 ) -> tuple[int, int] | None:
     """First pair of vertices sharing a signature under the kind's rules.
 
-    Pair domain and signature flavour per kind: SEP_ID / IC compare closed
-    signatures over all vertices, SEP_LD / LD only over vertices outside the
-    candidate, SEP_OLD / OLD compare open signatures over all vertices.
+    Per kind: SEP_ID / IC compare closed signatures over all vertices,
+    SEP_LD / LD only over vertices outside the candidate, SEP_OLD / OLD
+    compare open signatures over all vertices.
     Returns None when all relevant pairs are separated.
     """
     return first_collision(g.masks, vertex_mask(candidate), kind)
 
 
 def is_separating(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
-    """Pairwise-distinct signatures over the kind's pair domain, no domination."""
+    """Pairwise-distinct signatures over the vertices it compares, no domination."""
     if kind not in (ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD):
         raise ValueError(f"{kind} is not a separation-only kind")
     return check(g, candidate, kind)

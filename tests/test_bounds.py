@@ -260,4 +260,4 @@ class TestCertify:
 
     def test_labels(self):
         assert bound_label(GC.INTERVAL, PK.IC) == "n<=k(k+1)/2"
-        assert bound_label(GC.COGRAPH, PK.LD) == "n<=3d"
+        assert bound_label(GC.COGRAPH, PK.LD) == "n<=3k"

@@ -35,6 +35,7 @@ from idcodes.models import (
     cograph_recognize,
     complement_cotree,
     cotree_leaves,
+    cotree_masks,
     cotree_to_graph,
     fold_cotree,
     format_cotree,
@@ -46,7 +47,7 @@ from idcodes.models import (
     random_twin_free_cotree,
     union_node,
 )
-from idcodes.verify import ProblemKind, check
+from idcodes.verify import ProblemKind, check, check_masks
 
 
 def _rebuilt(t, node_fn=None):
@@ -257,26 +258,22 @@ class TestFoldProperties:
 
 class TestWitnesses:
     def test_all_small_cographs(self):
-        for n in range(1, 9):
+        for n in range(1, 10):
             for t in all_cotrees(n):
                 g = cotree_to_graph(t)
-                for kind in (ProblemKind.LD, ProblemKind.SEP_LD):
+                expected = {
+                    ProblemKind.LD: gamma_ld_cograph(t),
+                    ProblemKind.SEP_LD: sep_ld_dp(t).k,
+                }
+                if not closed_twins(g):
+                    expected[ProblemKind.IC] = gamma_id_cograph(t)
+                    expected[ProblemKind.SEP_ID] = sep_id_dp(t).k
+                if is_connected(g):
+                    expected[ProblemKind.RS] = dim_cograph(t)
+                for kind, size in expected.items():
                     w = witness_cograph(t, kind)
                     assert check(g, w, kind)
-                if not closed_twins(g):
-                    for kind in (ProblemKind.IC, ProblemKind.SEP_ID):
-                        w = witness_cograph(t, kind)
-                        assert check(g, w, kind)
-                        expected = (
-                            gamma_id_cograph(t)
-                            if kind is ProblemKind.IC
-                            else sep_id_dp(t).k
-                        )
-                        assert len(w) == expected
-                if is_connected(g):
-                    w = witness_cograph(t, ProblemKind.RS)
-                    assert check(g, w, ProblemKind.RS)
-                    assert len(w) == dim_cograph(t)
+                    assert len(w) == size
 
     def test_random_larger(self):
         rng = random.Random(44)
@@ -296,6 +293,19 @@ class TestScaling:
         summary = sep_id_dp(t)
         assert time.monotonic() - start < 1.0
         assert summary.n == 50_000
+
+    def test_large_witness_runs_fast(self):
+        # the witness is read off the fold; only the final check is not linear
+        rng = random.Random(46)
+        t = random_twin_free_cotree(20_000, rng)
+        masks = cotree_masks(t)
+        sizes = {ProblemKind.IC: gamma_id_cograph(t), ProblemKind.LD: gamma_ld_cograph(t)}
+        for kind, size in sizes.items():
+            start = time.monotonic()
+            w = witness_cograph(t, kind)
+            assert time.monotonic() - start < 5.0
+            assert len(w) == size
+            assert check_masks(masks, w, kind)
 
 
 class TestDeepCotrees:

@@ -17,6 +17,7 @@ from idcodes.models import (
     canonicalize,
     cograph_recognize,
     complement_cotree,
+    cotree_masks,
     cotree_to_graph,
     format_cotree,
     format_interval_model,
@@ -186,6 +187,14 @@ class TestCotree:
         for _ in range(50):
             t = random_twin_free_cotree(rng.randint(1, 20), rng)
             assert closed_twins(cotree_to_graph(t)) == []
+
+    def test_adopted_masks_pass_the_symmetry_checks(self):
+        # cotree_to_graph skips Graph.from_masks' checks; they must hold anyway
+        rng = random.Random(18)
+        trees = [t for n in range(1, 9) for t in all_cotrees(n)]
+        trees += [random_cotree(rng.randint(9, 60), rng) for _ in range(50)]
+        for t in trees:
+            assert cotree_to_graph(t) == Graph.from_masks(cotree_masks(t))
 
     def test_all_cotrees_counts(self):
         # one shape per unlabelled cograph
