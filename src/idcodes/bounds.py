@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import verify as _verify
 from .cograph import gamma_id_cograph, gamma_ld_cograph
-from .graph import bipartition, diameter as graph_diameter
+from .graph import Graph, bipartition, diameter as graph_diameter
 from .models import (
     Cotree,
     IntervalModel,
@@ -229,12 +229,16 @@ def min_parameter_exact(graph_class: GraphClass, kind: ProblemKind, n: int) -> F
     return _EXACT_LOWER[key](n)
 
 
-def attest_class(model: Model) -> GraphClass:
-    """The tightest class the model itself evidences."""
+def attest_class(model: Model, g: Optional[Graph] = None) -> GraphClass:
+    """The tightest class the model itself evidences.
+
+    `g` is the model's graph when the caller has already compiled it.
+    """
     if isinstance(model, IntervalModel):
         return GraphClass.UNIT_INTERVAL if is_unit_model(model) else GraphClass.INTERVAL
     if isinstance(model, PermutationModel):
-        g = model_to_graph(model)
+        if g is None:
+            g = model_to_graph(model)
         if bipartition(g) is not None:
             return GraphClass.BIPARTITE_PERMUTATION
         return GraphClass.PERMUTATION
@@ -282,7 +286,7 @@ def certify(
                 detail = f" pair={pair}"
         raise VerifierFailed(f"solution fails the {kind.value} verifier{detail}")
     if graph_class is None:
-        graph_class = attest_class(model)
+        graph_class = attest_class(model, g)
     k = len(solution) if gamma is None else gamma(model)
     d = None
     if (graph_class, bound_kind) in _NEEDS_D:

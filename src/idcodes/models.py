@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -112,17 +113,35 @@ class IntervalModel:
 
 
 def interval_graph(m: IntervalModel) -> Graph:
-    """Intersection graph of the open intervals (strict overlap required)."""
-    n = len(m)
+    """Intersection graph of the open intervals (strict overlap required).
+
+    u and v are adjacent exactly when ``l_u < r_v`` and ``l_v < r_u``.  One
+    sweep builds every row from prefix masks: ``PL[k]`` holds the first k
+    intervals by left endpoint and ``PR[k]`` the first k by right endpoint.
+    The intervals starting before r_v are ``PL[bisect_left(lefts, r_v)]``.
+    Those ending by l_v, ``PR[bisect_right(rights, l_v)]``, all start before
+    r_v too and exclude v, so v's row is the XOR of the two masks without v.
+    """
     ivs = m.intervals
-    edges = []
-    for u in range(n):
-        lu, ru = ivs[u]
-        for v in range(u + 1, n):
-            lv, rv = ivs[v]
-            if max(lu, lv) < min(ru, rv):
-                edges.append((u, v))
-    return Graph(n, edges)
+    by_left = sorted(range(len(ivs)), key=lambda v: ivs[v][0])
+    by_right = sorted(range(len(ivs)), key=lambda v: ivs[v][1])
+    lefts = [ivs[v][0] for v in by_left]
+    rights = [ivs[v][1] for v in by_right]
+    left_prefix, right_prefix = _prefix_masks(by_left), _prefix_masks(by_right)
+    return Graph._adopt(tuple(
+        left_prefix[bisect_left(lefts, right)]
+        ^ right_prefix[bisect_right(rights, left)]
+        ^ 1 << v
+        for v, (left, right) in enumerate(ivs)
+    ))
+
+
+def _prefix_masks(order: Sequence[int]) -> list[int]:
+    """``masks[k]`` is the vertex mask of ``order[:k]``, for k = 0..len(order)."""
+    masks = [0]
+    for v in order:
+        masks.append(masks[-1] | 1 << v)
+    return masks
 
 
 def is_unit_model(m: IntervalModel) -> bool:
@@ -176,17 +195,25 @@ def normalized_segments(
 
 
 def permutation_graph(m: PermutationModel) -> Graph:
-    """Two segments are adjacent exactly when they cross."""
-    n = len(m)
+    """Two segments are adjacent exactly when they cross.
+
+    Segments u and v cross exactly when their top order and bottom order
+    disagree: v's row is (top < t_v and bottom > b_v) or (top > t_v and
+    bottom < b_v).  One sweep builds it from prefix masks: with ``T[i]`` the
+    first i segments by top index and ``B[j]`` the first j by bottom index,
+    v's row is the segments before it on exactly one line, ``T[i] ^ B[j]``
+    at v's ranks i and j.
+    """
     segs = m.segments
-    edges = []
-    for u in range(n):
-        tu, bu = segs[u]
-        for v in range(u + 1, n):
-            tv, bv = segs[v]
-            if (tu - tv) * (bu - bv) < 0:
-                edges.append((u, v))
-    return Graph(n, edges)
+    by_top = sorted(range(len(segs)), key=lambda v: segs[v][0])
+    by_bottom = sorted(range(len(segs)), key=lambda v: segs[v][1])
+    top_prefix, bottom_prefix = _prefix_masks(by_top), _prefix_masks(by_bottom)
+    rows = [0] * len(segs)
+    for i, v in enumerate(by_top):
+        rows[v] = top_prefix[i]
+    for j, v in enumerate(by_bottom):
+        rows[v] ^= bottom_prefix[j]
+    return Graph._adopt(tuple(rows))
 
 
 # -- cotrees -----------------------------------------------------------------

@@ -121,6 +121,21 @@ class TestCertify:
         report = certify(inst.model, inst.solution, PK.IC)
         assert report.satisfied and report.slack == 0
 
+    def test_permutation_model_compiled_once(self, monkeypatch):
+        import idcodes.models as models
+
+        calls = []
+        compile_segments = models.permutation_graph
+
+        def counting(m):
+            calls.append(m)
+            return compile_segments(m)
+
+        monkeypatch.setattr(models, "permutation_graph", counting)
+        path = PermutationModel([(0, 1), (1, 2), (2, 0)])  # P3 centred on segment 2
+        report = certify(path, [0, 1, 2], PK.IC)
+        assert report.satisfied and len(calls) == 1
+
     def test_verifier_failure(self):
         inst = ext_interval_ic(4)
         with pytest.raises(VerifierFailed):

@@ -1,12 +1,16 @@
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import idcodes
 from idcodes.cli import main
+from idcodes.models import IntervalModel, format_interval_model
 
 P5 = "graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
 K2 = "graph 2\ne 0 1\n"
@@ -274,6 +278,19 @@ class TestCompileModel:
         )
         assert code == 0
         assert out == "graph 4\ne 0 2\ne 0 3\ne 1 2\ne 1 3\n"
+
+    def test_large_interval_file(self, workdir, capsys):
+        rng = random.Random(49)
+        rows = []
+        for i in range(2000):
+            a = Fraction(rng.randint(0, 8000), rng.randint(1, 4))
+            rows.append((a, a + Fraction(rng.randint(1, 60), rng.randint(1, 4))))
+        path = workdir / "big.intervals"
+        path.write_text(format_interval_model(IntervalModel(rows)))
+        start = time.monotonic()
+        code, out, _ = run_cli(["compile-model", "--input", path], capsys)
+        assert time.monotonic() - start < 2.0
+        assert code == 0 and out.startswith("graph 2000\n")
 
     def test_installed_entry_point(self, workdir):
         # byte-identical output across runs of the real process

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,103 @@ class TestPermutationGraph:
     def test_normalized_segments(self):
         m = normalized_segments([(Fraction(1, 2), 7), (Fraction(-3, 2), 0)])
         assert m.segments == ((1, 1), (0, 0))
+
+
+def _pair_interval_graph(m):
+    """Reference: test every pair for a strict overlap of the open intervals."""
+    ivs = m.intervals
+    return Graph(len(ivs), [
+        (u, v)
+        for u, v in itertools.combinations(range(len(ivs)), 2)
+        if ivs[u][0] < ivs[v][1] and ivs[v][0] < ivs[u][1]
+    ])
+
+
+def _pair_permutation_graph(m):
+    """Reference: test every pair for segments whose two orders disagree."""
+    segs = m.segments
+    return Graph(len(segs), [
+        (u, v)
+        for u, v in itertools.combinations(range(len(segs)), 2)
+        if (segs[u][0] < segs[v][0]) != (segs[u][1] < segs[v][1])
+    ])
+
+
+class TestSweepsAgainstPairs:
+    """The sweeps build the graph the pair definition gives, and their
+    adopted masks pass the symmetry and self-loop checks of from_masks."""
+
+    @staticmethod
+    def _check(g, reference):
+        assert g == reference
+        assert Graph.from_masks(g.masks) == g
+
+    def test_all_small_interval_models(self):
+        # touching, shared endpoints, nested and identical intervals
+        points = [Fraction(i, 2) for i in range(5)]
+        intervals = list(itertools.combinations(points, 2))
+        count = 0
+        for n in range(5):
+            for rows in itertools.product(intervals, repeat=n):
+                m = IntervalModel(rows)
+                self._check(interval_graph(m), _pair_interval_graph(m))
+                count += 1
+        assert count == 11_111
+
+    def test_all_small_permutation_models(self):
+        tops = [5, -3, 11, 0, -7, 2]
+        bottoms = [-4, 9, -1, 3, 8, 20]
+        count = 0
+        for n in range(7):
+            for perm in itertools.permutations(bottoms[:n]):
+                m = PermutationModel(zip(tops[:n], perm))
+                self._check(permutation_graph(m), _pair_permutation_graph(m))
+                count += 1
+        assert count == 874
+
+    def test_random_models(self):
+        rng = random.Random(21)
+        for _ in range(500):
+            n = rng.randint(0, 60)
+            rows = []
+            for _ in range(n):
+                a = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+                rows.append((a, a + Fraction(rng.randint(1, 20), rng.randint(1, 4))))
+            m = IntervalModel(rows)
+            self._check(interval_graph(m), _pair_interval_graph(m))
+            p = PermutationModel(zip(rng.sample(range(-n, 3 * n), n), rng.sample(range(-2 * n, 2 * n), n)))
+            self._check(permutation_graph(p), _pair_permutation_graph(p))
+
+
+class TestModelScaling:
+    N = 4000
+
+    @staticmethod
+    def _timed(build, model):
+        start = time.monotonic()
+        g = build(model)
+        assert time.monotonic() - start < 1.0
+        return g
+
+    @staticmethod
+    def _sample_rows(g, adjacent, rng):
+        for v in rng.sample(range(g.n), 40):
+            assert g.masks[v] == sum(1 << u for u in range(g.n) if u != v and adjacent(u, v))
+
+    def test_large_interval_model(self):
+        rng = random.Random(47)
+        rows = []
+        for _ in range(self.N):
+            a = Fraction(rng.randint(0, 4 * self.N), rng.randint(1, 4))
+            rows.append((a, a + Fraction(rng.randint(1, 60), rng.randint(1, 4))))
+        g = self._timed(interval_graph, IntervalModel(rows))
+        self._sample_rows(g, lambda u, v: rows[u][0] < rows[v][1] and rows[v][0] < rows[u][1], rng)
+
+    def test_large_permutation_model(self):
+        rng = random.Random(48)
+        segs = list(zip(rng.sample(range(self.N), self.N), rng.sample(range(self.N), self.N)))
+        g = self._timed(permutation_graph, PermutationModel(segs))
+        self._sample_rows(g, lambda u, v: (segs[u][0] < segs[v][0]) != (segs[u][1] < segs[v][1]), rng)
 
 
 class TestCotree:
