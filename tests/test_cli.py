@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import idcodes
-from idcodes.cli import main
+from idcodes.cli import build_parser, main
 from idcodes.models import IntervalModel, format_interval_model
 
 P5 = "graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
@@ -303,3 +304,32 @@ class TestCompileModel:
         r1 = subprocess.run(cmd, capture_output=True, env=env)
         r2 = subprocess.run(cmd, capture_output=True, env=env)
         assert r1.returncode == 0 and r1.stdout == r2.stdout
+
+
+# Every help, usage and error text the parser prints, recorded with COLUMNS=80
+# under Python 3.11: argv, exit code, stdout and stderr.
+TEXTS = json.loads((Path(__file__).parent / "cli_texts.json").read_text())
+
+
+def run_texts(fn, argv, capsys):
+    """Exit code, stdout and stderr of fn(argv), argparse's SystemExit included."""
+    try:
+        code = fn(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserTexts:
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse wording and wrapping vary by version")
+    @pytest.mark.parametrize("case", TEXTS, ids=lambda case: " ".join(case["argv"]) or "no-args")
+    def test_recorded_texts(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run_texts(main, case["argv"], capsys)
+        assert got == (case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("case", TEXTS, ids=lambda case: " ".join(case["argv"]) or "no-args")
+    def test_same_texts_as_the_full_parser(self, case, capsys):
+        expected = run_texts(build_parser().parse_args, case["argv"], capsys)
+        assert run_texts(main, case["argv"], capsys) == expected
