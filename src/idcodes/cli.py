@@ -227,65 +227,81 @@ def GraphClassArg(name: str) -> bounds.GraphClass:
     raise CliError(f"unknown graph class {name!r}", EXIT_PARSE)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# One row per subcommand: name, help, handler and its arguments as
+# (flags, add_argument keywords) pairs.
+_COMMANDS = (
+    ("solve", "exact minimum solution by enumeration", _cmd_solve, (
+        (("--problem",), dict(required=True, choices=sorted(_PROBLEMS))),
+        (("--input",), dict(required=True)),
+        (("--cap",), dict(type=int, default=exact.DEFAULT_VERTEX_CAP)),
+    )),
+    ("verify", "check a set against a problem kind", _cmd_verify, (
+        (("--problem",), dict(required=True, choices=sorted(_PROBLEMS))),
+        (("--input",), dict(required=True)),
+        (("--set",), dict(required=True)),
+    )),
+    ("cograph", "cotree dynamic program", _cmd_cograph, (
+        (("--problem",), dict(required=True, choices=["ic", "ld", "md"])),
+        (("--cotree",), dict(required=True)),
+        (("--witness",), dict(action="store_true")),
+    )),
+    ("generate", "emit an extremal family instance", _cmd_generate, (
+        (("--family",), dict(required=True, choices=sorted(generators.FAMILIES))),
+        (("--k",), dict(type=int)),
+        (("--d",), dict(type=int)),
+        (("--n",), dict(type=int)),
+        (("--variant", "--k-variant"), dict(type=int, dest="variant")),
+        (("--out",), dict(required=True)),
+    )),
+    ("certify", "verify a solution and check the class bound", _cmd_certify, (
+        (("--input",), dict(required=True)),
+        (("--set",), dict(required=True)),
+        (("--problem",), dict(required=True, choices=sorted(_PROBLEMS))),
+    )),
+    ("bounds", "print one bound-table row", _cmd_bounds, (
+        (("--class",), dict(dest="graph_class", required=True,
+                            choices=[c.value for c in bounds.GraphClass])),
+        (("--kind",), dict(required=True, choices=["ic", "ld", "old", "md"])),
+        (("--k",), dict(type=int, required=True)),
+        (("--d",), dict(type=int)),
+    )),
+    ("compile-model", "compile any model file to graph text", _cmd_compile_model, (
+        (("--input",), dict(required=True)),
+        (("--out",), {}),
+    )),
+)
+_COMMAND_NAMES = tuple(row[0] for row in _COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``idcodes`` parser, with every subcommand or only ``command``'s.
+
+    ``main`` passes the subcommand that its first argument names, so one call
+    builds one subparser.  Help, a missing or an unknown command get the whole
+    tree.  The single-subcommand parser prints the same texts: its usage line
+    names every subcommand through the metavar, and every other text comes
+    from the subparser, which is built the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="idcodes",
         description="Identification problems on graphs: solvers, models, bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="exact minimum solution by enumeration")
-    p.add_argument("--problem", required=True, choices=sorted(_PROBLEMS))
-    p.add_argument("--input", required=True)
-    p.add_argument("--cap", type=int, default=exact.DEFAULT_VERTEX_CAP)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("verify", help="check a set against a problem kind")
-    p.add_argument("--problem", required=True, choices=sorted(_PROBLEMS))
-    p.add_argument("--input", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("cograph", help="cotree dynamic program")
-    p.add_argument("--problem", required=True, choices=["ic", "ld", "md"])
-    p.add_argument("--cotree", required=True)
-    p.add_argument("--witness", action="store_true")
-    p.set_defaults(fn=_cmd_cograph)
-
-    p = sub.add_parser("generate", help="emit an extremal family instance")
-    p.add_argument("--family", required=True, choices=sorted(generators.FAMILIES))
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--variant", "--k-variant", type=int, dest="variant")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_generate)
-
-    p = sub.add_parser("certify", help="verify a solution and check the class bound")
-    p.add_argument("--input", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--problem", required=True, choices=sorted(_PROBLEMS))
-    p.set_defaults(fn=_cmd_certify)
-
-    p = sub.add_parser("bounds", help="print one bound-table row")
-    p.add_argument("--class", dest="graph_class", required=True,
-                   choices=[c.value for c in bounds.GraphClass])
-    p.add_argument("--kind", required=True, choices=["ic", "ld", "old", "md"])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.set_defaults(fn=_cmd_bounds)
-
-    p = sub.add_parser("compile-model", help="compile any model file to graph text")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_compile_model)
-
+    if command is not None:
+        sub.metavar = "{" + ",".join(_COMMAND_NAMES) + "}"
+    for name, help_text, fn, arguments in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

@@ -4,13 +4,25 @@ These routines exist to validate the fast algorithms and the extremal
 constructions, not for production use: they enumerate candidate sets by
 increasing size and, within a size, in lexicographic order, so the returned
 witness is deterministic.
+
+A subset is checked by C-level iteration alone, with no Python loop over the
+vertices.  Its mask is ``sum(map(bit.__getitem__, subset))``.  Domination holds
+when ``all(map(and_, dom, repeat(mask)))``, and separation when the n
+signatures ``set(map(and_, masks, repeat(mask)))`` are pairwise distinct.  For
+LD and SEP_LD a member v also carries its own tag bit ``1 << (n + v)``, set in
+both its signature mask and the subset's mask, so members never collide and
+the same set test holds.  A resolving set needs n distinct distance vectors,
+``set(zip(*map(dist.__getitem__, subset)))``; the empty set resolves exactly
+the graphs of at most one vertex.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from operator import and_
 
 from .graph import Graph, Disconnected, all_pairs_distances, closed_twins, is_connected, open_twins
 from .verify import ProblemKind
@@ -58,34 +70,30 @@ class SolveResult:
     kind: ProblemKind
 
 
-def _closed_masks(g: Graph) -> list[int]:
-    return [m | 1 << v for v, m in enumerate(g.masks)]
-
-
-def _open_masks(g: Graph) -> list[int]:
-    return list(g.masks)
-
-
 class _Checker:
-    """Callable deciding one candidate mask, with preconditions applied once."""
+    """Callable deciding one candidate subset and its mask, with the
+    preconditions applied once."""
 
     def __init__(self, g: Graph, kind: ProblemKind):
-        self.kind = kind
-        self.n = g.n
+        n = self.n = g.n
+        closed = [m | 1 << v for v, m in enumerate(g.masks)]
+        self.dist = None
+        self.tagged = False
         if kind in (ProblemKind.IC, ProblemKind.SEP_ID):
             twins = closed_twins(g)
             if twins:
                 raise TwinsPresent(f"closed twins present, e.g. {twins[0]}")
-            self.masks = _closed_masks(g)
+            self.masks = closed
         elif kind in (ProblemKind.OLD, ProblemKind.SEP_OLD):
             twins = open_twins(g)
             if twins:
                 raise OpenTwinsPresent(f"open twins present, e.g. {twins[0]}")
             if kind is ProblemKind.OLD and not all(g.masks):
                 raise NoSolution("a degree-0 vertex cannot be totally dominated")
-            self.masks = _open_masks(g)
+            self.masks = list(g.masks)
         elif kind in (ProblemKind.LD, ProblemKind.SEP_LD):
-            self.masks = _closed_masks(g)
+            self.masks = [m | 1 << n + v for v, m in enumerate(closed)]
+            self.tagged = True
         elif kind is ProblemKind.RS:
             if not is_connected(g):
                 raise Disconnected("resolving sets need a connected graph")
@@ -93,73 +101,50 @@ class _Checker:
         else:
             raise ValueError(f"unsupported kind {kind}")
         # Domination is part of IC/LD/OLD; SEP_* kinds skip it.
-        self.closed = _closed_masks(g) if kind in (ProblemKind.IC, ProblemKind.LD) else None
-        self.open = _open_masks(g) if kind is ProblemKind.OLD else None
+        self.dom = (closed if kind in (ProblemKind.IC, ProblemKind.LD)
+                    else g.masks if kind is ProblemKind.OLD else None)
+        self.bit = [1 << v for v in range(n)]
 
     def __call__(self, subset: tuple[int, ...], mask: int) -> bool:
-        kind = self.kind
-        if kind is ProblemKind.RS:
-            dist = self.dist
-            seen = set()
-            for v in range(self.n):
-                key = tuple(dist[x][v] for x in subset)
-                if key in seen:
-                    return False
-                seen.add(key)
-            return True
-        if self.closed is not None and any(m & mask == 0 for m in self.closed):
+        if self.dist is not None:
+            if not subset:
+                return self.n <= 1
+            return len(set(zip(*map(self.dist.__getitem__, subset)))) == self.n
+        if self.dom is not None and not all(map(and_, self.dom, repeat(mask))):
             return False
-        if self.open is not None and any(m & mask == 0 for m in self.open):
-            return False
-        sigs = set()
-        if kind in (ProblemKind.LD, ProblemKind.SEP_LD):
-            for v, m in enumerate(self.masks):
-                if mask >> v & 1:
-                    continue
-                s = m & mask
-                if s in sigs:
-                    return False
-                sigs.add(s)
-            return True
-        for m in self.masks:
-            s = m & mask
-            if s in sigs:
-                return False
-            sigs.add(s)
-        return True
+        if self.tagged:
+            mask |= mask << self.n
+        return len(set(map(and_, self.masks, repeat(mask)))) == self.n
+
+    def solutions(self, size: int) -> Iterator[tuple[int, ...]]:
+        """The passing subsets of one size, in lexicographic order."""
+        bit = self.bit.__getitem__
+        return (s for s in combinations(range(self.n), size) if self(s, sum(map(bit, s))))
+
+
+def _first_solution(g: Graph, kind: ProblemKind, cap: int) -> tuple[_Checker, tuple[int, ...]]:
+    """The checker and the lexicographically first subset of least size."""
+    if g.n > cap:
+        raise CapExceeded(f"n={g.n} exceeds the solver cap {cap}")
+    passes = _Checker(g, kind)
+    for size in range(g.n + 1):
+        for subset in passes.solutions(size):
+            return passes, subset
+    raise SolverError(f"no {kind} solution exists")  # unreachable given preconditions
 
 
 def min_set(g: Graph, kind: ProblemKind, cap: int = DEFAULT_VERTEX_CAP) -> SolveResult:
     """Smallest solution of the given kind, ties broken lexicographically."""
-    if g.n > cap:
-        raise CapExceeded(f"n={g.n} exceeds the solver cap {cap}")
-    passes = _Checker(g, kind)
-    bit = [1 << v for v in range(g.n)]
-    for size in range(g.n + 1):
-        for subset in combinations(range(g.n), size):
-            mask = 0
-            for v in subset:
-                mask |= bit[v]
-            if passes(subset, mask):
-                return SolveResult(size, frozenset(subset), kind)
-    raise SolverError(f"no {kind} solution exists")  # unreachable given preconditions
+    subset = _first_solution(g, kind, cap)[1]
+    return SolveResult(len(subset), frozenset(subset), kind)
 
 
 def all_min_sets(g: Graph, kind: ProblemKind, cap: int = DEFAULT_VERTEX_CAP) -> list[frozenset[int]]:
     """Every minimum solution, in lexicographic order of the sorted members."""
-    best = min_set(g, kind, cap=cap)
-    if comb(g.n, best.size) > ENUMERATION_CAP:
-        raise CapExceeded(f"C({g.n},{best.size}) exceeds the enumeration cap")
-    passes = _Checker(g, kind)
-    bit = [1 << v for v in range(g.n)]
-    out = []
-    for subset in combinations(range(g.n), best.size):
-        mask = 0
-        for v in subset:
-            mask |= bit[v]
-        if passes(subset, mask):
-            out.append(frozenset(subset))
-    return out
+    passes, first = _first_solution(g, kind, cap)
+    if comb(g.n, len(first)) > ENUMERATION_CAP:
+        raise CapExceeded(f"C({g.n},{len(first)}) exceeds the enumeration cap")
+    return [frozenset(s) for s in passes.solutions(len(first))]
 
 
 _SEP_KIND = {"id": ProblemKind.SEP_ID, "ld": ProblemKind.SEP_LD, "old": ProblemKind.SEP_OLD}

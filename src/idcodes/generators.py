@@ -8,6 +8,7 @@ Generation therefore never hands out an unchecked construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -19,6 +20,7 @@ from .graph import (
     Graph,
     all_pairs_distances,
     bipartition,
+    bits,
     diameter as graph_diameter,
     is_connected,
 )
@@ -29,6 +31,7 @@ from .models import (
     Model,
     PermutationModel,
     UNION,
+    _prefix_masks,
     _relabel_dfs,
     canonicalize,
     cotree_size,
@@ -508,8 +511,27 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
     vectors = {tuple(dist[x][v] for x in solution) for v in range(base_graph.n)}
     vec_of = [tuple(dist[x][v] for x in solution) for v in range(base_graph.n)]
 
-    def crosses(p1, p2) -> bool:
-        return (p1[0] - p2[0]) * (p1[1] - p2[1]) < 0
+    # Each line keeps its positions sorted, with the prefix masks of that
+    # order.  A candidate crosses the segments before it on exactly one line,
+    # less those at its own position on either line.
+    lines = []
+    for side in (0, 1):
+        order = sorted(range(len(positions)), key=lambda v: positions[v][side])
+        lines.append(([positions[v][side] for v in order], _prefix_masks(order)))
+
+    def crossing(cand) -> int:
+        before, tied = 0, 0
+        for (values, prefix), x in zip(lines, cand):
+            i, j = bisect_left(values, x), bisect_right(values, x)
+            before ^= prefix[i]
+            tied |= prefix[i] ^ prefix[j]
+        return before & ~tied
+
+    def insert(cand, v: int) -> None:
+        for (values, prefix), x in zip(lines, cand):
+            i = bisect_right(values, x)
+            values.insert(i, x)
+            prefix[i + 1 :] = [m | 1 << v for m in prefix[i:]]
 
     def within_two(u: int, w: int) -> int:
         return masks[u] >> w & 1 or masks[u] & masks[w]
@@ -534,9 +556,10 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
             t_f = seq[s] + (seq[s + 1] - seq[s]) * frac
             b_f = lo + (hi - lo) * Fraction(accepted + 1, target + 1)
             cand = (t_f, b_f)
-            nbrs = [w for w, p in enumerate(positions) if crosses(cand, p)]
-            if not nbrs:
+            row = crossing(cand)
+            if not row:
                 continue
+            nbrs = bits(row)
             if any(
                 not within_two(u, w) for i, u in enumerate(nbrs) for w in nbrs[i + 1 :]
             ):
@@ -548,10 +571,9 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
                 continue
             new_id = len(positions)
             positions.append(cand)
-            row = 0
+            insert(cand, new_id)
             for w in nbrs:
                 masks[w] |= 1 << new_id
-                row |= 1 << w
             masks.append(row)
             vectors.add(vec)
             vec_of.append(vec)

@@ -13,6 +13,7 @@ import itertools
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .graph import Graph, mask_components
@@ -187,11 +188,24 @@ class PermutationModel:
 def normalized_segments(
     positions: Iterable[tuple[Fraction | int, Fraction | int]]
 ) -> PermutationModel:
-    """Rank arbitrary rational (top, bottom) positions down to integer indices."""
-    pos = [(Fraction(t), Fraction(b)) for t, b in positions]
-    top_rank = {t: i for i, t in enumerate(sorted(t for t, _ in pos))}
-    bot_rank = {b: i for i, b in enumerate(sorted(b for _, b in pos))}
-    return PermutationModel((top_rank[t], bot_rank[b]) for t, b in pos)
+    """Rank arbitrary rational (top, bottom) positions down to integer indices.
+
+    Each line is ranked by one sort of exact integer keys, the positions
+    scaled by the least common multiple of their denominators.  Equal
+    positions get equal ranks, which ``PermutationModel`` rejects.
+    """
+    pos = list(positions)
+    tops = _dense_ranks([t for t, _ in pos])
+    bottoms = _dense_ranks([b for _, b in pos])
+    return PermutationModel(zip(tops, bottoms))
+
+
+def _dense_ranks(values: list[Fraction | int]) -> list[int]:
+    """The rank of each value among the distinct values, smallest first."""
+    scale = lcm(*(x.denominator for x in values))
+    keys = [x.numerator * (scale // x.denominator) for x in values]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
 
 
 def permutation_graph(m: PermutationModel) -> Graph:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from idcodes.exact import (
     CapExceeded,
     NoSolution,
     OpenTwinsPresent,
+    SolverError,
     TwinsPresent,
     all_min_sets,
     emp_univ_oracle,
@@ -23,6 +25,14 @@ from idcodes.graph import (
     open_twins,
     path_graph,
     star_graph,
+)
+from idcodes.models import (
+    IntervalModel,
+    PermutationModel,
+    all_cotrees,
+    cotree_to_graph,
+    interval_graph,
+    permutation_graph,
 )
 from idcodes.verify import ProblemKind, check
 
@@ -82,8 +92,6 @@ class TestMinSet:
         b = min_set(g, ProblemKind.IC)
         assert a == b
         # lexicographically least witness: no earlier subset of that size works
-        from itertools import combinations
-
         for subset in combinations(range(6), a.size):
             if frozenset(subset) == a.witness:
                 break
@@ -159,3 +167,76 @@ class TestSandwich:
                 assert gamma_ld <= min_set(g, ProblemKind.OLD).size
             if diameter(g) <= 2:
                 assert gamma_ld <= dim + 1
+
+
+def _bfs(adj, source):
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def _passes(adj, dist, kind, s):
+    """The definition of each kind, vertex by vertex, on adjacency sets."""
+    n = len(adj)
+    if kind is ProblemKind.RS:
+        vectors = {tuple(dist[x][v] for x in s) for v in range(n)}
+        return len(vectors) == n
+    closed = kind not in (ProblemKind.OLD, ProblemKind.SEP_OLD)
+    sig = [frozenset(s) & (adj[v] | {v} if closed else adj[v]) for v in range(n)]
+    if kind in (ProblemKind.IC, ProblemKind.LD, ProblemKind.OLD) and not all(sig):
+        return False
+    if kind in (ProblemKind.LD, ProblemKind.SEP_LD):
+        sig = [sig[v] for v in range(n) if v not in s]
+    return len(set(sig)) == len(sig)
+
+
+def _reference(g, kind):
+    """Every passing subset of the least size, in combinations order; None if none."""
+    adj = [set(g.adj[v]) for v in range(g.n)]
+    dist = [_bfs(adj, v) for v in range(g.n)]
+    for size in range(g.n + 1):
+        found = [s for s in combinations(range(g.n), size) if _passes(adj, dist, kind, s)]
+        if found:
+            return found
+    return None
+
+
+def _tie_break_graphs():
+    graphs = [Graph(0, []), Graph(1, [])]
+    graphs += [cotree_to_graph(t) for n in range(1, 8) for t in all_cotrees(n)]
+    rng = random.Random(34)
+    for _ in range(30):
+        n = rng.randint(2, 9)
+        ends = [sorted(rng.sample(range(2 * n + 2), 2)) for _ in range(n)]
+        graphs.append(interval_graph(IntervalModel(ends)))
+        n = rng.randint(2, 9)
+        graphs.append(permutation_graph(PermutationModel(zip(rng.sample(range(n), n), rng.sample(range(n), n)))))
+    return graphs
+
+
+class TestTieBreak:
+    def test_min_set_is_first_passing_subset(self):
+        """min_set returns the first passing subset of combinations order,
+        and all_min_sets every passing subset of that size in that order."""
+        for g in _tie_break_graphs():
+            for kind in ProblemKind:
+                if kind is ProblemKind.RS and not is_connected(g):
+                    with pytest.raises(Disconnected):
+                        min_set(g, kind)
+                    continue
+                expected = _reference(g, kind)
+                if expected is None:
+                    with pytest.raises(SolverError):
+                        min_set(g, kind)
+                    continue
+                result = min_set(g, kind)
+                assert (result.size, result.witness) == (len(expected[0]), frozenset(expected[0])), (g, kind)
+                assert all_min_sets(g, kind) == [frozenset(s) for s in expected], (g, kind)

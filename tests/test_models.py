@@ -112,6 +112,13 @@ class TestPermutationGraph:
         m = normalized_segments([(Fraction(1, 2), 7), (Fraction(-3, 2), 0)])
         assert m.segments == ((1, 1), (0, 0))
 
+    def test_normalized_segments_equal_positions_rejected(self):
+        # equal positions, written as different numbers, get equal ranks
+        with pytest.raises(DuplicateIndex, match="top"):
+            normalized_segments([(Fraction(1, 2), 0), (Fraction(2, 4), 1), (0, 2)])
+        with pytest.raises(DuplicateIndex, match="bottom"):
+            normalized_segments([(0, 3), (Fraction(1, 3), Fraction(6, 2)), (1, Fraction(-1, 7))])
+
 
 def _pair_interval_graph(m):
     """Reference: test every pair for a strict overlap of the open intervals."""
