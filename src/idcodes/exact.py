@@ -5,15 +5,21 @@ constructions, not for production use: they enumerate candidate sets by
 increasing size and, within a size, in lexicographic order, so the returned
 witness is deterministic.
 
-A subset is checked by C-level iteration alone, with no Python loop over the
-vertices.  Its mask is ``sum(map(bit.__getitem__, subset))``.  Domination holds
-when ``all(map(and_, dom, repeat(mask)))``, and separation when the n
-signatures ``set(map(and_, masks, repeat(mask)))`` are pairwise distinct.  For
-LD and SEP_LD a member v also carries its own tag bit ``1 << (n + v)``, set in
-both its signature mask and the subset's mask, so members never collide and
-the same set test holds.  A resolving set needs n distinct distance vectors,
-``set(zip(*map(dist.__getitem__, subset)))``; the empty set resolves exactly
-the graphs of at most one vertex.
+Every kind is checked as a hitting set: a subset S passes when it meets each
+mask of a list built once per graph, and one C-level
+``all(map(and_, hit, repeat(mask)))`` decides it, with no Python loop over the
+vertices; ``mask`` is ``sum(map(bit.__getitem__, subset))``.  The list holds:
+
+- for domination (IC, LD, OLD), every closed (IC, LD) or open (OLD)
+  neighbourhood;
+- for each pair u < v, the vertices that separate them: ``N[u] ^ N[v]`` (IC,
+  SEP_ID), ``N(u) ^ N(v)`` (OLD, SEP_OLD), ``N[u] ^ N[v]`` plus u and v, since
+  a member needs no distinct signature (LD, SEP_LD), and the vertices at
+  different distances from u and v (RS).
+
+So the empty set passes exactly when the list is empty, for RS when n <= 1.
+The list is deduplicated and sorted by size, so a failing subset usually stops
+at its first few masks.
 """
 
 from __future__ import annotations
@@ -72,49 +78,44 @@ class SolveResult:
 
 class _Checker:
     """Callable deciding one candidate subset and its mask, with the
-    preconditions applied once."""
+    preconditions applied once: the set must meet every mask in ``hit``."""
 
     def __init__(self, g: Graph, kind: ProblemKind):
         n = self.n = g.n
         closed = [m | 1 << v for v, m in enumerate(g.masks)]
-        self.dist = None
-        self.tagged = False
+        pairs = list(combinations(range(n), 2))
         if kind in (ProblemKind.IC, ProblemKind.SEP_ID):
             twins = closed_twins(g)
             if twins:
                 raise TwinsPresent(f"closed twins present, e.g. {twins[0]}")
-            self.masks = closed
+            hit = [closed[u] ^ closed[v] for u, v in pairs]
         elif kind in (ProblemKind.OLD, ProblemKind.SEP_OLD):
             twins = open_twins(g)
             if twins:
                 raise OpenTwinsPresent(f"open twins present, e.g. {twins[0]}")
             if kind is ProblemKind.OLD and not all(g.masks):
                 raise NoSolution("a degree-0 vertex cannot be totally dominated")
-            self.masks = list(g.masks)
+            hit = [g.masks[u] ^ g.masks[v] for u, v in pairs]
         elif kind in (ProblemKind.LD, ProblemKind.SEP_LD):
-            self.masks = [m | 1 << n + v for v, m in enumerate(closed)]
-            self.tagged = True
+            hit = [closed[u] ^ closed[v] | 1 << u | 1 << v for u, v in pairs]
         elif kind is ProblemKind.RS:
             if not is_connected(g):
                 raise Disconnected("resolving sets need a connected graph")
-            self.dist = all_pairs_distances(g)
+            dist = all_pairs_distances(g)
+            hit = [sum(1 << x for x in range(n) if dist[x][u] != dist[x][v]) for u, v in pairs]
         else:
             raise ValueError(f"unsupported kind {kind}")
         # Domination is part of IC/LD/OLD; SEP_* kinds skip it.
-        self.dom = (closed if kind in (ProblemKind.IC, ProblemKind.LD)
-                    else g.masks if kind is ProblemKind.OLD else None)
+        if kind in (ProblemKind.IC, ProblemKind.LD):
+            hit += closed
+        elif kind is ProblemKind.OLD:
+            hit += g.masks
+        # Smallest masks first: a failing subset misses one of them soonest.
+        self.hit = sorted(set(hit), key=int.bit_count)
         self.bit = [1 << v for v in range(n)]
 
     def __call__(self, subset: tuple[int, ...], mask: int) -> bool:
-        if self.dist is not None:
-            if not subset:
-                return self.n <= 1
-            return len(set(zip(*map(self.dist.__getitem__, subset)))) == self.n
-        if self.dom is not None and not all(map(and_, self.dom, repeat(mask))):
-            return False
-        if self.tagged:
-            mask |= mask << self.n
-        return len(set(map(and_, self.masks, repeat(mask)))) == self.n
+        return all(map(and_, self.hit, repeat(mask)))
 
     def solutions(self, size: int) -> Iterator[tuple[int, ...]]:
         """The passing subsets of one size, in lexicographic order."""
