@@ -145,6 +145,17 @@ class TestCographCmd:
         )
         assert code == 2 and "not a cograph" in err
 
+    @pytest.mark.parametrize("name,text", [
+        ("split.cotree", "(U (J 0 1) 2)\n"),
+        ("split.graph", "graph 3\ne 0 1\n"),
+    ])
+    @pytest.mark.parametrize("witness", [[], ["--witness"]])
+    def test_md_disconnected_exit_2(self, workdir, capsys, name, text, witness):
+        path = workdir / name
+        path.write_text(text)
+        code, out, err = run_cli(["cograph", "--problem", "md", "--cotree", path, *witness], capsys)
+        assert (code, out, err) == (2, "", "error: disconnected cotree root is a union\n")
+
     def test_not_cograph_model_exit_2(self, workdir, capsys):
         # the path P4 as an interval model
         p4 = workdir / "p4.intervals"
