@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import verify as _verify
-from .cograph import gamma_id_cograph, gamma_ld_cograph
+from .cograph import solve_cotree
 from .graph import Graph, bipartition, diameter as graph_diameter
 from .models import (
     Cotree,
@@ -247,13 +247,13 @@ def attest_class(model: Model, g: Optional[Graph] = None) -> GraphClass:
     return GraphClass.GENERAL
 
 
-# Separating kind -> the dominating variant whose cograph bound certifies it,
-# and that variant's minimum size.  A separating set may not dominate, so it
-# is not itself a solution of the dominating variant; the bound holds for
-# every solution, so it is applied at the minimum size gamma <= sep + 1.
+# Separating kind -> the dominating variant whose cograph bound certifies it.
+# A separating set may not dominate, so it is not itself a solution of the
+# dominating variant; the bound holds for every solution, so it is applied
+# at that variant's minimum size gamma <= sep + 1, the cotree fold's value.
 _SEP_GAMMA = {
-    ProblemKind.SEP_ID: (ProblemKind.IC, gamma_id_cograph),
-    ProblemKind.SEP_LD: (ProblemKind.LD, gamma_ld_cograph),
+    ProblemKind.SEP_ID: ProblemKind.IC,
+    ProblemKind.SEP_LD: ProblemKind.LD,
 }
 
 
@@ -271,11 +271,12 @@ def certify(
     On a cotree, SEP_ID / SEP_LD solutions are checked against the matching
     dominating variant's bound at that variant's minimum size.
     """
-    cotree = isinstance(model, Cotree)
-    if kind in _SEP_GAMMA and cotree and graph_class in (None, GraphClass.COGRAPH):
-        bound_kind, gamma = _SEP_GAMMA[kind]
-    else:
-        bound_kind, gamma = _normalize_kind(kind), None
+    at_gamma = (
+        kind in _SEP_GAMMA
+        and isinstance(model, Cotree)
+        and graph_class in (None, GraphClass.COGRAPH)
+    )
+    bound_kind = _SEP_GAMMA[kind] if at_gamma else _normalize_kind(kind)
     g = model_to_graph(model)
     solution = frozenset(solution)
     if not _verify.check(g, solution, kind):
@@ -287,7 +288,7 @@ def certify(
         raise VerifierFailed(f"solution fails the {kind.value} verifier{detail}")
     if graph_class is None:
         graph_class = attest_class(model, g)
-    k = len(solution) if gamma is None else gamma(model)
+    k = solve_cotree(model, bound_kind).value if at_gamma else len(solution)
     d = None
     if (graph_class, bound_kind) in _NEEDS_D:
         d = graph_diameter(g)

@@ -123,27 +123,13 @@ def _cmd_cograph(args) -> int:
         except NotCograph as exc:
             raise CliError(f"error: not a cograph: {exc}", EXIT_DOMAIN)
     try:
-        if args.problem == "ic":
-            summary = cograph.sep_id_dp(tree)
-            value = summary.k + (1 if summary.emp else 0)
-            witness_kind = ProblemKind.IC
-        elif args.problem == "ld":
-            summary = cograph.sep_ld_dp(tree)
-            value = summary.k + (1 if summary.emp else 0)
-            witness_kind = ProblemKind.LD
-        else:  # md
-            summary = cograph.sep_ld_dp(tree)
-            if tree.root_kind == models.UNION:
-                raise Disconnected("cotree root is a union")
-            value = summary.k
-            witness_kind = ProblemKind.RS
+        summary, value, w = cograph.solve_cotree(tree, _PROBLEMS[args.problem], args.witness)
     except exact.TwinsPresent as exc:
         raise CliError(f"error: twins {exc}", EXIT_DOMAIN)
     except Disconnected as exc:
         raise CliError(f"error: disconnected {exc}", EXIT_DOMAIN)
     line = f"k={value} emp={str(summary.emp).lower()} univ={str(summary.univ).lower()} sep={summary.k}"
-    if args.witness:
-        w = cograph.witness_cograph(tree, witness_kind)
+    if w is not None:
         line += f" witness={_format_set(w)}"
     print(line)
     return EXIT_OK

@@ -9,6 +9,16 @@ properties are
   univ: every minimum separating set has a vertex dominated by the whole set
         (for the "ld" flavor that vertex must lie outside the set).
 
+One entry point, :func:`solve_cotree`, serves every kind.  A table gives
+each kind its flavor ("id", "ld" or "old") and whether it repairs: the
+dominating kinds IC, LD and OLD add one vertex exactly when every minimum
+separating set leaves a hole, so their value is k + [emp].  RS uses the
+"ld" flavor without repair, since a connected cograph has diameter at most
+2, where resolving and separating sets coincide.  The tree is validated
+once and folded once; the fold also runs the flavor's twin gate and carries
+whether each subtree has a universal and an isolated vertex, so the root
+tells whether OLD has a solution at all.
+
 One merge rule, ``_merge``, combines two subtrees for every flavor and both
 node kinds.  A union adds one to the value exactly when both parts have emp;
 emp carries over from either part, and univ survives only when one part is
@@ -18,18 +28,19 @@ with joins and emp with univ.  The flavors differ only when both parts are
 single vertices, and those exceptions are data, ``_TWO_SINGLETONS``: the
 "id" flavor needs univ(single ⊕ single) = True and the "old" flavor needs
 emp(single ⋈ single) = True, both forced by the literal definitions and
-cross-checked exhaustively against the subset-enumeration oracle.  The value
-fold, with its twin gate, and the witness fold both run this rule through
-``models.fold_cotree``: one pass over the cotree's post-order codes
-(:class:`models.Cotree`), with the children's values on a stack.
+cross-checked exhaustively against the subset-enumeration oracle.  The fold
+runs this rule through ``models.fold_cotree``: one pass over the cotree's
+post-order codes (:class:`models.Cotree`), with the children's values on a
+stack.
 
-The witness is read off the fold.  Besides the state, each subtree carries
-three vertices of the minimum separating set built for it, each None when
-absent: ``hole``, the one vertex with an empty signature; ``cov``, the one
-vertex whose signature is the whole set; and ``nn``, a vertex of the
-subtree outside N[cov].  The set is never stored: it is the vertices added
-at bumped merges (where the value grows by one), plus the root's hole when
-IC or LD need the repair vertex.  Parts A then B merge as follows:
+When a witness is asked for, the same fold reads it off as it goes.  Besides
+the state, each subtree then carries three vertices of the minimum
+separating set built for it, each None when absent: ``hole``, the one vertex
+with an empty signature; ``cov``, the one vertex whose signature is the
+whole set; and ``nn``, a vertex of the subtree outside N[cov].  The set is
+never stored: it is the vertices added at bumped merges (where the value
+grows by one), plus the root's hole when IC or LD need the repair vertex.
+Parts A then B merge as follows:
 
   union, no bump: the hole is A's or B's; cov, nn are A's cov and B's hole
       if B is one vertex, B's cov and A's hole if A is, else none.
@@ -55,6 +66,7 @@ vertices would be universal in their parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .exact import OpenTwinsPresent, TwinsPresent
 from .graph import Disconnected
@@ -65,15 +77,7 @@ __all__ = [
     "CographSummary",
     "NoOldSolution",
     "WitnessUnavailable",
-    "sep_id_dp",
-    "sep_ld_dp",
-    "sep_old_dp",
-    "gamma_id_cograph",
-    "gamma_ld_cograph",
-    "gamma_old_cograph",
-    "dim_cograph",
-    "witness_cograph",
-    "graph_has_isolated_vertex",
+    "solve_cotree",
 ]
 
 
@@ -93,6 +97,14 @@ class CographSummary:
     emp: bool
     univ: bool
     n: int
+
+
+class CotreeSolution(NamedTuple):
+    """What :func:`solve_cotree` returns for one kind."""
+
+    summary: CographSummary
+    value: int
+    witness: Optional[frozenset[int]]
 
 
 # -- the merge rule -----------------------------------------------------------
@@ -127,109 +139,6 @@ def _merge(a, b, kind: int, flavor: str) -> tuple[int, bool, bool, int]:
     if join:
         emp, univ = univ, emp
     return k, emp, univ, na + nb
-
-
-# The twin gate each flavor needs: closed twins appear exactly when a join
-# merges two parts that both contain a universal vertex, open twins exactly
-# when a union merges two parts that both contain an isolated vertex.
-_TWIN_GATES = {
-    "id": (JOIN, TwinsPresent, "cotree joins two parts with universal vertices"),
-    "old": (UNION, OpenTwinsPresent, "cotree unites two parts with isolated vertices"),
-}
-
-
-def _fold(t: Cotree, flavor: str) -> tuple[int, bool, bool, int]:
-    """Post-order fold of the merge rule; n-ary nodes are combined left to right.
-
-    Raises TwinsPresent / OpenTwinsPresent as soon as a merge hits the
-    flavor's twin gate, which is exactly when the compiled graph has closed
-    (open) twins.
-    """
-    validate_cotree(t)
-    gate_kind, gate_error, gate_message = _TWIN_GATES.get(flavor, (None, None, None))
-
-    # Each value is (state, has a universal vertex, has an isolated vertex).
-    def merge_children(kind: int, kids: list) -> tuple:
-        join = kind == JOIN
-        state, universal, isolated = kids[0]
-        for b, b_universal, b_isolated in kids[1:]:
-            if kind == gate_kind and (
-                (universal and b_universal) if join else (isolated and b_isolated)
-            ):
-                raise gate_error(gate_message)
-            state = _merge(state, b, kind, flavor)
-            if join:
-                universal, isolated = universal or b_universal, False
-            else:
-                universal, isolated = False, isolated or b_isolated
-        return state, universal, isolated
-
-    leaf_value = (_LEAF, True, True)
-    return fold_cotree(t, lambda _v: leaf_value, merge_children)[0]
-
-
-def sep_id_dp(t: Cotree) -> CographSummary:
-    """Minimum closed-signature separating-set size of a twin-free cograph."""
-    return CographSummary(*_fold(t, "id"))
-
-
-def sep_ld_dp(t: Cotree) -> CographSummary:
-    """Minimum size of a set separating the vertices outside it (any cograph)."""
-    return CographSummary(*_fold(t, "ld"))
-
-
-def gamma_id_cograph(t: Cotree) -> int:
-    """Minimum identifying-code size: the separating value, plus one repair
-    vertex exactly when every minimum separating set leaves a hole."""
-    s = sep_id_dp(t)
-    return s.k + (1 if s.emp else 0)
-
-
-def gamma_ld_cograph(t: Cotree) -> int:
-    """Minimum locating-dominating set size via the same repair rule."""
-    s = sep_ld_dp(t)
-    return s.k + (1 if s.emp else 0)
-
-
-def dim_cograph(t: Cotree) -> int:
-    """Metric dimension of a connected cograph.
-
-    Connected cographs have diameter at most 2, where resolving sets and
-    separating sets coincide, so this is the plain separating value.
-    """
-    if t.root_kind == UNION:
-        raise Disconnected("cotree root is a union: graph is disconnected")
-    return sep_ld_dp(t).k
-
-
-def graph_has_isolated_vertex(t: Cotree) -> bool:
-    """True when the compiled graph has a vertex with no neighbours.
-
-    In a canonical cotree an isolated vertex is exactly a leaf hanging
-    directly under a union root (joins give every vertex a neighbour).
-    """
-    if t.root_kind == JOIN:
-        return False
-    # A node's value is (is a leaf, has a leaf child); a lone leaf is both.
-    return fold_cotree(
-        t, lambda _v: (True, True), lambda _kind, kids: (False, any(k[0] for k in kids))
-    )[1]
-
-
-def sep_old_dp(t: Cotree) -> CographSummary:
-    """Open-signature analog of sep_id_dp (needs an open-twin-free cograph)."""
-    return CographSummary(*_fold(t, "old"))
-
-
-def gamma_old_cograph(t: Cotree) -> int:
-    """Minimum open locating-dominating set size of an open-twin-free cograph."""
-    if graph_has_isolated_vertex(t):
-        raise NoOldSolution("a degree-0 vertex cannot be totally dominated")
-    s = sep_old_dp(t)
-    return s.k + (1 if s.emp else 0)
-
-
-# -- witness reconstruction ---------------------------------------------------
 
 
 def _witness_merge(a, b, kind: int, flavor: str, added: list[int]) -> tuple:
@@ -268,41 +177,95 @@ def _witness_merge(a, b, kind: int, flavor: str, added: list[int]) -> tuple:
     return (state, None, c_b, nn_b) if in_a else (state, None, c_a, nn_a)
 
 
-def witness_cograph(t: Cotree, kind: ProblemKind) -> frozenset[int]:
-    """A verified minimum solution set read off the cotree fold.
+# -- the fold -----------------------------------------------------------------
 
-    Supports IC and LD (separating witness plus the single repair vertex when
-    needed), RS on connected cographs, and the raw SEP_ID / SEP_LD witnesses.
-    Only the final check builds the adjacency masks (:func:`models.cotree_masks`).
+# The twin gate each flavor needs: closed twins appear exactly when a join
+# merges two parts that both contain a universal vertex, open twins exactly
+# when a union merges two parts that both contain an isolated vertex.
+_TWIN_GATES = {
+    "id": (JOIN, TwinsPresent, "cotree joins two parts with universal vertices"),
+    "old": (UNION, OpenTwinsPresent, "cotree unites two parts with isolated vertices"),
+}
+
+# Kind -> (fold flavor, whether the value adds the repair vertex on emp).
+_KINDS = {
+    ProblemKind.IC: ("id", True),
+    ProblemKind.LD: ("ld", True),
+    ProblemKind.OLD: ("old", True),
+    ProblemKind.RS: ("ld", False),
+    ProblemKind.SEP_ID: ("id", False),
+    ProblemKind.SEP_LD: ("ld", False),
+    ProblemKind.SEP_OLD: ("old", False),
+}
+
+
+def _fold(t: Cotree, flavor: str, witness: bool) -> tuple:
+    """Post-order fold of the merge rule; n-ary nodes are combined left to right.
+
+    Returns the root's part, whether its graph has an isolated vertex, and
+    the vertices added at bumps.  A part is the state, or with a witness
+    (state, hole, cov, nn).  Raises TwinsPresent / OpenTwinsPresent as soon
+    as a merge hits the flavor's twin gate, which is exactly when the
+    compiled graph has closed (open) twins.
     """
-    flavor_kind = {
-        ProblemKind.IC: ("id", True),
-        ProblemKind.SEP_ID: ("id", False),
-        ProblemKind.LD: ("ld", True),
-        ProblemKind.SEP_LD: ("ld", False),
-        ProblemKind.RS: ("ld", False),
-    }
-    if kind not in flavor_kind:
-        raise ValueError(f"witness reconstruction does not support {kind}")
-    flavor, repair = flavor_kind[kind]
-    summary = sep_id_dp(t) if flavor == "id" else sep_ld_dp(t)
-    if kind is ProblemKind.RS and t.root_kind == UNION:
-        raise Disconnected("cotree root is a union: graph is disconnected")
+    gate_kind, gate_error, gate_message = _TWIN_GATES.get(flavor, (None, None, None))
     added: list[int] = []
 
-    def merge_children(node_kind: int, kids: list) -> tuple:
-        value = kids[0]
-        for b in kids[1:]:
-            value = _witness_merge(value, b, node_kind, flavor, added)
-        return value
+    # Each value is (part, has a universal vertex, has an isolated vertex).
+    def merge_children(kind: int, kids: list) -> tuple:
+        join = kind == JOIN
+        part, universal, isolated = kids[0]
+        for b, b_universal, b_isolated in kids[1:]:
+            if kind == gate_kind and (
+                (universal and b_universal) if join else (isolated and b_isolated)
+            ):
+                raise gate_error(gate_message)
+            if witness:
+                part = _witness_merge(part, b, kind, flavor, added)
+            else:
+                part = _merge(part, b, kind, flavor)
+            if join:
+                universal, isolated = universal or b_universal, False
+            else:
+                universal, isolated = False, isolated or b_isolated
+        return part, universal, isolated
 
-    hole = fold_cotree(t, lambda v: (_LEAF, v, v, None), merge_children)[1]
-    if repair and summary.emp:
-        added.append(hole)
-    witness = frozenset(added)
-    if not check_masks(cotree_masks(t), witness, kind):
+    leaf_value = (_LEAF, True, True)
+    leaf_fn = (lambda v: ((_LEAF, v, v, None), True, True)) if witness else (lambda _v: leaf_value)
+    part, _universal, isolated = fold_cotree(t, leaf_fn, merge_children)
+    return part, isolated, added
+
+
+def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeSolution:
+    """Summary, minimum size and, if asked for, a verified minimum set of `kind`.
+
+    The summary is the fold's separating state for the kind's flavor; the
+    value adds the repair vertex for the dominating kinds when emp holds.
+    Raises TwinsPresent / OpenTwinsPresent for twins of the flavor,
+    Disconnected for RS on a union root, NoOldSolution for OLD on a graph
+    with an isolated vertex, and ValueError for a witness of the OLD kinds.
+    Only the witness's final check builds the adjacency masks
+    (:func:`models.cotree_masks`).
+    """
+    flavor, repair = _KINDS[kind]
+    if witness and flavor == "old":
+        raise ValueError(f"witness reconstruction does not support {kind}")
+    validate_cotree(t)
+    part, isolated, added = _fold(t, flavor, witness)
+    summary = CographSummary(*(part[0] if witness else part))
+    if kind is ProblemKind.RS and t.root_kind == UNION:
+        raise Disconnected("cotree root is a union")
+    if kind is ProblemKind.OLD and isolated:
+        raise NoOldSolution("a degree-0 vertex cannot be totally dominated")
+    repaired = repair and summary.emp
+    value = summary.k + (1 if repaired else 0)
+    if not witness:
+        return CotreeSolution(summary, value, None)
+    if repaired:
+        added.append(part[1])
+    found = frozenset(added)
+    if not check_masks(cotree_masks(t), found, kind):
         raise WitnessUnavailable(f"assembled set failed the {kind} verifier")
-    expected = summary.k + (1 if repair and summary.emp else 0)
-    if len(witness) != expected:
+    if len(found) != value:
         raise WitnessUnavailable("assembled set has the wrong size")
-    return witness
+    return CotreeSolution(summary, value, found)

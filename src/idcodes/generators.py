@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import verify
-from .cograph import sep_id_dp, sep_ld_dp, witness_cograph
+from .cograph import solve_cotree
 from .graph import (
     Disconnected,
     Graph,
@@ -808,7 +808,7 @@ def ext_cograph_id(n: int, variant: int) -> ExtremalInstance:
     if variant not in (1, 2, 3, 4):
         raise GeneratorError("variant must be 1..4")
     t = _cograph_id_tree(n, variant)
-    s = sep_id_dp(t)
+    s, _value, witness = solve_cotree(t, ProblemKind.SEP_ID, witness=True)
     want_k = _ID_CLAIMS[variant](n)
     want_flags = _ID_FLAGS[variant]
     if (s.k, s.emp, s.univ) != (want_k, *want_flags):
@@ -816,7 +816,6 @@ def ext_cograph_id(n: int, variant: int) -> ExtremalInstance:
             f"cograph-id({n},{variant}): dp says {(s.k, s.emp, s.univ)}, "
             f"claimed {(want_k, *want_flags)}"
         )
-    witness = witness_cograph(t, ProblemKind.SEP_ID)
     return _validated(t, witness, ProblemKind.SEP_ID, n, s.k, f"cograph-id-v{variant}")
 
 
@@ -848,7 +847,7 @@ def ext_cograph_ld(n: int, variant: int) -> ExtremalInstance:
     if variant not in (1, 2, 3, 4):
         raise GeneratorError("variant must be 1..4")
     t = _cograph_ld_tree(n, variant)
-    s = sep_ld_dp(t)
+    s, _value, witness = solve_cotree(t, ProblemKind.SEP_LD, witness=True)
     want_k = _LD_CLAIMS[variant](n)
     want_flags = _LD_FLAGS[variant]
     if (s.k, s.emp, s.univ) != (want_k, *want_flags):
@@ -856,7 +855,6 @@ def ext_cograph_ld(n: int, variant: int) -> ExtremalInstance:
             f"cograph-ld({n},{variant}): dp says {(s.k, s.emp, s.univ)}, "
             f"claimed {(want_k, *want_flags)}"
         )
-    witness = witness_cograph(t, ProblemKind.SEP_LD)
     return _validated(t, witness, ProblemKind.SEP_LD, n, s.k, f"cograph-ld-v{variant}")
 
 

@@ -122,19 +122,27 @@ def interval_graph(m: IntervalModel) -> Graph:
     The intervals starting before r_v are ``PL[bisect_left(lefts, r_v)]``.
     Those ending by l_v, ``PR[bisect_right(rights, l_v)]``, all start before
     r_v too and exclude v, so v's row is the XOR of the two masks without v.
+    The sorts and searches run on exact integer keys (:func:`_integer_keys`).
     """
-    ivs = m.intervals
-    by_left = sorted(range(len(ivs)), key=lambda v: ivs[v][0])
-    by_right = sorted(range(len(ivs)), key=lambda v: ivs[v][1])
-    lefts = [ivs[v][0] for v in by_left]
-    rights = [ivs[v][1] for v in by_right]
+    keys = _integer_keys([x for interval in m.intervals for x in interval])
+    left_of, right_of = keys[0::2], keys[1::2]
+    by_left = sorted(range(len(left_of)), key=left_of.__getitem__)
+    by_right = sorted(range(len(right_of)), key=right_of.__getitem__)
+    lefts = [left_of[v] for v in by_left]
+    rights = [right_of[v] for v in by_right]
     left_prefix, right_prefix = _prefix_masks(by_left), _prefix_masks(by_right)
     return Graph._adopt(tuple(
         left_prefix[bisect_left(lefts, right)]
         ^ right_prefix[bisect_right(rights, left)]
         ^ 1 << v
-        for v, (left, right) in enumerate(ivs)
+        for v, (left, right) in enumerate(zip(left_of, right_of))
     ))
+
+
+def _integer_keys(values: list[Fraction | int]) -> list[int]:
+    """The values scaled by the lcm of their denominators: exact ints in the same order."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
 
 
 def _prefix_masks(order: Sequence[int]) -> list[int]:
@@ -202,8 +210,7 @@ def normalized_segments(
 
 def _dense_ranks(values: list[Fraction | int]) -> list[int]:
     """The rank of each value among the distinct values, smallest first."""
-    scale = lcm(*(x.denominator for x in values))
-    keys = [x.numerator * (scale // x.denominator) for x in values]
+    keys = _integer_keys(values)
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys]
 
@@ -404,9 +411,9 @@ def cotree_masks(t: Cotree) -> tuple[int, ...]:
     One post-order pass gives every node the mask of its leaves and its
     parent's index; a join hands each child the leaves of its siblings, and
     a reverse pass, which meets every parent before its children, ORs those
-    gifts down into the leaves.
+    gifts down into the leaves.  t must already be valid
+    (:func:`validate_cotree`).
     """
-    validate_cotree(t)
     codes = t.codes
     size = len(codes)
     below = [0] * size
@@ -439,6 +446,7 @@ def cotree_masks(t: Cotree) -> tuple[int, ...]:
 
 def cotree_to_graph(t: Cotree) -> Graph:
     """Evaluate the cotree: UNION keeps parts apart, JOIN adds all cross edges."""
+    validate_cotree(t)
     return Graph._adopt(cotree_masks(t))  # symmetric and loop-free by construction
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "first_collision",
     "undominated",
     "covered",
-    "closed_signature",
-    "open_signature",
     "is_dominating",
     "is_total_dominating",
     "is_identifying_code",
@@ -158,16 +156,6 @@ def check_masks(masks: tuple[int, ...], candidate: Iterable[int], kind: ProblemK
 def check(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
     """Whether the candidate is a solution of the kind on g."""
     return check_masks(g.masks, candidate, kind)
-
-
-def closed_signature(g: Graph, candidate: Iterable[int], v: int) -> frozenset[int]:
-    """N[v] intersected with the candidate set."""
-    return frozenset(bits((g.masks[v] | 1 << v) & vertex_mask(candidate)))
-
-
-def open_signature(g: Graph, candidate: Iterable[int], v: int) -> frozenset[int]:
-    """N(v) intersected with the candidate set."""
-    return frozenset(bits(g.masks[v] & vertex_mask(candidate)))
 
 
 def is_dominating(g: Graph, candidate: Iterable[int]) -> bool:

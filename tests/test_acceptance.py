@@ -13,13 +13,7 @@ import pytest
 
 from idcodes import verify
 from idcodes.bounds import GraphClass, certify, certify_instance
-from idcodes.cograph import (
-    dim_cograph,
-    gamma_id_cograph,
-    gamma_ld_cograph,
-    sep_id_dp,
-    sep_ld_dp,
-)
+from idcodes.cograph import solve_cotree
 from idcodes.exact import (
     NoSolution,
     OpenTwinsPresent,
@@ -174,23 +168,23 @@ class TestCriterion5CographOracleEquivalence:
         mismatches = 0
         for t in trees + samples:
             g = cotree_to_graph(t)
-            s_ld = sep_ld_dp(t)
+            s_ld = solve_cotree(t, PK.SEP_LD).summary
             o_ld = min_set(g, PK.SEP_LD)
             if (s_ld.k, s_ld.emp, s_ld.univ) != (o_ld.size, *emp_univ_oracle(g, "ld")):
                 mismatches += 1
-            if gamma_ld_cograph(t) != min_set(g, PK.LD).size:
+            if solve_cotree(t, PK.LD).value != min_set(g, PK.LD).size:
                 mismatches += 1
-            if is_connected(g) and dim_cograph(t) != min_set(g, PK.RS).size:
+            if is_connected(g) and solve_cotree(t, PK.RS).value != min_set(g, PK.RS).size:
                 mismatches += 1
             if not closed_twins(g):
-                s_id = sep_id_dp(t)
+                s_id = solve_cotree(t, PK.SEP_ID).summary
                 o_id = min_set(g, PK.SEP_ID)
                 if (s_id.k, s_id.emp, s_id.univ) != (
                     o_id.size,
                     *emp_univ_oracle(g, "id"),
                 ):
                     mismatches += 1
-                if gamma_id_cograph(t) != min_set(g, PK.IC).size:
+                if solve_cotree(t, PK.IC).value != min_set(g, PK.IC).size:
                     mismatches += 1
         assert mismatches == 0
         _report(
@@ -210,8 +204,8 @@ class TestCriterion6CographBound:
             if g.n < 2:
                 continue
             if not closed_twins(g):
-                s = sep_id_dp(t)
-                gamma = gamma_id_cograph(t)
+                s = solve_cotree(t, PK.SEP_ID).summary
+                gamma = solve_cotree(t, PK.IC).value
                 # n <= 2*gamma - 1 holds universally (oracle-backed via
                 # criterion 5).  The published n <= 2*gamma - 2 can fail only
                 # by one, and only on odd-order graphs where every minimum
@@ -222,8 +216,8 @@ class TestCriterion6CographBound:
                 if 2 * gamma == g.n + 1:
                     assert not s.emp and s.univ and g.n % 2 == 1
             if is_connected(g):
-                d = dim_cograph(t)
-                gld = gamma_ld_cograph(t)
+                d = solve_cotree(t, PK.RS).value
+                gld = solve_cotree(t, PK.LD).value
                 assert g.n <= 3 * d <= 3 * gld
         # extremal families: claimed separating values via the fold up to 200
         id_claims = {1: lambda n: (n + 3) // 2, 2: lambda n: (n + 2) // 2,
@@ -359,7 +353,7 @@ class TestCriterion9Performance:
         for _ in range(3):
             for tree, times in ((t_small, smalls), (t_big, bigs)):
                 s = time.monotonic()
-                sep_id_dp(tree)
+                solve_cotree(tree, PK.SEP_ID)
                 times.append(time.monotonic() - s)
         small, big = min(smalls), min(bigs)
         assert small < 1.0

@@ -188,7 +188,7 @@ class TestCertify:
             cotree_to_graph,
             random_cotree,
         )
-        from idcodes.cograph import sep_id_dp
+        from idcodes.cograph import solve_cotree
 
         rng = random.Random(51)
 
@@ -262,7 +262,7 @@ class TestCertify:
                 continue
             report = certify(t, best.witness, PK.IC)
             if not report.satisfied:
-                s = sep_id_dp(t)
+                s = solve_cotree(t, PK.SEP_ID).summary
                 assert report.slack == -1
                 assert not s.emp and s.univ and g.n % 2 == 1
 

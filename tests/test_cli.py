@@ -164,6 +164,46 @@ class TestCographCmd:
         assert code == 2 and "not a cograph" in err
 
 
+class TestOneFoldPerRequest:
+    """A cograph request validates its cotree at most twice, in the parser and
+    in the solver, and folds it once, witness included."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from idcodes import cograph, models
+
+        counts = {"fold_cotree": 0, "validate_cotree": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(models, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in (models, cograph):
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("problem", ["ic", "ld", "md"])
+    def test_cograph_witness(self, workdir, capsys, counts, problem):
+        path = workdir / "k223.cotree"
+        path.write_text("(J (U 0 1) (U 2 3) (U 4 5 6))\n")
+        code, out, _ = run_cli(
+            ["cograph", "--problem", problem, "--cotree", path, "--witness"], capsys
+        )
+        assert code == 0 and " witness=" in out
+        assert counts["fold_cotree"] == 1
+        assert counts["validate_cotree"] <= 2
+
+    @pytest.mark.parametrize("family", ["cograph-id", "cograph-ld"])
+    def test_generate(self, workdir, capsys, counts, family):
+        code, _, _ = run_cli(
+            ["generate", "--family", family, "--n", "12", "--variant", "1",
+             "--out", workdir / family],
+            capsys,
+        )
+        assert code == 0
+        assert counts["fold_cotree"] == 1
+
+
 class TestGenerateCertify:
     def test_round_trip_tight(self, workdir, capsys):
         out_prefix = workdir / "fam"

@@ -5,19 +5,7 @@ import time
 import pytest
 
 from idcodes.cli import main
-from idcodes.cograph import (
-    CographSummary,
-    NoOldSolution,
-    dim_cograph,
-    gamma_id_cograph,
-    gamma_ld_cograph,
-    gamma_old_cograph,
-    graph_has_isolated_vertex,
-    sep_id_dp,
-    sep_ld_dp,
-    sep_old_dp,
-    witness_cograph,
-)
+from idcodes.cograph import CographSummary, NoOldSolution, solve_cotree
 from idcodes.exact import (
     NoSolution,
     OpenTwinsPresent,
@@ -50,6 +38,7 @@ from idcodes.models import (
 from idcodes.verify import ProblemKind, check, check_masks
 
 
+
 def _rebuilt(t, node_fn=None):
     """t rebuilt node by node with the construction helpers; node_fn(kind,
     kids) may see (and reorder) each node's children first."""
@@ -73,47 +62,55 @@ def _root_children(t):
     return last
 
 
+def test_one_public_entry_point():
+    from idcodes import cograph
+
+    assert sorted(cograph.__all__) == [
+        "CographSummary", "NoOldSolution", "WitnessUnavailable", "solve_cotree",
+    ]
+
+
 class TestBaseCases:
     def test_single_vertex(self):
-        assert sep_id_dp(leaf(0)) == CographSummary(0, True, True, 1)
-        assert sep_ld_dp(leaf(0)) == CographSummary(0, True, True, 1)
+        for kind in (ProblemKind.SEP_ID, ProblemKind.SEP_LD):
+            assert solve_cotree(leaf(0), kind).summary == CographSummary(0, True, True, 1)
 
     def test_two_isolated_id(self):
-        s = sep_id_dp(union_node(leaf(0), leaf(1)))
+        s = solve_cotree(union_node(leaf(0), leaf(1)), ProblemKind.SEP_ID).summary
         assert (s.k, s.emp, s.univ) == (1, True, True)
 
     def test_two_isolated_ld(self):
-        s = sep_ld_dp(union_node(leaf(0), leaf(1)))
+        s = solve_cotree(union_node(leaf(0), leaf(1)), ProblemKind.SEP_LD).summary
         assert (s.k, s.emp, s.univ) == (1, True, False)
 
     def test_edge_ld(self):
-        s = sep_ld_dp(join_node(leaf(0), leaf(1)))
+        s = solve_cotree(join_node(leaf(0), leaf(1)), ProblemKind.SEP_LD).summary
         assert (s.k, s.emp, s.univ) == (1, False, True)
 
     def test_c4(self):
         t = parse_cotree("(J (U 0 1) (U 2 3))")
-        assert sep_id_dp(t).k == 3
-        assert gamma_id_cograph(t) == 3
-        assert dim_cograph(t) == 2
-        assert gamma_ld_cograph(t) == 2
+        assert solve_cotree(t, ProblemKind.SEP_ID).summary.k == 3
+        assert solve_cotree(t, ProblemKind.IC).value == 3
+        assert solve_cotree(t, ProblemKind.RS).value == 2
+        assert solve_cotree(t, ProblemKind.LD).value == 2
 
     def test_star(self):
         t = parse_cotree("(J 0 (U 1 2 3))")
-        assert gamma_id_cograph(t) == 3
+        assert solve_cotree(t, ProblemKind.IC).value == 3
 
     def test_gamma_values(self):
         two = union_node(leaf(0), leaf(1))
-        assert gamma_id_cograph(two) == 2
-        assert gamma_ld_cograph(leaf(0)) == 1
-        assert dim_cograph(leaf(0)) == 0
+        assert solve_cotree(two, ProblemKind.IC).value == 2
+        assert solve_cotree(leaf(0), ProblemKind.LD).value == 1
+        assert solve_cotree(leaf(0), ProblemKind.RS).value == 0
 
     def test_twins_rejected(self):
         with pytest.raises(TwinsPresent):
-            sep_id_dp(join_node(leaf(0), leaf(1)))
+            solve_cotree(join_node(leaf(0), leaf(1)), ProblemKind.SEP_ID)
 
     def test_dim_needs_connected(self):
         with pytest.raises(Disconnected):
-            dim_cograph(union_node(leaf(0), leaf(1)))
+            solve_cotree(union_node(leaf(0), leaf(1)), ProblemKind.RS)
 
 
 class TestOracleEquivalence:
@@ -123,36 +120,37 @@ class TestOracleEquivalence:
         for n in range(1, 8):
             for t in all_cotrees(n):
                 g = cotree_to_graph(t)
-                s_ld = sep_ld_dp(t)
+                s_ld = solve_cotree(t, ProblemKind.SEP_LD).summary
                 o_ld = min_set(g, ProblemKind.SEP_LD)
                 assert (s_ld.k, s_ld.emp, s_ld.univ) == (
                     o_ld.size,
                     *emp_univ_oracle(g, "ld"),
                 )
-                assert gamma_ld_cograph(t) == min_set(g, ProblemKind.LD).size
+                assert solve_cotree(t, ProblemKind.LD).value == min_set(g, ProblemKind.LD).size
                 if is_connected(g):
-                    assert dim_cograph(t) == min_set(g, ProblemKind.RS).size
+                    assert solve_cotree(t, ProblemKind.RS).value == min_set(g, ProblemKind.RS).size
                 if closed_twins(g):
                     with pytest.raises(TwinsPresent):
-                        sep_id_dp(t)
+                        solve_cotree(t, ProblemKind.SEP_ID)
                     continue
-                s_id = sep_id_dp(t)
+                s_id = solve_cotree(t, ProblemKind.SEP_ID).summary
                 o_id = min_set(g, ProblemKind.SEP_ID)
                 assert (s_id.k, s_id.emp, s_id.univ) == (
                     o_id.size,
                     *emp_univ_oracle(g, "id"),
                 )
-                assert gamma_id_cograph(t) == min_set(g, ProblemKind.IC).size
+                assert solve_cotree(t, ProblemKind.IC).value == min_set(g, ProblemKind.IC).size
 
     def test_random_medium(self):
         rng = random.Random(40)
         for _ in range(150):
             t = random_cotree(rng.randint(8, 10), rng)
             g = cotree_to_graph(t)
-            s_ld = sep_ld_dp(t)
+            s_ld = solve_cotree(t, ProblemKind.SEP_LD).summary
             assert s_ld.k == min_set(g, ProblemKind.SEP_LD).size
             if not closed_twins(g):
-                assert sep_id_dp(t).k == min_set(g, ProblemKind.SEP_ID).size
+                s_id = solve_cotree(t, ProblemKind.SEP_ID).summary
+                assert s_id.k == min_set(g, ProblemKind.SEP_ID).size
 
     def test_twin_gate_matches_graph_twins(self):
         for n in range(1, 8):
@@ -160,24 +158,31 @@ class TestOracleEquivalence:
                 g = cotree_to_graph(t)
                 has_closed = bool(closed_twins(g))
                 try:
-                    sep_id_dp(t)
+                    solve_cotree(t, ProblemKind.SEP_ID)
                     assert not has_closed
                 except TwinsPresent:
                     assert has_closed
                 has_open = bool(open_twins(g))
                 try:
-                    sep_old_dp(t)
+                    solve_cotree(t, ProblemKind.SEP_OLD)
                     assert not has_open
                 except OpenTwinsPresent:
                     assert has_open
 
     def test_isolated_vertex_detection(self):
+        # OLD has no solution exactly when a vertex is isolated; open twins,
+        # which two isolated vertices already are, are reported first
         for n in range(1, 8):
             for t in all_cotrees(n):
                 g = cotree_to_graph(t)
-                assert graph_has_isolated_vertex(t) == any(
-                    not g.adj[v] for v in range(g.n)
-                )
+                isolated = any(not g.adj[v] for v in range(g.n))
+                try:
+                    solve_cotree(t, ProblemKind.OLD)
+                    assert not isolated
+                except NoOldSolution:
+                    assert isolated and not open_twins(g)
+                except OpenTwinsPresent:
+                    assert open_twins(g)
 
 
 class TestComplementDuality:
@@ -186,8 +191,8 @@ class TestComplementDuality:
         trees = [t for n in range(1, 8) for t in all_cotrees(n)]
         trees += [random_cotree(rng.randint(8, 10), rng) for _ in range(50)]
         for t in trees:
-            a = sep_ld_dp(t)
-            b = sep_ld_dp(complement_cotree(t))
+            a = solve_cotree(t, ProblemKind.SEP_LD).summary
+            b = solve_cotree(complement_cotree(t), ProblemKind.SEP_LD).summary
             assert a.k == b.k and a.emp == b.univ and a.univ == b.emp
 
 
@@ -200,14 +205,14 @@ class TestOldFlavor:
                     oracle = min_set(g, ProblemKind.SEP_OLD)
                 except OpenTwinsPresent:
                     continue
-                s = sep_old_dp(t)
+                s = solve_cotree(t, ProblemKind.SEP_OLD).summary
                 expected = (oracle.size, *emp_univ_oracle(g, "old"))
                 assert (s.k, s.emp, s.univ) == expected, format_cotree(t)
 
     def test_gate_and_gamma(self):
-        assert gamma_old_cograph(join_node(leaf(0), leaf(1))) == 2
+        assert solve_cotree(join_node(leaf(0), leaf(1)), ProblemKind.OLD).value == 2
         with pytest.raises(NoOldSolution):
-            gamma_old_cograph(leaf(0))
+            solve_cotree(leaf(0), ProblemKind.OLD)
 
     def test_gamma_old_matches_oracle(self):
         for n in range(1, 8):
@@ -217,7 +222,7 @@ class TestOldFlavor:
                     expected = min_set(g, ProblemKind.OLD).size
                 except (OpenTwinsPresent, NoSolution):
                     continue
-                assert gamma_old_cograph(t) == expected
+                assert solve_cotree(t, ProblemKind.OLD).value == expected
 
     def test_sep_old_random_sample(self):
         rng = random.Random(46)
@@ -230,7 +235,7 @@ class TestOldFlavor:
             except OpenTwinsPresent:
                 continue
             checked += 1
-            s = sep_old_dp(t)
+            s = solve_cotree(t, ProblemKind.SEP_OLD).summary
             assert s.k == oracle.size
             assert (s.emp, s.univ) == emp_univ_oracle(g, "old")
 
@@ -240,19 +245,20 @@ class TestFoldProperties:
         rng = random.Random(42)
         for _ in range(50):
             t = random_cotree(rng.randint(2, 10), rng)
-            whole = sep_ld_dp(t).k
+            whole = solve_cotree(t, ProblemKind.SEP_LD).summary.k
             for c in _root_children(t):
                 relabel = {v: i for i, v in enumerate(sorted(cotree_leaves(c)))}
                 rl = Cotree(relabel[v] if v >= 0 else v for v in c.codes)
-                assert sep_ld_dp(canonicalize(rl)).k <= whole
+                assert solve_cotree(canonicalize(rl), ProblemKind.SEP_LD).summary.k <= whole
 
     def test_child_order_invariance(self):
         # flags and value do not depend on the fold order of n-ary children
         rng = random.Random(43)
         for n in range(2, 8):
             for t in all_cotrees(n):
-                s1 = sep_ld_dp(t)
-                s2 = sep_ld_dp(_rebuilt(t, lambda _kind, kids: rng.shuffle(kids)))
+                s1 = solve_cotree(t, ProblemKind.SEP_LD).summary
+                shuffled = _rebuilt(t, lambda _kind, kids: rng.shuffle(kids))
+                s2 = solve_cotree(shuffled, ProblemKind.SEP_LD).summary
                 assert (s1.k, s1.emp, s1.univ) == (s2.k, s2.emp, s2.univ)
 
 
@@ -262,27 +268,33 @@ class TestWitnesses:
             for t in all_cotrees(n):
                 g = cotree_to_graph(t)
                 expected = {
-                    ProblemKind.LD: gamma_ld_cograph(t),
-                    ProblemKind.SEP_LD: sep_ld_dp(t).k,
+                    ProblemKind.LD: solve_cotree(t, ProblemKind.LD).value,
+                    ProblemKind.SEP_LD: solve_cotree(t, ProblemKind.SEP_LD).summary.k,
                 }
                 if not closed_twins(g):
-                    expected[ProblemKind.IC] = gamma_id_cograph(t)
-                    expected[ProblemKind.SEP_ID] = sep_id_dp(t).k
+                    expected[ProblemKind.IC] = solve_cotree(t, ProblemKind.IC).value
+                    expected[ProblemKind.SEP_ID] = solve_cotree(t, ProblemKind.SEP_ID).summary.k
                 if is_connected(g):
-                    expected[ProblemKind.RS] = dim_cograph(t)
+                    expected[ProblemKind.RS] = solve_cotree(t, ProblemKind.RS).value
                 for kind, size in expected.items():
-                    w = witness_cograph(t, kind)
+                    plain = solve_cotree(t, kind)
+                    summary, value, w = solve_cotree(t, kind, witness=True)
+                    assert plain.witness is None
+                    assert (summary, value) == (plain.summary, plain.value)
                     assert check(g, w, kind)
-                    assert len(w) == size
+                    assert len(w) == size == value
+                for kind in (ProblemKind.OLD, ProblemKind.SEP_OLD):
+                    with pytest.raises(ValueError):
+                        solve_cotree(t, kind, witness=True)
 
     def test_random_larger(self):
         rng = random.Random(44)
         for _ in range(40):
             t = random_twin_free_cotree(rng.randint(8, 14), rng)
             g = cotree_to_graph(t)
-            w = witness_cograph(t, ProblemKind.IC)
+            w = solve_cotree(t, ProblemKind.IC, witness=True).witness
             assert check(g, w, ProblemKind.IC)
-            assert len(w) == gamma_id_cograph(t)
+            assert len(w) == solve_cotree(t, ProblemKind.IC).value
 
 
 class TestScaling:
@@ -290,7 +302,7 @@ class TestScaling:
         rng = random.Random(45)
         t = random_twin_free_cotree(50_000, rng)
         start = time.monotonic()
-        summary = sep_id_dp(t)
+        summary = solve_cotree(t, ProblemKind.SEP_ID).summary
         assert time.monotonic() - start < 1.0
         assert summary.n == 50_000
 
@@ -299,10 +311,10 @@ class TestScaling:
         rng = random.Random(46)
         t = random_twin_free_cotree(20_000, rng)
         masks = cotree_masks(t)
-        sizes = {ProblemKind.IC: gamma_id_cograph(t), ProblemKind.LD: gamma_ld_cograph(t)}
+        sizes = {kind: solve_cotree(t, kind).value for kind in (ProblemKind.IC, ProblemKind.LD)}
         for kind, size in sizes.items():
             start = time.monotonic()
-            w = witness_cograph(t, kind)
+            w = solve_cotree(t, kind, witness=True).witness
             assert time.monotonic() - start < 5.0
             assert len(w) == size
             assert check_masks(masks, w, kind)
@@ -345,13 +357,13 @@ class TestDeepCotrees:
             assert format_cotree(parse_cotree(text)) == text
             assert format_cotree(complement_cotree(complement_cotree(t))) == text
             assert format_cotree(canonicalize(t)) == text
-            summary = sep_ld_dp(t)
-            w = witness_cograph(t, ProblemKind.LD)
+            summary = solve_cotree(t, ProblemKind.SEP_LD).summary
+            w = solve_cotree(t, ProblemKind.LD, witness=True).witness
         finally:
             sys.setrecursionlimit(saved)
         assert summary.n == self.LEAVES
         assert check(g, w, ProblemKind.LD)
-        assert len(w) == gamma_ld_cograph(t)
+        assert len(w) == solve_cotree(t, ProblemKind.LD).value
 
     def test_walks_need_no_recursion_at_1e5(self, tmp_path, capsys):
         # no witness and no graph: dense masks alone would take gigabytes
@@ -366,7 +378,7 @@ class TestDeepCotrees:
             assert complement_cotree(complement_cotree(t)) == t
             assert complement_cotree(t) != t
             assert canonicalize(t) == t
-            summary = sep_ld_dp(t)
+            summary = solve_cotree(t, ProblemKind.SEP_LD).summary
             code = main(["cograph", "--problem", "ld", "--cotree", str(path)])
         finally:
             sys.setrecursionlimit(saved)

@@ -2,7 +2,7 @@ import pytest
 
 from idcodes import verify
 from idcodes.bounds import certify_instance
-from idcodes.cograph import sep_id_dp, sep_ld_dp
+from idcodes.cograph import solve_cotree
 from idcodes.exact import emp_univ_oracle, min_set
 from idcodes.generators import (
     FAMILIES,
@@ -164,7 +164,7 @@ class TestCographFamilies:
                 g = inst.graph
                 assert min_set(g, ProblemKind.SEP_ID).size == inst.claimed_k
                 emp, univ = emp_univ_oracle(g, "id")
-                s = sep_id_dp(inst.model)
+                s = solve_cotree(inst.model, ProblemKind.SEP_ID).summary
                 assert (s.emp, s.univ) == (emp, univ)
 
     def test_ld_claims_against_oracle(self):
@@ -174,7 +174,7 @@ class TestCographFamilies:
                 g = inst.graph
                 assert min_set(g, ProblemKind.SEP_LD).size == inst.claimed_k
                 emp, univ = emp_univ_oracle(g, "ld")
-                s = sep_ld_dp(inst.model)
+                s = solve_cotree(inst.model, ProblemKind.SEP_LD).summary
                 assert (s.emp, s.univ) == (emp, univ)
 
     def test_base_values(self):

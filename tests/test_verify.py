@@ -27,7 +27,6 @@ from idcodes.models import (
 from idcodes.verify import (
     ProblemKind,
     check,
-    closed_signature,
     emp_flag,
     is_dominating,
     is_identifying_code,
@@ -63,7 +62,6 @@ class TestIdentifyingCode:
     def test_p3(self):
         p3 = path_graph(3)
         assert is_identifying_code(p3, [0, 2])
-        assert closed_signature(p3, [0, 2], 1) == {0, 2}
 
     def test_twins_block(self):
         k2 = complete_graph(2)
