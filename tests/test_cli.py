@@ -323,6 +323,59 @@ class TestBoundsCmd:
         assert code == 2
 
 
+# One row per domain error of each subcommand: its arguments (files from the
+# workdir fixture), the exit code and the exact stderr line.  Stdout is empty.
+DOMAIN_ERRORS = [
+    (["solve", "--problem", "ic", "--input", "k2.graph"], 2,
+     "error: twins closed twins present, e.g. (0, 1)"),
+    (["solve", "--problem", "old", "--input", "split.graph"], 2,
+     "error: a degree-0 vertex cannot be totally dominated"),
+    (["solve", "--problem", "md", "--input", "split.graph"], 2,
+     "error: disconnected resolving sets need a connected graph"),
+    (["solve", "--problem", "ic", "--input", "p40.graph"], 4,
+     "error: cap exceeded n=40 exceeds the solver cap 30"),
+    (["verify", "--problem", "rs", "--input", "split.graph", "--set", "0"], 2,
+     "error: disconnected resolving sets need a connected graph"),
+    (["verify", "--problem", "ic", "--input", "p5.graph", "--set", "0,5"], 2,
+     "error: vertex out of range"),
+    (["cograph", "--problem", "ic", "--cotree", "k2.graph"], 2,
+     "error: twins cotree joins two parts with universal vertices"),
+    (["cograph", "--problem", "md", "--cotree", "split.cotree"], 2,
+     "error: disconnected cotree root is a union"),
+    (["cograph", "--problem", "ic", "--cotree", "p4.graph"], 2,
+     "error: not a cograph: graph contains an induced 4-vertex path"),
+    (["generate", "--family", "interval-ic", "--k", "0", "--out", "fam"], 2,
+     "error: k must be at least 1"),
+    (["generate", "--family", "cograph-id", "--n", "5", "--variant", "1", "--out", "fam"], 2,
+     "error: cograph-id: (5, variant 1) is unreachable"),
+    (["certify", "--input", "p5.graph", "--set", "1", "--problem", "ic"], 2,
+     "error: VerifierFailed solution fails the ic verifier pair=(0, 1)"),
+    (["certify", "--input", "p5.graph", "--set", "0,1,2,3", "--problem", "sep-old"], 2,
+     "error: bounds are stated for the dominating variants"),
+    (["certify", "--input", "split.graph", "--set", "0", "--problem", "md"], 2,
+     "error: disconnected resolving sets need a connected graph"),
+    (["bounds", "--class", "cograph", "--kind", "old", "--k", "4"], 2,
+     "error: no bound for GraphClass.COGRAPH / ProblemKind.OLD"),
+    (["bounds", "--class", "interval", "--kind", "md", "--k", "4"], 2,
+     "error: bound for (<GraphClass.INTERVAL: 'interval'>, <ProblemKind.RS: 'rs'>) "
+     "needs the diameter"),
+    (["bounds", "--class", "permutation", "--kind", "ic", "--k", "2"], 2,
+     "error: bound for (<GraphClass.PERMUTATION: 'permutation'>, <ProblemKind.IC: 'ic'>) "
+     "assumes k >= 3"),
+]
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("argv,code,message", DOMAIN_ERRORS, ids=[" ".join(row[0]) for row in DOMAIN_ERRORS])
+    def test_error_line(self, workdir, capsys, argv, code, message):
+        (workdir / "split.graph").write_text("graph 3\ne 0 1\n")
+        (workdir / "split.cotree").write_text("(U (J 0 1) 2)\n")
+        (workdir / "p40.graph").write_text("graph 40\n" + "".join(f"e {i} {i+1}\n" for i in range(39)))
+        paths = [workdir / a if "." in a or a == "fam" else a for a in argv]
+        assert run_cli(paths, capsys) == (code, "", message + "\n")
+        assert not (workdir / "fam.manifest").exists()
+
+
 class TestCompileModel:
     def test_cotree_to_graph(self, workdir, capsys):
         code, out, _ = run_cli(

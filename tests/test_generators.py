@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from idcodes import verify
@@ -28,7 +30,7 @@ from idcodes.generators import (
     generate,
 )
 from idcodes.graph import bipartition, diameter
-from idcodes.models import PermutationModel, is_unit_model
+from idcodes.models import PermutationModel, is_unit_model, write_model
 from idcodes.verify import ProblemKind
 
 
@@ -264,3 +266,46 @@ class TestRegistry:
 
     def test_all_families_registered(self):
         assert len(FAMILIES) == 18
+
+
+def _golden_params():
+    """A fixed list of (family, parameters): every metric-dimension family over
+    k in {2, 4, 6} and d in 2..6, both cograph families over n in 2..29 for
+    every variant, and one member of each other family."""
+    out = [
+        (family, {"k": k, "d": d})
+        for family in ("interval-md", "unit-md", "perm-md", "bipperm-md")
+        for k in (2, 4, 6)
+        for d in range(2, 7)
+    ]
+    out += [
+        (family, {"n": n, "variant": variant})
+        for family in ("cograph-id", "cograph-ld")
+        for variant in (1, 2, 3, 4)
+        for n in range(2, 30)
+    ]
+    out += [
+        (family, {"k": 6})
+        for family in sorted(FAMILIES)
+        if FAMILIES[family][1] == ("k",)
+    ]
+    return out
+
+
+class TestGolden:
+    """Manifest lines, model texts and generator errors, pinned by one digest."""
+
+    DIGEST = "a2569e8b8ee815b19f42a67bc384d3702df58d5d522fbcb069c11b4c9ba7b6a7"
+
+    def test_digest(self, tmp_path):
+        h = hashlib.sha256()
+        path = tmp_path / "model"
+        for family, params in _golden_params():
+            try:
+                inst = generate(family, **params)
+            except GeneratorError as exc:
+                h.update(f"{family} {params} error: {exc}\n".encode())
+                continue
+            write_model(inst.model, str(path))
+            h.update(inst.manifest_line().encode() + b"\n" + path.read_bytes())
+        assert h.hexdigest() == self.DIGEST
