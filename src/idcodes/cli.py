@@ -48,6 +48,20 @@ class CliError(Exception):
         self.code = code
 
 
+# The errors a subcommand may raise, matched in this order: exception types,
+# the prefix main prints before the message on stderr, and the exit code.
+_ERRORS = (
+    ((bounds.VerifierFailed,), "error: VerifierFailed ", EXIT_DOMAIN),
+    ((exact.TwinsPresent,), "error: twins ", EXIT_DOMAIN),
+    ((exact.OpenTwinsPresent,), "error: open twins ", EXIT_DOMAIN),
+    ((Disconnected,), "error: disconnected ", EXIT_DOMAIN),
+    ((NotCograph,), "error: not a cograph: ", EXIT_DOMAIN),
+    ((exact.CapExceeded,), "error: cap exceeded ", EXIT_RESOURCE),
+    ((exact.NoSolution, generators.GeneratorError, bounds.BoundsError), "error: ", EXIT_DOMAIN),
+)
+_ERROR_TYPES = tuple(t for types, _prefix, _code in _ERRORS for t in types)
+
+
 def _load_model(path: str):
     try:
         return read_model(path)
@@ -75,18 +89,7 @@ def _format_set(s) -> str:
 def _cmd_solve(args) -> int:
     kind = _PROBLEMS[args.problem]
     g = model_to_graph(_load_model(args.input))
-    try:
-        result = exact.min_set(g, kind, cap=args.cap)
-    except exact.TwinsPresent as exc:
-        raise CliError(f"error: twins {exc}", EXIT_DOMAIN)
-    except exact.OpenTwinsPresent as exc:
-        raise CliError(f"error: open twins {exc}", EXIT_DOMAIN)
-    except exact.NoSolution as exc:
-        raise CliError(f"error: {exc}", EXIT_DOMAIN)
-    except Disconnected as exc:
-        raise CliError(f"error: disconnected {exc}", EXIT_DOMAIN)
-    except exact.CapExceeded as exc:
-        raise CliError(f"error: cap exceeded {exc}", EXIT_RESOURCE)
+    result = exact.min_set(g, kind, cap=args.cap)
     print(f"k={result.size} witness={_format_set(result.witness)}")
     return EXIT_OK
 
@@ -97,11 +100,7 @@ def _cmd_verify(args) -> int:
     s = _parse_set(args.set)
     if any(v < 0 or v >= g.n for v in s):
         raise CliError("error: vertex out of range", EXIT_DOMAIN)
-    try:
-        ok = verify.check(g, s, kind)
-    except Disconnected as exc:
-        raise CliError(f"error: disconnected {exc}", EXIT_DOMAIN)
-    if ok:
+    if verify.check(g, s, kind):
         print("ok")
         return EXIT_OK
     if kind is not ProblemKind.RS:
@@ -115,19 +114,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cograph(args) -> int:
     model = _load_model(args.cotree)
-    if isinstance(model, Cotree):
-        tree = model
-    else:
-        try:
-            tree = cograph_recognize(model_to_graph(model))
-        except NotCograph as exc:
-            raise CliError(f"error: not a cograph: {exc}", EXIT_DOMAIN)
-    try:
-        summary, value, w = cograph.solve_cotree(tree, _PROBLEMS[args.problem], args.witness)
-    except exact.TwinsPresent as exc:
-        raise CliError(f"error: twins {exc}", EXIT_DOMAIN)
-    except Disconnected as exc:
-        raise CliError(f"error: disconnected {exc}", EXIT_DOMAIN)
+    tree = model if isinstance(model, Cotree) else cograph_recognize(model_to_graph(model))
+    summary, value, w = cograph.solve_cotree(tree, _PROBLEMS[args.problem], args.witness)
     line = f"k={value} emp={str(summary.emp).lower()} univ={str(summary.univ).lower()} sep={summary.k}"
     if w is not None:
         line += f" witness={_format_set(w)}"
@@ -136,19 +124,10 @@ def _cmd_cograph(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.d is not None:
-        params["d"] = args.d
-    if args.n is not None:
-        params["n"] = args.n
-    if args.variant is not None:
-        params["variant"] = args.variant
-    try:
-        inst = generators.generate(args.family, **params)
-    except generators.GeneratorError as exc:
-        raise CliError(f"error: {exc}", EXIT_DOMAIN)
+    params = {
+        p: getattr(args, p) for p in ("k", "d", "n", "variant") if getattr(args, p) is not None
+    }
+    inst = generators.generate(args.family, **params)
     ext = {
         Graph: ".graph",
         IntervalModel: ".intervals",
@@ -167,29 +146,17 @@ def _cmd_generate(args) -> int:
 def _cmd_certify(args) -> int:
     kind = _PROBLEMS[args.problem]
     model = _load_model(args.input)
-    s = _parse_set(args.set)
-    try:
-        report = bounds.certify(model, s, kind)
-    except bounds.VerifierFailed as exc:
-        raise CliError(f"error: VerifierFailed {exc}", EXIT_DOMAIN)
-    except (bounds.UnsupportedCombination, bounds.HypothesisNotMet, bounds.MissingDiameter) as exc:
-        raise CliError(f"error: {exc}", EXIT_DOMAIN)
-    except Disconnected as exc:
-        raise CliError(f"error: disconnected {exc}", EXIT_DOMAIN)
+    report = bounds.certify(model, _parse_set(args.set), kind)
     word = "satisfied" if report.satisfied else "violated"
     print(f"{word} slack={report.slack} max_n={report.max_n} bound={report.theorem_label}")
     return EXIT_OK if report.satisfied else EXIT_DOMAIN
 
 
 def _cmd_bounds(args) -> int:
-    cls = GraphClassArg(args.graph_class)
+    cls = bounds.GraphClass(args.graph_class)
     kind = _PROBLEMS[args.kind]
-    try:
-        q = bounds.BoundQuery(cls, kind, args.k, args.d)
-        max_n = bounds.max_order(q)
-        label = bounds.bound_label(cls, kind)
-    except (bounds.UnsupportedCombination, bounds.HypothesisNotMet, bounds.MissingDiameter) as exc:
-        raise CliError(f"error: {exc}", EXIT_DOMAIN)
+    max_n = bounds.max_order(bounds.BoundQuery(cls, kind, args.k, args.d))
+    label = bounds.bound_label(cls, kind)
     d = str(args.d) if args.d is not None else "-"
     print(f"{cls.value} {args.kind} {args.k} {d} {max_n} {label}")
     return EXIT_OK
@@ -204,13 +171,6 @@ def _cmd_compile_model(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def GraphClassArg(name: str) -> bounds.GraphClass:
-    for cls in bounds.GraphClass:
-        if cls.value == name:
-            return cls
-    raise CliError(f"unknown graph class {name!r}", EXIT_PARSE)
 
 
 # One row per subcommand: name, help, handler and its arguments as
@@ -293,6 +253,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except _ERROR_TYPES as exc:
+        prefix, code = next((p, c) for types, p, c in _ERRORS if isinstance(exc, types))
+        print(prefix + str(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

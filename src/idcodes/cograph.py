@@ -19,6 +19,14 @@ once and folded once; the fold also runs the flavor's twin gate and carries
 whether each subtree has a universal and an isolated vertex, so the root
 tells whether OLD has a solution at all.
 
+A witness is never returned unverified: the assembled set goes through
+``verify.check_masks`` on the compiled adjacency masks.  An RS witness is
+checked there as a SEP_LD set, which needs no breadth-first search: in a
+graph of diameter at most 2 every distance is 0, 1 or 2, so a member is
+told apart by its 0 and a non-member's distance vector is its
+neighbourhood in the set, and the vectors differ exactly when the "ld"
+signatures do.
+
 One merge rule, ``_merge``, combines two subtrees for every flavor and both
 node kinds.  A union adds one to the value exactly when both parts have emp;
 emp carries over from either part, and univ survives only when one part is
@@ -245,7 +253,7 @@ def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeS
     Disconnected for RS on a union root, NoOldSolution for OLD on a graph
     with an isolated vertex, and ValueError for a witness of the OLD kinds.
     Only the witness's final check builds the adjacency masks
-    (:func:`models.cotree_masks`).
+    (:func:`models.cotree_masks`); an RS witness is checked as a SEP_LD set.
     """
     flavor, repair = _KINDS[kind]
     if witness and flavor == "old":
@@ -264,7 +272,9 @@ def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeS
     if repaired:
         added.append(part[1])
     found = frozenset(added)
-    if not check_masks(cotree_masks(t), found, kind):
+    # The root is a join or a leaf here, so the diameter is at most 2.
+    check_kind = ProblemKind.SEP_LD if kind is ProblemKind.RS else kind
+    if not check_masks(cotree_masks(t), found, check_kind):
         raise WitnessUnavailable(f"assembled set failed the {kind} verifier")
     if len(found) != value:
         raise WitnessUnavailable("assembled set has the wrong size")

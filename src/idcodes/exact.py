@@ -31,7 +31,7 @@ from math import comb
 from operator import and_
 
 from .graph import Graph, Disconnected, all_pairs_distances, closed_twins, is_connected, open_twins
-from .verify import ProblemKind
+from .verify import ProblemKind, _flavor_kind, emp_flag, univ_flag
 
 __all__ = [
     "SolveResult",
@@ -148,9 +148,6 @@ def all_min_sets(g: Graph, kind: ProblemKind, cap: int = DEFAULT_VERTEX_CAP) -> 
     return [frozenset(s) for s in passes.solutions(len(first))]
 
 
-_SEP_KIND = {"id": ProblemKind.SEP_ID, "ld": ProblemKind.SEP_LD, "old": ProblemKind.SEP_OLD}
-
-
 def emp_univ_oracle(g: Graph, flavor: str, cap: int = DEFAULT_VERTEX_CAP) -> tuple[bool, bool]:
     """Evaluate the two properties over every minimum separating set.
 
@@ -158,10 +155,7 @@ def emp_univ_oracle(g: Graph, flavor: str, cap: int = DEFAULT_VERTEX_CAP) -> tup
     univ: every minimum separating set has a vertex dominated by the whole set
     (flavor "ld" insists that vertex lies outside the set).
     """
-    from .verify import emp_flag, univ_flag
-
-    kind = _SEP_KIND[flavor]
-    sets = all_min_sets(g, kind, cap=cap)
+    sets = all_min_sets(g, _flavor_kind(flavor), cap=cap)
     emp = all(emp_flag(g, s, flavor) for s in sets)
     univ = all(univ_flag(g, s, flavor) for s in sets)
     return emp, univ

@@ -1,9 +1,11 @@
 """Extremal family generators.
 
 Every generator returns an :class:`ExtremalInstance` and validates it on the
-spot: the compiled graph has the claimed order, the claimed solution passes
-the matching verifier, and when a diameter is claimed it is recomputed.
-Generation therefore never hands out an unchecked construction.
+spot, once, in ``_validated``: the compiled graph has the claimed order, the
+claimed solution passes the matching verifier, and when a diameter is
+claimed it is recomputed.  The metric-dimension braids try a few widths and
+keep the first that passes this check.  Generation therefore never hands out
+an unchecked construction.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .graph import (
     bipartition,
     bits,
     diameter as graph_diameter,
-    is_connected,
 )
 from .models import (
     Cotree,
@@ -35,7 +36,6 @@ from .models import (
     _relabel_dfs,
     canonicalize,
     cotree_size,
-    interval_graph,
     is_unit_model,
     join_node,
     leaf,
@@ -122,6 +122,27 @@ def _validated(
     return ExtremalInstance(
         model, solution, kind, claimed_n, claimed_k, family, claimed_d, g
     )
+
+
+def _first_width(
+    family: str, k: int, d: int, widths, build, bipartite: bool = False
+) -> ExtremalInstance:
+    """The braid of the first width that validates as a resolving set of size
+    k with diameter d (and, if asked, is bipartite); ``build(cols)`` returns
+    (model, solution, n).  Widths below 2 are skipped."""
+    last_err = None
+    for cols in widths:
+        if cols < 2:
+            continue
+        model, solution, n = build(cols)
+        try:
+            inst = _validated(model, solution, ProblemKind.RS, n, k, family, claimed_d=d)
+        except (GeneratorError, Disconnected) as exc:
+            last_err = exc
+            continue
+        if not bipartite or bipartition(inst.graph) is not None:
+            return inst
+    raise GeneratorError(f"{family}: no braid width works for k={k}, d={d} ({last_err})")
 
 
 # -- interval families --------------------------------------------------------
@@ -264,16 +285,9 @@ def ext_interval_md(k: int, d: int) -> ExtremalInstance:
         return _validated(
             model, [0, d], ProblemKind.RS, d + 1, 2, "interval-md", claimed_d=d
         )
-    for cols in (d, d - 1, d + 1):
-        if cols < 2:
-            continue
-        model, solution, n = _build_interval_md(k, cols)
-        g = interval_graph(model)
-        if graph_diameter(g) == d:
-            return _validated(
-                model, solution, ProblemKind.RS, n, k, "interval-md", claimed_d=d
-            )
-    raise GeneratorError(f"interval-md: no braid width gives diameter {d} for k={k}")
+    return _first_width(
+        "interval-md", k, d, (d, d - 1, d + 1), lambda cols: _build_interval_md(k, cols)
+    )
 
 
 # -- unit interval families ---------------------------------------------------
@@ -432,12 +446,8 @@ def _config_based_family(k: int, kind: ProblemKind, family: str) -> ExtremalInst
             )
         )
 
-    model = normalized_segments(positions)
-    n = k + len(cells)
-    expected = k * k + k - 2 if kind is ProblemKind.LD else k * k - 2
-    if n != expected:
-        raise GeneratorError(f"{family}: built n={n}, expected {expected}")
-    return _validated(model, range(k), kind, n, k, family)
+    n = k * k + k - 2 if kind is ProblemKind.LD else k * k - 2
+    return _validated(normalized_segments(positions), range(k), kind, n, k, family)
 
 
 def ext_perm_ic(k: int) -> ExtremalInstance:
@@ -603,20 +613,10 @@ def ext_perm_md(k: int, d: int) -> ExtremalInstance:
         return _validated(
             model, solution, ProblemKind.RS, 2 * k, k, "perm-md", claimed_d=2
         )
-    last_err = None
-    for cols in (d, d - 1, d + 1, d - 2):
-        if cols < 2:
-            continue
-        model, solution, n = _build_perm_md(k, cols, with_fillers=True)
-        g = permutation_graph(model)
-        try:
-            if graph_diameter(g) == d and verify.is_resolving_set(g, solution):
-                return _validated(
-                    model, solution, ProblemKind.RS, n, k, "perm-md", claimed_d=d
-                )
-        except Disconnected as exc:  # skip widths that fall apart
-            last_err = exc
-    raise GeneratorError(f"perm-md: no braid width works for k={k}, d={d} ({last_err})")
+    return _first_width(
+        "perm-md", k, d, (d, d - 1, d + 1, d - 2),
+        lambda cols: _build_perm_md(k, cols, with_fillers=True),
+    )
 
 
 def ext_bipperm_md(k: int, d: int) -> ExtremalInstance:
@@ -635,18 +635,11 @@ def ext_bipperm_md(k: int, d: int) -> ExtremalInstance:
         return _validated(
             model, solution, ProblemKind.RS, k + 2, k, "bipperm-md", claimed_d=2
         )
-    for cols in (d, d - 1, d + 1, d + 2, d - 2):
-        if cols < 2:
-            continue
-        model, solution, n = _build_perm_md(k, cols, with_fillers=False)
-        g = permutation_graph(model)
-        if not is_connected(g) or bipartition(g) is None:
-            continue
-        if graph_diameter(g) == d and verify.is_resolving_set(g, solution):
-            return _validated(
-                model, solution, ProblemKind.RS, n, k, "bipperm-md", claimed_d=d
-            )
-    raise GeneratorError(f"bipperm-md: no braid width works for k={k}, d={d}")
+    return _first_width(
+        "bipperm-md", k, d, (d, d - 1, d + 1, d + 2, d - 2),
+        lambda cols: _build_perm_md(k, cols, with_fillers=False),
+        bipartite=True,
+    )
 
 
 # -- bipartite permutation families (neighbourhood-based) ----------------------
@@ -794,31 +787,6 @@ def _cograph_id_tree(n: int, variant: int) -> Cotree:
     return _family_tree("cograph-id", n, variant, bases, steps)
 
 
-_ID_CLAIMS = {1: lambda n: (n + 2 + 1) // 2, 2: lambda n: (n + 1 + 1) // 2,
-              3: lambda n: (n + 1 + 1) // 2, 4: lambda n: (n + 1) // 2}
-_ID_FLAGS = {1: (False, False), 2: (True, False), 3: (False, True), 4: (True, True)}
-
-
-def ext_cograph_id(n: int, variant: int) -> ExtremalInstance:
-    """Twin-free cograph families meeting the half-order separating bound.
-
-    Variant profiles: 1 neither property, 2 only the undominated-vertex
-    property, 3 only the covered-vertex property, 4 both.
-    """
-    if variant not in (1, 2, 3, 4):
-        raise GeneratorError("variant must be 1..4")
-    t = _cograph_id_tree(n, variant)
-    s, _value, witness = solve_cotree(t, ProblemKind.SEP_ID, witness=True)
-    want_k = _ID_CLAIMS[variant](n)
-    want_flags = _ID_FLAGS[variant]
-    if (s.k, s.emp, s.univ) != (want_k, *want_flags):
-        raise GeneratorError(
-            f"cograph-id({n},{variant}): dp says {(s.k, s.emp, s.univ)}, "
-            f"claimed {(want_k, *want_flags)}"
-        )
-    return _validated(t, witness, ProblemKind.SEP_ID, n, s.k, f"cograph-id-v{variant}")
-
-
 def _cograph_ld_tree(n: int, variant: int) -> Cotree:
     bases = {
         (2, 2): _indep(2),
@@ -837,25 +805,43 @@ def _cograph_ld_tree(n: int, variant: int) -> Cotree:
     return _family_tree("cograph-ld", n, variant, bases, steps)
 
 
-_LD_CLAIMS = {1: lambda n: (n + 2 + 2) // 3, 2: lambda n: (n + 1 + 2) // 3,
-              3: lambda n: (n + 1 + 2) // 3, 4: lambda n: (n + 2) // 3}
-_LD_FLAGS = {1: (False, False), 2: (True, False), 3: (False, True), 4: (True, True)}
+# Family -> (tree builder, separating kind, divisor d).  Variant v's members
+# have emp exactly when v is 2 or 4 and univ exactly when v is 3 or 4, and
+# meet the bound sep = ceil((n + 2 - emp - univ) / d): d = 2 for ID, 3 for LD.
+_COGRAPH_FAMILIES = {
+    "cograph-id": (_cograph_id_tree, ProblemKind.SEP_ID, 2),
+    "cograph-ld": (_cograph_ld_tree, ProblemKind.SEP_LD, 3),
+}
+
+
+def _cograph_family(family: str, n: int, variant: int) -> ExtremalInstance:
+    if variant not in (1, 2, 3, 4):
+        raise GeneratorError("variant must be 1..4")
+    build, kind, d = _COGRAPH_FAMILIES[family]
+    t = build(n, variant)
+    emp, univ = variant in (2, 4), variant in (3, 4)
+    claim = (-(-(n + 2 - emp - univ) // d), emp, univ)
+    s, _value, witness = solve_cotree(t, kind, witness=True)
+    if (s.k, s.emp, s.univ) != claim:
+        raise GeneratorError(
+            f"{family}({n},{variant}): dp says {(s.k, s.emp, s.univ)}, claimed {claim}"
+        )
+    return _validated(t, witness, kind, n, s.k, f"{family}-v{variant}")
+
+
+def ext_cograph_id(n: int, variant: int) -> ExtremalInstance:
+    """Twin-free cograph families meeting the half-order separating bound.
+
+    Variant profiles: 1 neither property, 2 only the undominated-vertex
+    property, 3 only the covered-vertex property, 4 both.
+    """
+    return _cograph_family("cograph-id", n, variant)
 
 
 def ext_cograph_ld(n: int, variant: int) -> ExtremalInstance:
-    """Cograph families meeting the third-order separating bound (LD flavor)."""
-    if variant not in (1, 2, 3, 4):
-        raise GeneratorError("variant must be 1..4")
-    t = _cograph_ld_tree(n, variant)
-    s, _value, witness = solve_cotree(t, ProblemKind.SEP_LD, witness=True)
-    want_k = _LD_CLAIMS[variant](n)
-    want_flags = _LD_FLAGS[variant]
-    if (s.k, s.emp, s.univ) != (want_k, *want_flags):
-        raise GeneratorError(
-            f"cograph-ld({n},{variant}): dp says {(s.k, s.emp, s.univ)}, "
-            f"claimed {(want_k, *want_flags)}"
-        )
-    return _validated(t, witness, ProblemKind.SEP_LD, n, s.k, f"cograph-ld-v{variant}")
+    """Cograph families meeting the third-order separating bound (LD flavor),
+    with the variant profiles of :func:`ext_cograph_id`."""
+    return _cograph_family("cograph-ld", n, variant)
 
 
 # -- registry for the CLI -----------------------------------------------------

@@ -144,11 +144,6 @@ class Graph:
         self.check_vertex(v)
         return self.masks[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return bool(self.masks[u] >> v & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) pairs with u < v, sorted."""
         for u, m in enumerate(self.masks):

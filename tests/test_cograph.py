@@ -287,6 +287,21 @@ class TestWitnesses:
                     with pytest.raises(ValueError):
                         solve_cotree(t, kind, witness=True)
 
+    def test_rs_check_agrees_with_sep_ld_on_connected_cographs(self):
+        # solve_cotree checks an RS witness as a SEP_LD set
+        pairs = 0
+        for n in range(1, 8):
+            for t in all_cotrees(n):
+                if t.root_kind == UNION:
+                    continue
+                masks = cotree_masks(t)
+                for s in range(1 << n):
+                    subset = [v for v in range(n) if s >> v & 1]
+                    rs = check_masks(masks, subset, ProblemKind.RS)
+                    assert rs == check_masks(masks, subset, ProblemKind.SEP_LD), (t, subset)
+                    pairs += 1
+        assert pairs == 14118
+
     def test_random_larger(self):
         rng = random.Random(44)
         for _ in range(40):
