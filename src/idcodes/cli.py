@@ -1,17 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 domain error (twins, disconnected input, failed
-verification, bound violation), 3 input parse error, 4 resource cap exceeded.
+Exit codes: 0 success, 2 domain error (twins, disconnected input, vertex out
+of range, failed verification, bound violation), 3 input parse error or a
+file that cannot be read or written, 4 resource cap exceeded.
 All output is line-oriented and deterministic so shell harnesses can diff it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import bounds, cograph, exact, generators, models, verify
-from .graph import Disconnected, Graph, GraphError, GraphFormatError
+from .graph import Disconnected, Graph, GraphError, GraphFormatError, InvalidVertex
 from .models import (
     Cotree,
     IntervalModel,
@@ -49,17 +51,18 @@ class CliError(Exception):
 
 
 # The errors a subcommand may raise, matched in this order: exception types,
-# the prefix main prints before the message on stderr, and the exit code.
+# the stderr line as a template of the exception, and the exit code.
 _ERRORS = (
-    ((bounds.VerifierFailed,), "error: VerifierFailed ", EXIT_DOMAIN),
-    ((exact.TwinsPresent,), "error: twins ", EXIT_DOMAIN),
-    ((exact.OpenTwinsPresent,), "error: open twins ", EXIT_DOMAIN),
-    ((Disconnected,), "error: disconnected ", EXIT_DOMAIN),
-    ((NotCograph,), "error: not a cograph: ", EXIT_DOMAIN),
-    ((exact.CapExceeded,), "error: cap exceeded ", EXIT_RESOURCE),
-    ((exact.NoSolution, generators.GeneratorError, bounds.BoundsError), "error: ", EXIT_DOMAIN),
+    ((bounds.VerifierFailed,), "error: VerifierFailed {}", EXIT_DOMAIN),
+    ((exact.TwinsPresent,), "error: twins {}", EXIT_DOMAIN),
+    ((exact.OpenTwinsPresent,), "error: open twins {}", EXIT_DOMAIN),
+    ((Disconnected,), "error: disconnected {}", EXIT_DOMAIN),
+    ((NotCograph,), "error: not a cograph: {}", EXIT_DOMAIN),
+    ((InvalidVertex,), "error: vertex out of range", EXIT_DOMAIN),
+    ((exact.CapExceeded,), "error: cap exceeded {}", EXIT_RESOURCE),
+    ((exact.NoSolution, generators.GeneratorError, bounds.BoundsError), "error: {}", EXIT_DOMAIN),
 )
-_ERROR_TYPES = tuple(t for types, _prefix, _code in _ERRORS for t in types)
+_ERROR_TYPES = tuple(t for types, _line, _code in _ERRORS for t in types)
 
 
 def _load_model(path: str):
@@ -71,6 +74,15 @@ def _load_model(path: str):
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
     except (ModelError, GraphError) as exc:
         raise CliError(f"invalid model: {exc}", EXIT_DOMAIN)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failed write of ``path`` as exit 3, like a failed read."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
 
 
 def _parse_set(text: str) -> frozenset[int]:
@@ -98,8 +110,6 @@ def _cmd_verify(args) -> int:
     kind = _PROBLEMS[args.problem]
     g = model_to_graph(_load_model(args.input))
     s = _parse_set(args.set)
-    if any(v < 0 or v >= g.n for v in s):
-        raise CliError("error: vertex out of range", EXIT_DOMAIN)
     if verify.check(g, s, kind):
         print("ok")
         return EXIT_OK
@@ -134,9 +144,10 @@ def _cmd_generate(args) -> int:
         PermutationModel: ".perm",
     }.get(type(inst.model), ".cotree")
     model_path = args.out + ext
-    models.write_model(inst.model, model_path)
+    with _writing(model_path):
+        models.write_model(inst.model, model_path)
     manifest_path = args.out + ".manifest"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with _writing(manifest_path), open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(inst.manifest_line() + "\n")
     print(inst.manifest_line())
     print(f"wrote {model_path} and {manifest_path}")
@@ -166,7 +177,7 @@ def _cmd_compile_model(args) -> int:
     g = model_to_graph(_load_model(args.input))
     text = g.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -254,8 +265,8 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return exc.code
     except _ERROR_TYPES as exc:
-        prefix, code = next((p, c) for types, p, c in _ERRORS if isinstance(exc, types))
-        print(prefix + str(exc), file=sys.stderr)
+        line, code = next((t, c) for types, t, c in _ERRORS if isinstance(exc, types))
+        print(line.format(exc), file=sys.stderr)
         return code
 
 

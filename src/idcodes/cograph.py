@@ -20,7 +20,7 @@ whether each subtree has a universal and an isolated vertex, so the root
 tells whether OLD has a solution at all.
 
 A witness is never returned unverified: the assembled set goes through
-``verify.check_masks`` on the compiled adjacency masks.  An RS witness is
+``verify.check`` on the compiled adjacency masks.  An RS witness is
 checked there as a SEP_LD set, which needs no breadth-first search: in a
 graph of diameter at most 2 every distance is 0, 1 or 2, so a member is
 told apart by its 0 and a non-member's distance vector is its
@@ -77,9 +77,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .exact import OpenTwinsPresent, TwinsPresent
-from .graph import Disconnected
+from .graph import Disconnected, Graph
 from .models import JOIN, UNION, Cotree, cotree_masks, fold_cotree, validate_cotree
-from .verify import ProblemKind, check_masks
+from .verify import ProblemKind, check
 
 __all__ = [
     "CographSummary",
@@ -274,7 +274,7 @@ def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeS
     found = frozenset(added)
     # The root is a join or a leaf here, so the diameter is at most 2.
     check_kind = ProblemKind.SEP_LD if kind is ProblemKind.RS else kind
-    if not check_masks(cotree_masks(t), found, check_kind):
+    if not check(Graph._adopt(cotree_masks(t)), found, check_kind):
         raise WitnessUnavailable(f"assembled set failed the {kind} verifier")
     if len(found) != value:
         raise WitnessUnavailable("assembled set has the wrong size")

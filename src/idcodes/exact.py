@@ -31,7 +31,7 @@ from math import comb
 from operator import and_
 
 from .graph import Graph, Disconnected, all_pairs_distances, closed_twins, is_connected, open_twins
-from .verify import ProblemKind, _flavor_kind, emp_flag, univ_flag
+from .verify import ProblemKind, covered, undominated, vertex_mask
 
 __all__ = [
     "SolveResult",
@@ -148,14 +148,22 @@ def all_min_sets(g: Graph, kind: ProblemKind, cap: int = DEFAULT_VERTEX_CAP) -> 
     return [frozenset(s) for s in passes.solutions(len(first))]
 
 
+# The emp/univ flavors of the cotree fold are the separating kinds.
+_FLAVORS = {"id": ProblemKind.SEP_ID, "ld": ProblemKind.SEP_LD, "old": ProblemKind.SEP_OLD}
+
+
 def emp_univ_oracle(g: Graph, flavor: str, cap: int = DEFAULT_VERTEX_CAP) -> tuple[bool, bool]:
     """Evaluate the two properties over every minimum separating set.
 
     emp: every minimum separating set leaves some vertex with empty signature.
     univ: every minimum separating set has a vertex dominated by the whole set
-    (flavor "ld" insists that vertex lies outside the set).
+    (flavor "ld" insists that vertex lies outside the set).  Flavors "id"
+    and "ld" use closed neighbourhoods, "old" open ones.
     """
-    sets = all_min_sets(g, _flavor_kind(flavor), cap=cap)
-    emp = all(emp_flag(g, s, flavor) for s in sets)
-    univ = all(univ_flag(g, s, flavor) for s in sets)
+    if flavor not in _FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    kind = _FLAVORS[flavor]
+    masks = [vertex_mask(s, g.n) for s in all_min_sets(g, kind, cap=cap)]
+    emp = all(undominated(g.masks, s, kind) for s in masks)
+    univ = all(covered(g.masks, s, kind) for s in masks)
     return emp, univ

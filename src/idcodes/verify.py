@@ -1,9 +1,10 @@
-"""Predicates deciding whether a vertex set solves an identification problem.
+"""One predicate, :func:`check`, decides whether a vertex set solves any kind.
 
-Every predicate runs on the graph's adjacency masks (``Graph.masks``: bit w
-of ``masks[v]`` is set when vw is an edge) with the candidate set as one int
-mask.  A vertex's signature is its closed neighbourhood mask (its open one
-for the OLD kinds) ANDed with the candidate mask.  One kernel,
+It runs on the graph's adjacency masks (``Graph.masks``: bit w of
+``masks[v]`` is set when vw is an edge) with the candidate set as one int
+mask from :func:`vertex_mask`, the one place a vertex is range-checked.  A
+vertex's signature is its closed neighbourhood mask (its open one for the
+OLD kinds) ANDed with the candidate mask.  One kernel,
 :func:`first_collision`, visits vertices in increasing order and returns
 the first pair with equal signatures, so a failing pair can always be
 reported back; domination is one mask test per vertex (:func:`undominated`).
@@ -29,18 +30,8 @@ __all__ = [
     "first_collision",
     "undominated",
     "covered",
-    "is_dominating",
-    "is_total_dominating",
-    "is_identifying_code",
-    "is_locating_dominating",
-    "is_open_locating_dominating",
-    "is_resolving_set",
-    "is_separating",
-    "separation_violation",
-    "emp_flag",
-    "univ_flag",
     "check",
-    "check_masks",
+    "separation_violation",
 ]
 
 
@@ -67,16 +58,13 @@ _OPEN = frozenset({ProblemKind.OLD, ProblemKind.SEP_OLD})
 _OUTSIDE = frozenset({ProblemKind.LD, ProblemKind.SEP_LD})
 _DOMINATING = frozenset({ProblemKind.IC, ProblemKind.LD, ProblemKind.OLD})
 
-# The emp/univ flavors of the cotree fold are the separating kinds.
-_FLAVOR_KIND = {"id": ProblemKind.SEP_ID, "ld": ProblemKind.SEP_LD, "old": ProblemKind.SEP_OLD}
 
-
-def vertex_mask(vertices: Iterable[int]) -> int:
-    """The int with bit v set for each vertex v."""
+def vertex_mask(vertices: Iterable[int], n: int) -> int:
+    """The int with bit v set for each vertex v; InvalidVertex unless 0 <= v < n."""
     m = 0
     for v in vertices:
-        if v < 0:
-            raise InvalidVertex(f"vertex {v} is negative")
+        if not 0 <= v < n:
+            raise InvalidVertex(f"vertex {v} out of range for n={n}")
         m |= 1 << v
     return m
 
@@ -135,37 +123,23 @@ def _resolves(masks: tuple[int, ...], s: int) -> bool:
     n = len(masks)
     if len(mask_components(masks, _everything(masks))) > 1:
         raise Disconnected("resolving sets need a connected graph")
-    if s >> n:
-        raise InvalidVertex(f"candidate vertex out of range for n={n}")
     rows = [mask_distances(masks, x) for x in bits(s)]
     if not rows:
         return n <= 1
     return len(set(zip(*rows))) == n
 
 
-def check_masks(masks: tuple[int, ...], candidate: Iterable[int], kind: ProblemKind) -> bool:
-    """Whether the candidate solves the kind on the graph with these masks."""
-    s = vertex_mask(candidate)
+def check(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
+    """Whether the candidate is a solution of the kind on g.  Raises
+    InvalidVertex for a vertex outside g, before any other check, and
+    Disconnected for RS on a disconnected g."""
+    masks = g.masks
+    s = vertex_mask(candidate, len(masks))
     if kind is ProblemKind.RS:
         return _resolves(masks, s)
     if kind in _DOMINATING and undominated(masks, s, kind):
         return False
     return first_collision(masks, s, kind) is None
-
-
-def check(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
-    """Whether the candidate is a solution of the kind on g."""
-    return check_masks(g.masks, candidate, kind)
-
-
-def is_dominating(g: Graph, candidate: Iterable[int]) -> bool:
-    """Every vertex has a candidate member in its closed neighbourhood."""
-    return not undominated(g.masks, vertex_mask(candidate), ProblemKind.IC)
-
-
-def is_total_dominating(g: Graph, candidate: Iterable[int]) -> bool:
-    """Every vertex has a candidate member among its neighbours."""
-    return not undominated(g.masks, vertex_mask(candidate), ProblemKind.OLD)
 
 
 def separation_violation(
@@ -178,57 +152,4 @@ def separation_violation(
     compare open signatures over all vertices.
     Returns None when all relevant pairs are separated.
     """
-    return first_collision(g.masks, vertex_mask(candidate), kind)
-
-
-def is_separating(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
-    """Pairwise-distinct signatures over the vertices it compares, no domination."""
-    if kind not in (ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD):
-        raise ValueError(f"{kind} is not a separation-only kind")
-    return check(g, candidate, kind)
-
-
-def is_identifying_code(g: Graph, candidate: Iterable[int]) -> bool:
-    """Dominating set whose closed signatures distinguish all vertices."""
-    return check(g, candidate, ProblemKind.IC)
-
-
-def is_locating_dominating(g: Graph, candidate: Iterable[int]) -> bool:
-    """Dominating set whose signatures distinguish the vertices outside it."""
-    return check(g, candidate, ProblemKind.LD)
-
-
-def is_open_locating_dominating(g: Graph, candidate: Iterable[int]) -> bool:
-    """Total dominating set whose open signatures distinguish all vertices."""
-    return check(g, candidate, ProblemKind.OLD)
-
-
-def is_resolving_set(g: Graph, candidate: Iterable[int]) -> bool:
-    """Distance vectors to the candidate distinguish all vertex pairs."""
-    return check(g, candidate, ProblemKind.RS)
-
-
-def _flavor_kind(flavor: str) -> ProblemKind:
-    if flavor not in _FLAVOR_KIND:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return _FLAVOR_KIND[flavor]
-
-
-def emp_flag(g: Graph, candidate: Iterable[int], flavor: str) -> bool:
-    """True when some vertex has an empty signature under the candidate.
-
-    Flavor "id" and "ld" use closed neighbourhoods, "old" uses open ones.
-    """
-    kind = _flavor_kind(flavor)
-    return bool(undominated(g.masks, vertex_mask(candidate), kind))
-
-
-def univ_flag(g: Graph, candidate: Iterable[int], flavor: str) -> bool:
-    """True when some vertex is dominated by the entire candidate set.
-
-    The "id" flavor accepts any vertex (a candidate member is dominated by
-    itself), the "ld" flavor only vertices outside the candidate, and the
-    "old" flavor requires all candidate members to be proper neighbours.
-    """
-    kind = _flavor_kind(flavor)
-    return bool(covered(g.masks, vertex_mask(candidate), kind))
+    return first_collision(g.masks, vertex_mask(candidate, g.n), kind)

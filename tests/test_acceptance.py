@@ -5,6 +5,7 @@ lines and timings.
 """
 
 import random
+import statistics
 import time
 from functools import lru_cache
 from itertools import combinations
@@ -272,7 +273,7 @@ class TestCriterion7BipartitePermutation:
             if bipartition(g) is None:
                 continue
             for s in combinations(range(4), 3):
-                assert not verify.is_open_locating_dominating(g, s)
+                assert not verify.check(g, s, PK.OLD)
         with pytest.raises(GeneratorError):
             ext_bipperm_old(3)
 
@@ -347,17 +348,20 @@ class TestCriterion9Performance:
         t_small = random_twin_free_cotree(100_000, rng)
         t_big = random_twin_free_cotree(200_000, rng)
 
-        # best of 3, timing the two trees alternately so that a phase of
-        # outside load slows both sizes rather than one
+        # five pairs in CPU time of this process, timing the two trees
+        # alternately.  On a shared machine the CPU runs in fast and slow
+        # phases, which CPU time does not hide; a ratio of two best times
+        # fails whenever a fast phase meets only the small tree, while the
+        # median of the five paired ratios compares neighbours in time
         smalls, bigs = [], []
-        for _ in range(3):
+        for _ in range(5):
             for tree, times in ((t_small, smalls), (t_big, bigs)):
-                s = time.monotonic()
+                s = time.process_time()
                 solve_cotree(tree, PK.SEP_ID)
-                times.append(time.monotonic() - s)
-        small, big = min(smalls), min(bigs)
+                times.append(time.process_time() - s)
+        small = min(smalls)
         assert small < 1.0
-        per_leaf_ratio = big / (2 * small)
+        per_leaf_ratio = statistics.median(b / (2 * s) for s, b in zip(smalls, bigs))
         assert per_leaf_ratio <= 1.3
         _report(
             "criterion 9 (amortized-linear fold)", t0, 120,

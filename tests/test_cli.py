@@ -338,6 +338,8 @@ DOMAIN_ERRORS = [
      "error: disconnected resolving sets need a connected graph"),
     (["verify", "--problem", "ic", "--input", "p5.graph", "--set", "0,5"], 2,
      "error: vertex out of range"),
+    (["verify", "--problem", "md", "--input", "p5.graph", "--set=-1"], 2,
+     "error: vertex out of range"),
     (["cograph", "--problem", "ic", "--cotree", "k2.graph"], 2,
      "error: twins cotree joins two parts with universal vertices"),
     (["cograph", "--problem", "md", "--cotree", "split.cotree"], 2,
@@ -354,6 +356,12 @@ DOMAIN_ERRORS = [
      "error: bounds are stated for the dominating variants"),
     (["certify", "--input", "split.graph", "--set", "0", "--problem", "md"], 2,
      "error: disconnected resolving sets need a connected graph"),
+    (["certify", "--input", "p5.graph", "--set=-1", "--problem", "ic"], 2,
+     "error: vertex out of range"),
+    (["certify", "--input", "p5.graph", "--set", "9", "--problem", "ic"], 2,
+     "error: vertex out of range"),
+    (["certify", "--input", "p5.graph", "--set", "9", "--problem", "md"], 2,
+     "error: vertex out of range"),
     (["bounds", "--class", "cograph", "--kind", "old", "--k", "4"], 2,
      "error: no bound for GraphClass.COGRAPH / ProblemKind.OLD"),
     (["bounds", "--class", "interval", "--kind", "md", "--k", "4"], 2,
@@ -362,6 +370,13 @@ DOMAIN_ERRORS = [
     (["bounds", "--class", "permutation", "--kind", "ic", "--k", "2"], 2,
      "error: bound for (<GraphClass.PERMUTATION: 'permutation'>, <ProblemKind.IC: 'ic'>) "
      "assumes k >= 3"),
+    # {dir} stands for the test's working directory
+    (["compile-model", "--input", "p5.graph", "--out", "missing.d/x.graph"], 3,
+     "cannot write {dir}/missing.d/x.graph: "
+     "[Errno 2] No such file or directory: '{dir}/missing.d/x.graph'"),
+    (["generate", "--family", "interval-ic", "--k", "3", "--out", "missing.d/fam"], 3,
+     "cannot write {dir}/missing.d/fam.intervals: "
+     "[Errno 2] No such file or directory: '{dir}/missing.d/fam.intervals'"),
 ]
 
 
@@ -372,6 +387,7 @@ class TestDomainErrors:
         (workdir / "split.cotree").write_text("(U (J 0 1) 2)\n")
         (workdir / "p40.graph").write_text("graph 40\n" + "".join(f"e {i} {i+1}\n" for i in range(39)))
         paths = [workdir / a if "." in a or a == "fam" else a for a in argv]
+        message = message.replace("{dir}", str(workdir))
         assert run_cli(paths, capsys) == (code, "", message + "\n")
         assert not (workdir / "fam.manifest").exists()
 

@@ -23,7 +23,6 @@ from idcodes.models import (
     cograph_recognize,
     complement_cotree,
     cotree_leaves,
-    cotree_masks,
     cotree_to_graph,
     fold_cotree,
     format_cotree,
@@ -35,7 +34,7 @@ from idcodes.models import (
     random_twin_free_cotree,
     union_node,
 )
-from idcodes.verify import ProblemKind, check, check_masks
+from idcodes.verify import ProblemKind, check
 
 
 
@@ -294,11 +293,11 @@ class TestWitnesses:
             for t in all_cotrees(n):
                 if t.root_kind == UNION:
                     continue
-                masks = cotree_masks(t)
+                g = cotree_to_graph(t)
                 for s in range(1 << n):
                     subset = [v for v in range(n) if s >> v & 1]
-                    rs = check_masks(masks, subset, ProblemKind.RS)
-                    assert rs == check_masks(masks, subset, ProblemKind.SEP_LD), (t, subset)
+                    rs = check(g, subset, ProblemKind.RS)
+                    assert rs == check(g, subset, ProblemKind.SEP_LD), (t, subset)
                     pairs += 1
         assert pairs == 14118
 
@@ -325,14 +324,14 @@ class TestScaling:
         # the witness is read off the fold; only the final check is not linear
         rng = random.Random(46)
         t = random_twin_free_cotree(20_000, rng)
-        masks = cotree_masks(t)
+        g = cotree_to_graph(t)
         sizes = {kind: solve_cotree(t, kind).value for kind in (ProblemKind.IC, ProblemKind.LD)}
         for kind, size in sizes.items():
             start = time.monotonic()
             w = solve_cotree(t, kind, witness=True).witness
             assert time.monotonic() - start < 5.0
             assert len(w) == size
-            assert check_masks(masks, w, kind)
+            assert check(g, w, kind)
 
 
 class TestDeepCotrees:

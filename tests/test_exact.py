@@ -133,6 +133,10 @@ class TestEmpUnivOracle:
     def test_two_isolated_ld(self):
         assert emp_univ_oracle(empty_graph(2), "ld") == (True, False)
 
+    def test_unknown_flavor(self):
+        with pytest.raises(ValueError, match="unknown flavor 'md'"):
+            emp_univ_oracle(complete_graph(1), "md")
+
 
 class TestSandwich:
     def test_sep_gamma_sandwich(self):

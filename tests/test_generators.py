@@ -112,7 +112,7 @@ class TestPermutationFamilies:
             for d in range(2, 7):
                 inst = ext_perm_md(k, d)
                 assert inst.claimed_d == d
-                assert verify.is_resolving_set(inst.graph, inst.solution)
+                assert verify.check(inst.graph, inst.solution, ProblemKind.RS)
 
 
 class TestBipartitePermutationFamilies:
@@ -135,7 +135,7 @@ class TestBipartitePermutationFamilies:
             if bipartition(g) is None:
                 continue
             for s in combinations(range(4), 3):
-                if verify.is_open_locating_dominating(g, s):
+                if verify.check(g, s, ProblemKind.OLD):
                     found = True
         assert not found
         with pytest.raises(GeneratorError):

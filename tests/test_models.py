@@ -41,6 +41,7 @@ from idcodes.models import (
 )
 from idcodes.graph import closed_twins
 from idcodes import verify
+from idcodes.verify import ProblemKind
 
 
 class TestIntervalGraph:
@@ -58,7 +59,7 @@ class TestIntervalGraph:
         code = [idx for idx, (i, j) in enumerate(rows) if j == i + 1]
         g = interval_graph(IntervalModel(rows))
         assert g.n == 10
-        assert verify.is_identifying_code(g, code)
+        assert verify.check(g, code, ProblemKind.IC)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInterval):
@@ -375,8 +376,8 @@ class TestVerifyExamples:
 
     def test_star_leaves_ld(self):
         g = star_graph(3)
-        assert verify.is_locating_dominating(g, [1, 2, 3])
+        assert verify.check(g, [1, 2, 3], ProblemKind.LD)
 
     def test_perm_family_cell_graph(self):
         m = PermutationModel([(0, 1), (1, 0)])
-        assert verify.is_open_locating_dominating(permutation_graph(m), [0, 1])
+        assert verify.check(permutation_graph(m), [0, 1], ProblemKind.OLD)

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from idcodes import verify
 from idcodes.graph import (
     Disconnected,
     Graph,
+    InvalidVertex,
     closed_twins,
     complete_graph,
     cycle_graph,
@@ -27,106 +29,139 @@ from idcodes.models import (
 from idcodes.verify import (
     ProblemKind,
     check,
-    emp_flag,
-    is_dominating,
-    is_identifying_code,
-    is_locating_dominating,
-    is_open_locating_dominating,
-    is_resolving_set,
-    is_separating,
-    is_total_dominating,
+    covered,
     separation_violation,
-    univ_flag,
+    undominated,
+    vertex_mask,
 )
+
+IC, LD, OLD, RS = ProblemKind.IC, ProblemKind.LD, ProblemKind.OLD, ProblemKind.RS
+SEP_ID, SEP_LD, SEP_OLD = ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD
 
 
 def random_graph(n, p, rng):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
+def holes(g, s, kind):
+    """Mask of the vertices left with an empty signature by s."""
+    return undominated(g.masks, vertex_mask(s, g.n), kind)
+
+
+def cov(g, s, kind):
+    """Mask of the vertices whose signature is all of s."""
+    return covered(g.masks, vertex_mask(s, g.n), kind)
+
+
+def test_public_names():
+    assert sorted(verify.__all__) == [
+        "ProblemKind", "check", "covered", "first_collision", "separation_violation",
+        "undominated", "vertex_mask",
+    ]
+
+
+class TestVertexRange:
+    def test_vertex_mask(self):
+        assert vertex_mask([0, 2], 3) == 0b101
+        assert vertex_mask([], 0) == 0
+        for v in (-1, 3):
+            with pytest.raises(InvalidVertex, match=f"vertex {v} out of range for n=3"):
+                vertex_mask([0, v], 3)
+
+    def test_every_kind_rejects_before_any_other_check(self):
+        # on the disconnected empty graph, RS would otherwise raise Disconnected
+        for g in (path_graph(3), empty_graph(2)):
+            for kind in ProblemKind:
+                for v in (-1, g.n):
+                    with pytest.raises(InvalidVertex):
+                        check(g, [0, v], kind)
+                    with pytest.raises(InvalidVertex):
+                        separation_violation(g, [v], kind)
+
+
 class TestDomination:
     def test_dominating(self):
         p3 = path_graph(3)
-        assert is_dominating(p3, [1])
-        assert not is_dominating(p3, [0])
-        assert is_dominating(empty_graph(2), [0, 1])
+        assert holes(p3, [1], IC) == 0
+        assert holes(p3, [0], IC) == 0b100
+        assert holes(empty_graph(2), [0, 1], IC) == 0
 
     def test_total_dominating(self):
         k2 = complete_graph(2)
-        assert is_total_dominating(k2, [0, 1])
-        assert not is_total_dominating(k2, [0])
-        assert not is_total_dominating(empty_graph(2), [0, 1])
+        assert holes(k2, [0, 1], OLD) == 0
+        assert holes(k2, [0], OLD) == 0b01
+        assert holes(empty_graph(2), [0, 1], OLD) == 0b11
 
 
 class TestIdentifyingCode:
     def test_p3(self):
         p3 = path_graph(3)
-        assert is_identifying_code(p3, [0, 2])
+        assert check(p3, [0, 2], IC)
 
     def test_twins_block(self):
         k2 = complete_graph(2)
         for s in ([], [0], [1], [0, 1]):
-            assert not is_identifying_code(k2, s)
+            assert not check(k2, s, IC)
 
     def test_whole_vertex_set_iff_twin_free(self):
         rng = random.Random(20)
         for _ in range(200):
             g = random_graph(rng.randint(1, 8), rng.random(), rng)
-            assert is_identifying_code(g, range(g.n)) == (closed_twins(g) == [])
+            assert check(g, range(g.n), IC) == (closed_twins(g) == [])
 
 
 class TestLocatingDominating:
     def test_p3(self):
         p3 = path_graph(3)
-        assert not is_locating_dominating(p3, [1])  # ends share {1}
-        assert is_locating_dominating(p3, [0, 1])
+        assert not check(p3, [1], LD)  # ends share {1}
+        assert check(p3, [0, 1], LD)
 
     def test_star_leaves(self):
-        assert is_locating_dominating(star_graph(3), [1, 2, 3])
+        assert check(star_graph(3), [1, 2, 3], LD)
 
 
 class TestOpenLocatingDominating:
     def test_k2(self):
-        assert is_open_locating_dominating(complete_graph(2), [0, 1])
+        assert check(complete_graph(2), [0, 1], OLD)
 
     def test_open_twins_block(self):
         p3 = path_graph(3)
         for mask in range(8):
             s = [v for v in range(3) if mask >> v & 1]
-            assert not is_open_locating_dominating(p3, s)
+            assert not check(p3, s, OLD)
 
     def test_p4_full(self):
-        assert is_open_locating_dominating(path_graph(4), range(4))
+        assert check(path_graph(4), range(4), OLD)
 
     def test_whole_vertex_set_iff_open_twin_free(self):
         rng = random.Random(21)
         for _ in range(200):
             g = random_graph(rng.randint(1, 8), rng.random(), rng)
             expect = open_twins(g) == [] and all(g.adj[v] for v in range(g.n))
-            assert is_open_locating_dominating(g, range(g.n)) == expect
+            assert check(g, range(g.n), OLD) == expect
 
 
 class TestResolvingSet:
     def test_path_endpoint(self):
-        assert is_resolving_set(path_graph(3), [0])
+        assert check(path_graph(3), [0], RS)
 
     def test_c4(self):
-        assert not is_resolving_set(cycle_graph(4), [0])
-        assert is_resolving_set(cycle_graph(4), [0, 1])
+        assert not check(cycle_graph(4), [0], RS)
+        assert check(cycle_graph(4), [0, 1], RS)
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
-            is_resolving_set(empty_graph(2), [0])
+            check(empty_graph(2), [0], RS)
 
 
 class TestSeparating:
     def test_k1_empty(self):
-        assert is_separating(complete_graph(1), [], ProblemKind.SEP_ID)
+        assert check(complete_graph(1), [], SEP_ID)
 
     def test_two_isolated(self):
         g = empty_graph(2)
-        assert is_separating(g, [0], ProblemKind.SEP_ID)
-        assert not is_separating(g, [], ProblemKind.SEP_LD)
+        assert check(g, [0], SEP_ID)
+        assert not check(g, [], SEP_LD)
 
     def test_violation_reported(self):
         pair = separation_violation(complete_graph(2), [0, 1], ProblemKind.IC)
@@ -137,10 +172,9 @@ class TestSeparating:
         for _ in range(300):
             g = random_graph(rng.randint(1, 8), rng.random(), rng)
             s = frozenset(v for v in range(g.n) if rng.random() < 0.5)
-            sep_id = is_separating(g, s, ProblemKind.SEP_ID)
-            assert is_identifying_code(g, s) == (sep_id and is_dominating(g, s))
-            sep_ld = is_separating(g, s, ProblemKind.SEP_LD)
-            assert is_locating_dominating(g, s) == (sep_ld and is_dominating(g, s))
+            dominating = not holes(g, s, IC)
+            assert check(g, s, IC) == (check(g, s, SEP_ID) and dominating)
+            assert check(g, s, LD) == (check(g, s, SEP_LD) and dominating)
 
     def test_sep_ld_equals_resolving_on_diameter_two(self):
         rng = random.Random(23)
@@ -151,26 +185,29 @@ class TestSeparating:
                 continue
             seen += 1
             s = frozenset(v for v in range(g.n) if rng.random() < 0.5)
-            assert is_separating(g, s, ProblemKind.SEP_LD) == is_resolving_set(g, s)
+            assert check(g, s, SEP_LD) == check(g, s, RS)
 
 
 class TestFlags:
+    """The cotree fold's emp and univ flags, read off the two kernels under
+    the separating kind of each flavor."""
+
     def test_emp(self):
-        assert emp_flag(complete_graph(1), [], "id")
-        assert not emp_flag(path_graph(3), [0, 2], "id")
-        assert emp_flag(empty_graph(2), [0], "ld")
+        assert holes(complete_graph(1), [], SEP_ID)
+        assert not holes(path_graph(3), [0, 2], SEP_ID)
+        assert holes(empty_graph(2), [0], SEP_LD)
 
     def test_univ_flavors_differ(self):
         g = empty_graph(2)
-        assert univ_flag(g, [0], "id")  # the set member covers itself
-        assert not univ_flag(g, [0], "ld")  # no outside vertex sees all of it
-        assert univ_flag(complete_graph(1), [], "id")
-        assert univ_flag(complete_graph(1), [], "ld")
+        assert cov(g, [0], SEP_ID)  # the set member covers itself
+        assert not cov(g, [0], SEP_LD)  # no outside vertex sees all of it
+        assert cov(complete_graph(1), [], SEP_ID)
+        assert cov(complete_graph(1), [], SEP_LD)
 
     def test_old_flavor(self):
         k2 = complete_graph(2)
-        assert emp_flag(k2, [0], "old")  # vertex 0 has no neighbour in {0}
-        assert univ_flag(k2, [0], "old")  # vertex 1 sees all of {0}
+        assert holes(k2, [0], SEP_OLD)  # vertex 0 has no neighbour in {0}
+        assert cov(k2, [0], SEP_OLD)  # vertex 1 sees all of {0}
 
 
 class TestImplicationChain:
@@ -180,12 +217,12 @@ class TestImplicationChain:
             n = rng.randint(1, 12)
             g = random_graph(n, rng.random(), rng)
             s = frozenset(v for v in range(n) if rng.random() < 0.5)
-            if is_identifying_code(g, s):
-                assert is_locating_dominating(g, s)
-            if is_open_locating_dominating(g, s):
-                assert is_locating_dominating(g, s)
-            if is_connected(g) and is_locating_dominating(g, s):
-                assert is_resolving_set(g, s)
+            if check(g, s, IC):
+                assert check(g, s, LD)
+            if check(g, s, OLD):
+                assert check(g, s, LD)
+            if is_connected(g) and check(g, s, LD):
+                assert check(g, s, RS)
 
     def test_check_dispatch(self):
         p3 = path_graph(3)
