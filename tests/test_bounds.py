@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -276,3 +277,34 @@ class TestCertify:
     def test_labels(self):
         assert bound_label(GC.INTERVAL, PK.IC) == "n<=k(k+1)/2"
         assert bound_label(GC.COGRAPH, PK.LD) == "n<=3k"
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+class TestGolden:
+    def test_bound_table_digest(self):
+        """One digest over every class and kind pins the whole bound table:
+        labels, max_order, min_parameter, min_parameter_exact and the
+        exception type wherever one is raised (9,450 entries)."""
+        lines = []
+        for cls in GC:
+            for kind in PK:
+                lines.append(f"{cls.value} {kind.value} label {_outcome(bound_label, cls, kind)}")
+                for k in range(-1, 9):
+                    for d in (None, 0, 1, 2, 3, 4):
+                        query = BoundQuery(cls, kind, k, d)
+                        lines.append(f"max_order {k} {d} {_outcome(max_order, query)}")
+                for n in range(41):
+                    for d in (None, 1, 3):
+                        outcome = _outcome(min_parameter, cls, kind, n, d)
+                        lines.append(f"min_parameter {n} {d} {outcome}")
+                    outcome = _outcome(min_parameter_exact, cls, kind, n)
+                    lines.append(f"min_parameter_exact {n} {outcome}")
+        assert len(lines) == 9450
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "57dfdfc4ae1e1a8ba93a71e81dfe19c4a32605f6991431bf0600bd24d92c6b6b"
