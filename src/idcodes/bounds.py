@@ -4,6 +4,11 @@ max_order answers "how many vertices can a graph of this class have, given a
 solution of size k (and diameter D for resolving sets)"; min_parameter inverts
 that exactly.  certify checks a concrete model/solution pair against the
 tightest bound its model attests.
+
+Each bound is one row of _TABLE: its formula in k and D, its label, whether it
+needs the diameter D, the least k it covers and, for a linear bound
+n <= a*k + b, its exact inverse (n - b) / a.  The general-class rows are
+prior-work reference values for cross-checking only.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import verify as _verify
 from .cograph import solve_cotree
@@ -89,144 +94,107 @@ class BoundReport:
     slack: Optional[int] = None
 
 
-# (class, kind) -> (formula, label); _NEEDS_D holds the rows needing D.  The
-# general-class rows are prior-work reference values for cross-checking only.
+class _Bound(NamedTuple):
+    formula: Callable[[int, Optional[int]], int]
+    label: str
+    needs_d: bool = False
+    min_k: int = 0
+    exact: Optional[Callable[[int], Fraction]] = None
+
+
+def _linear(a: int, b: int) -> _Bound:
+    """The row n <= a*k + b, with its exact inverse k >= (n - b) / a."""
+    label = f"n<={a}k{b:+d}" if b else f"n<={a}k"
+    return _Bound(lambda k, d: a * k + b, label, exact=lambda n: Fraction(n - b, a))
+
+
+# Connected cographs have diameter <= 2, so their resolving row needs no D;
+# the permutation neighbourhood theorems assume k >= 3.
 _TABLE = {
-    (GraphClass.INTERVAL, ProblemKind.IC): (lambda k, d: k * (k + 1) // 2, "n<=k(k+1)/2"),
-    (GraphClass.INTERVAL, ProblemKind.OLD): (lambda k, d: k * (k + 1) // 2, "n<=k(k+1)/2"),
-    (GraphClass.INTERVAL, ProblemKind.LD): (lambda k, d: k * (k + 3) // 2, "n<=k(k+3)/2"),
-    (GraphClass.INTERVAL, ProblemKind.RS): (
+    (GraphClass.INTERVAL, ProblemKind.IC): _Bound(lambda k, d: k * (k + 1) // 2, "n<=k(k+1)/2"),
+    (GraphClass.INTERVAL, ProblemKind.OLD): _Bound(lambda k, d: k * (k + 1) // 2, "n<=k(k+1)/2"),
+    (GraphClass.INTERVAL, ProblemKind.LD): _Bound(lambda k, d: k * (k + 3) // 2, "n<=k(k+3)/2"),
+    (GraphClass.INTERVAL, ProblemKind.RS): _Bound(
         lambda k, d: 2 * k * k * d + 4 * k * k + k * d + 5 * k + 1,
         "n<=2k^2D+4k^2+kD+5k+1",
+        needs_d=True,
     ),
-    (GraphClass.UNIT_INTERVAL, ProblemKind.IC): (lambda k, d: 2 * k - 1, "n<=2k-1"),
-    (GraphClass.UNIT_INTERVAL, ProblemKind.OLD): (lambda k, d: 2 * k - 1, "n<=2k-1"),
-    (GraphClass.UNIT_INTERVAL, ProblemKind.LD): (lambda k, d: 3 * k - 1, "n<=3k-1"),
-    (GraphClass.UNIT_INTERVAL, ProblemKind.RS): (
-        lambda k, d: k * (d + 2) - 2,
-        "n<=k(D+2)-2",
+    (GraphClass.UNIT_INTERVAL, ProblemKind.IC): _linear(2, -1),
+    (GraphClass.UNIT_INTERVAL, ProblemKind.OLD): _linear(2, -1),
+    (GraphClass.UNIT_INTERVAL, ProblemKind.LD): _linear(3, -1),
+    (GraphClass.UNIT_INTERVAL, ProblemKind.RS): _Bound(
+        lambda k, d: k * (d + 2) - 2, "n<=k(D+2)-2", needs_d=True
     ),
-    (GraphClass.PERMUTATION, ProblemKind.IC): (lambda k, d: k * k - 2, "n<=k^2-2"),
-    (GraphClass.PERMUTATION, ProblemKind.OLD): (lambda k, d: k * k - 2, "n<=k^2-2"),
-    (GraphClass.PERMUTATION, ProblemKind.LD): (
-        lambda k, d: k * k + k - 2,
-        "n<=k^2+k-2",
+    (GraphClass.PERMUTATION, ProblemKind.IC): _Bound(lambda k, d: k * k - 2, "n<=k^2-2", min_k=3),
+    (GraphClass.PERMUTATION, ProblemKind.OLD): _Bound(lambda k, d: k * k - 2, "n<=k^2-2", min_k=3),
+    (GraphClass.PERMUTATION, ProblemKind.LD): _Bound(
+        lambda k, d: k * k + k - 2, "n<=k^2+k-2", min_k=3
     ),
-    (GraphClass.PERMUTATION, ProblemKind.RS): (
-        lambda k, d: 2 * k * k * (d + 3) + 3 * k,
-        "n<=2k^2(D+3)+3k",
+    (GraphClass.PERMUTATION, ProblemKind.RS): _Bound(
+        lambda k, d: 2 * k * k * (d + 3) + 3 * k, "n<=2k^2(D+3)+3k", needs_d=True
     ),
-    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.IC): (
-        lambda k, d: 3 * k + 2,
-        "n<=3k+2",
+    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.IC): _linear(3, 2),
+    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.LD): _linear(3, 2),
+    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.OLD): _linear(2, 2),
+    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.RS): _Bound(
+        lambda k, d: k * (2 * d - 1) + 2, "n<=k(2D-1)+2", needs_d=True
     ),
-    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.LD): (
-        lambda k, d: 3 * k + 2,
-        "n<=3k+2",
-    ),
-    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.OLD): (
-        lambda k, d: 2 * k + 2,
-        "n<=2k+2",
-    ),
-    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.RS): (
-        lambda k, d: k * (2 * d - 1) + 2,
-        "n<=k(2D-1)+2",
-    ),
-    (GraphClass.COGRAPH, ProblemKind.IC): (lambda k, d: 2 * k - 2, "n<=2k-2"),
-    (GraphClass.COGRAPH, ProblemKind.LD): (lambda k, d: 3 * k, "n<=3k"),
-    (GraphClass.COGRAPH, ProblemKind.RS): (lambda k, d: 3 * k, "n<=3k"),
-    (GraphClass.GENERAL, ProblemKind.IC): (lambda k, d: 2**k - 1, "n<=2^k-1"),
-    (GraphClass.GENERAL, ProblemKind.OLD): (lambda k, d: 2**k - 1, "n<=2^k-1"),
-    (GraphClass.GENERAL, ProblemKind.LD): (
-        lambda k, d: 2**k + k - 1,
-        "n<=2^k+k-1",
-    ),
-    (GraphClass.GENERAL, ProblemKind.RS): (lambda k, d: d**k + k, "n<=D^k+k"),
+    (GraphClass.COGRAPH, ProblemKind.IC): _linear(2, -2),
+    (GraphClass.COGRAPH, ProblemKind.LD): _linear(3, 0),
+    (GraphClass.COGRAPH, ProblemKind.RS): _linear(3, 0),
+    (GraphClass.GENERAL, ProblemKind.IC): _Bound(lambda k, d: 2**k - 1, "n<=2^k-1"),
+    (GraphClass.GENERAL, ProblemKind.OLD): _Bound(lambda k, d: 2**k - 1, "n<=2^k-1"),
+    (GraphClass.GENERAL, ProblemKind.LD): _Bound(lambda k, d: 2**k + k - 1, "n<=2^k+k-1"),
+    (GraphClass.GENERAL, ProblemKind.RS): _Bound(lambda k, d: d**k + k, "n<=D^k+k", needs_d=True),
 }
 
-# Resolving-set bounds that need a diameter (connected cographs have
-# diameter <= 2 so theirs does not).
-_NEEDS_D = {
-    (GraphClass.INTERVAL, ProblemKind.RS),
-    (GraphClass.UNIT_INTERVAL, ProblemKind.RS),
-    (GraphClass.PERMUTATION, ProblemKind.RS),
-    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.RS),
-    (GraphClass.GENERAL, ProblemKind.RS),
-}
-
-# The permutation neighbourhood theorems assume k >= 3.
-_MIN_K = {
-    (GraphClass.PERMUTATION, ProblemKind.IC): 3,
-    (GraphClass.PERMUTATION, ProblemKind.OLD): 3,
-    (GraphClass.PERMUTATION, ProblemKind.LD): 3,
-}
+_SEPARATING = (ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD)
 
 
-def _normalize_kind(kind: ProblemKind) -> ProblemKind:
-    if kind in (ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD):
+def _bound(graph_class: GraphClass, kind: ProblemKind) -> _Bound:
+    """The table row for the pair; separating kinds have none in any class."""
+    if kind in _SEPARATING:
         raise UnsupportedCombination("bounds are stated for the dominating variants")
-    return kind
+    row = _TABLE.get((graph_class, kind))
+    if row is None:
+        raise UnsupportedCombination(f"no bound for {graph_class} / {kind}")
+    return row
 
 
 def max_order(query: BoundQuery) -> int:
     """Largest possible order under the class/kind bound, exactly."""
-    kind = _normalize_kind(query.kind)
-    key = (query.graph_class, kind)
-    if key not in _TABLE:
-        raise UnsupportedCombination(f"no bound for {query.graph_class} / {kind}")
-    min_k = _MIN_K.get(key, 0)
-    if query.k < min_k:
-        raise HypothesisNotMet(f"bound for {key} assumes k >= {min_k}")
-    if key in _NEEDS_D:
+    key = (query.graph_class, query.kind)
+    row = _bound(*key)
+    if query.k < row.min_k:
+        raise HypothesisNotMet(f"bound for {key} assumes k >= {row.min_k}")
+    if row.needs_d:
         if query.d is None:
             raise MissingDiameter(f"bound for {key} needs the diameter")
         if query.d < 1:
             raise HypothesisNotMet("diameter must be at least 1")
-    formula, _ = _TABLE[key]
-    return formula(query.k, query.d)
+    return row.formula(query.k, query.d)
 
 
 def bound_label(graph_class: GraphClass, kind: ProblemKind) -> str:
-    key = (graph_class, _normalize_kind(kind))
-    if key not in _TABLE:
-        raise UnsupportedCombination(f"no bound for {key}")
-    return _TABLE[key][1]
+    return _bound(graph_class, kind).label
 
 
 def min_parameter(
     graph_class: GraphClass, kind: ProblemKind, n: int, d: Optional[int] = None
 ) -> int:
     """Smallest k whose bound admits an order-n graph (exact inversion)."""
-    kind = _normalize_kind(kind)
-    key = (graph_class, kind)
-    if key not in _TABLE:
-        raise UnsupportedCombination(f"no bound for {key}")
-    k = _MIN_K.get(key, 0)
-    while True:
-        if max_order(BoundQuery(graph_class, kind, k, d)) >= n:
-            return k
+    k = _bound(graph_class, kind).min_k
+    while max_order(BoundQuery(graph_class, kind, k, d)) < n:
         k += 1
-
-
-_EXACT_LOWER = {
-    (GraphClass.UNIT_INTERVAL, ProblemKind.IC): lambda n: Fraction(n + 1, 2),
-    (GraphClass.UNIT_INTERVAL, ProblemKind.OLD): lambda n: Fraction(n + 1, 2),
-    (GraphClass.UNIT_INTERVAL, ProblemKind.LD): lambda n: Fraction(n + 1, 3),
-    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.IC): lambda n: Fraction(n - 2, 3),
-    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.LD): lambda n: Fraction(n - 2, 3),
-    (GraphClass.BIPARTITE_PERMUTATION, ProblemKind.OLD): lambda n: Fraction(n - 2, 2),
-    (GraphClass.COGRAPH, ProblemKind.IC): lambda n: Fraction(n + 2, 2),
-    (GraphClass.COGRAPH, ProblemKind.LD): lambda n: Fraction(n, 3),
-    (GraphClass.COGRAPH, ProblemKind.RS): lambda n: Fraction(n, 3),
-}
+    return k
 
 
 def min_parameter_exact(graph_class: GraphClass, kind: ProblemKind, n: int) -> Fraction:
-    """The rational lower-bound expression, for the classes where it is one."""
-    key = (graph_class, _normalize_kind(kind))
-    if key not in _EXACT_LOWER:
-        raise UnsupportedCombination(f"lower bound for {key} is not rational")
-    return _EXACT_LOWER[key](n)
+    """The rational lower-bound expression, for the linear bounds."""
+    exact = _bound(graph_class, kind).exact
+    if exact is None:
+        raise UnsupportedCombination(f"lower bound for {(graph_class, kind)} is not rational")
+    return exact(n)
 
 
 def attest_class(model: Model, g: Optional[Graph] = None) -> GraphClass:
@@ -276,7 +244,9 @@ def certify(
         and isinstance(model, Cotree)
         and graph_class in (None, GraphClass.COGRAPH)
     )
-    bound_kind = _SEP_GAMMA[kind] if at_gamma else _normalize_kind(kind)
+    bound_kind = _SEP_GAMMA[kind] if at_gamma else kind
+    if bound_kind in _SEPARATING:  # no row in any class: reject before verifying
+        _bound(GraphClass.GENERAL, bound_kind)
     g = model_to_graph(model)
     solution = frozenset(solution)
     if not _verify.check(g, solution, kind):
@@ -289,15 +259,14 @@ def certify(
     if graph_class is None:
         graph_class = attest_class(model, g)
     k = solve_cotree(model, bound_kind).value if at_gamma else len(solution)
-    d = None
-    if (graph_class, bound_kind) in _NEEDS_D:
-        d = graph_diameter(g)
+    row = _bound(graph_class, bound_kind)
+    d = graph_diameter(g) if row.needs_d else None
     if graph_class is GraphClass.COGRAPH and bound_kind is ProblemKind.IC and g.n < 2:
         raise HypothesisNotMet("the cograph identifying-code bound assumes n >= 2")
     max_n = max_order(BoundQuery(graph_class, bound_kind, k, d))
     return BoundReport(
         max_n=max_n,
-        theorem_label=bound_label(graph_class, bound_kind),
+        theorem_label=row.label,
         satisfied=g.n <= max_n,
         slack=max_n - g.n,
     )
