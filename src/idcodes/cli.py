@@ -60,7 +60,8 @@ _ERRORS = (
     ((NotCograph,), "error: not a cograph: {}", EXIT_DOMAIN),
     ((InvalidVertex,), "error: vertex out of range", EXIT_DOMAIN),
     ((exact.CapExceeded,), "error: cap exceeded {}", EXIT_RESOURCE),
-    ((exact.NoSolution, generators.GeneratorError, bounds.BoundsError), "error: {}", EXIT_DOMAIN),
+    ((exact.NoSolution, generators.GeneratorError, bounds.BoundsError, ModelError, GraphError),
+     "error: {}", EXIT_DOMAIN),
 )
 _ERROR_TYPES = tuple(t for types, _line, _code in _ERRORS for t in types)
 
@@ -74,6 +75,8 @@ def _load_model(path: str):
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
     except (ModelError, GraphError) as exc:
         raise CliError(f"invalid model: {exc}", EXIT_DOMAIN)
+    except (MemoryError, OverflowError):
+        raise CliError(f"cannot load {path}: too large to allocate", EXIT_RESOURCE)
 
 
 @contextlib.contextmanager

@@ -624,30 +624,44 @@ def _format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_interval_model(text: str) -> IntervalModel:
+def _parse_rows(text: str, keyword: str, noun: str, convert) -> list:
+    """The rows of a `<keyword> <n>` file of `<id> <x> <y>` lines, in id order.
+
+    ``convert`` turns a line's two values into its row; a ValueError from it
+    reports the whole line.  A line's tokens are read before its id is checked
+    for a repeat.  The ids must be exactly 0..n-1; the count is compared first,
+    so a huge n fails before anything of that size is built.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("intervals"):
-        raise ModelFormatError("missing 'intervals <n>' header")
+    if not lines or not lines[0].startswith(keyword):
+        raise ModelFormatError(f"missing '{keyword} <n>' header")
     try:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise ModelFormatError(f"bad header: {lines[0]!r}") from None
-    rows: dict[int, tuple[Fraction, Fraction]] = {}
+    rows: dict = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
-            raise ModelFormatError(f"bad interval line: {ln!r}")
+            raise ModelFormatError(f"bad {noun} line: {ln!r}")
         try:
-            vid = int(parts[0])
+            vid, row = int(parts[0]), convert(parts[1], parts[2])
         except ValueError:
-            raise ModelFormatError(f"bad interval line: {ln!r}") from None
+            raise ModelFormatError(f"bad {noun} line: {ln!r}") from None
         if vid in rows:
-            raise ModelFormatError(f"duplicate interval id {vid}")
-        rows[vid] = (_parse_rational(parts[1]), _parse_rational(parts[2]))
-    if sorted(rows) != list(range(n)):
-        raise ModelFormatError("interval ids must be exactly 0..n-1")
-    return IntervalModel(rows[i] for i in range(n))
+            raise ModelFormatError(f"duplicate {noun} id {vid}")
+        rows[vid] = row
+    if n > len(rows) or sorted(rows) != list(range(n)):
+        raise ModelFormatError(f"{noun} ids must be exactly 0..n-1")
+    return [rows[i] for i in range(n)]
+
+
+def parse_interval_model(text: str) -> IntervalModel:
+    rows = _parse_rows(
+        text, "intervals", "interval", lambda a, b: (_parse_rational(a), _parse_rational(b))
+    )
+    return IntervalModel(rows)
 
 
 def format_interval_model(m: IntervalModel) -> str:
@@ -658,29 +672,9 @@ def format_interval_model(m: IntervalModel) -> str:
 
 
 def parse_permutation_model(text: str) -> PermutationModel:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("permutation"):
-        raise ModelFormatError("missing 'permutation <n>' header")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ModelFormatError(f"bad header: {lines[0]!r}") from None
-    rows: dict[int, tuple[int, int]] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ModelFormatError(f"bad segment line: {ln!r}")
-        try:
-            vid, t, b = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ModelFormatError(f"bad segment line: {ln!r}") from None
-        if vid in rows:
-            raise ModelFormatError(f"duplicate segment id {vid}")
-        rows[vid] = (t, b)
-    if sorted(rows) != list(range(n)):
-        raise ModelFormatError("segment ids must be exactly 0..n-1")
-    return PermutationModel(rows[i] for i in range(n))
+    return PermutationModel(
+        _parse_rows(text, "permutation", "segment", lambda t, b: (int(t), int(b)))
+    )
 
 
 def format_permutation_model(m: PermutationModel) -> str:

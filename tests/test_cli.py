@@ -370,7 +370,25 @@ DOMAIN_ERRORS = [
     (["bounds", "--class", "permutation", "--kind", "ic", "--k", "2"], 2,
      "error: bound for (<GraphClass.PERMUTATION: 'permutation'>, <ProblemKind.IC: 'ic'>) "
      "assumes k >= 3"),
+    # models with no vertices
+    (["cograph", "--problem", "ic", "--cotree", "empty.graph"], 2,
+     "error: cotrees require at least one vertex"),
+    (["cograph", "--problem", "ic", "--cotree", "empty.intervals"], 2,
+     "error: cotrees require at least one vertex"),
+    (["cograph", "--problem", "ic", "--cotree", "empty.perm"], 2,
+     "error: cotrees require at least one vertex"),
+    (["certify", "--problem", "md", "--set=", "--input", "empty.graph"], 2,
+     "error: diameter of the empty graph is undefined"),
+    # vertex counts too large to hold fail before anything is allocated
+    (["compile-model", "--input", "huge.intervals"], 3,
+     "parse error: interval ids must be exactly 0..n-1"),
+    (["compile-model", "--input", "huge.perm"], 3,
+     "parse error: segment ids must be exactly 0..n-1"),
     # {dir} stands for the test's working directory
+    (["compile-model", "--input", "huge.graph"], 4,
+     "cannot load {dir}/huge.graph: too large to allocate"),
+    (["compile-model", "--input", "overflow.graph"], 4,
+     "cannot load {dir}/overflow.graph: too large to allocate"),
     (["compile-model", "--input", "p5.graph", "--out", "missing.d/x.graph"], 3,
      "cannot write {dir}/missing.d/x.graph: "
      "[Errno 2] No such file or directory: '{dir}/missing.d/x.graph'"),
@@ -386,6 +404,10 @@ class TestDomainErrors:
         (workdir / "split.graph").write_text("graph 3\ne 0 1\n")
         (workdir / "split.cotree").write_text("(U (J 0 1) 2)\n")
         (workdir / "p40.graph").write_text("graph 40\n" + "".join(f"e {i} {i+1}\n" for i in range(39)))
+        for ext, header in (("graph", "graph"), ("intervals", "intervals"), ("perm", "permutation")):
+            (workdir / f"empty.{ext}").write_text(f"{header} 0\n")
+            (workdir / f"huge.{ext}").write_text(f"{header} {2**62}\n")
+        (workdir / "overflow.graph").write_text(f"graph {10**20}\n")
         paths = [workdir / a if "." in a or a == "fam" else a for a in argv]
         message = message.replace("{dir}", str(workdir))
         assert run_cli(paths, capsys) == (code, "", message + "\n")

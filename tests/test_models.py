@@ -36,8 +36,10 @@ from idcodes.models import (
     permutation_graph,
     random_cotree,
     random_twin_free_cotree,
+    read_model,
     union_node,
     validate_cotree,
+    write_model,
 )
 from idcodes.graph import closed_twins
 from idcodes import verify
@@ -242,6 +244,11 @@ class TestCotree:
         validate_cotree(t)
         assert t == union_node(leaf(0), leaf(1), leaf(2))
 
+    def test_canonicalize_drops_a_lone_child_node(self):
+        t = canonicalize(join_node(union_node(leaf(0), leaf(1))))
+        validate_cotree(t)
+        assert t == union_node(leaf(0), leaf(1))
+
     def test_recognize_c4(self):
         t = cograph_recognize(cycle_graph(4))
         assert cotree_to_graph(t) == cycle_graph(4)
@@ -365,6 +372,49 @@ class TestFileFormats:
             parse_cotree(text)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    # Exact message per bad interval or permutation text.  A line's tokens are
+    # read before its id is checked for a repeat, and a vertex count larger
+    # than the rows fails before anything of that size is built.
+    BAD_ROW_FILES = [
+        (parse_interval_model, "", "missing 'intervals <n>' header"),
+        (parse_interval_model, "intervals\n", "bad header: 'intervals'"),
+        (parse_interval_model, "intervals two\n", "bad header: 'intervals two'"),
+        (parse_interval_model, "intervals 1\n0 1\n", "bad interval line: '0 1'"),
+        (parse_interval_model, "intervals 1\nx 0 1\n", "bad interval line: 'x 0 1'"),
+        (parse_interval_model, "intervals 2\n0 0 1\n0 1 2\n", "duplicate interval id 0"),
+        (parse_interval_model, "intervals 2\n0 0 1\n0 x 2\n", "bad rational: 'x'"),
+        (parse_interval_model, "intervals 1\n0 a 1\n", "bad rational: 'a'"),
+        (parse_interval_model, "intervals 1\n0 1/0 1\n", "bad rational: '1/0'"),
+        (parse_interval_model, "intervals 1\n0 0 1/2/3\n", "bad rational: '1/2/3'"),
+        (parse_interval_model, "intervals 2\n0 0 1\n", "interval ids must be exactly 0..n-1"),
+        (parse_interval_model, "intervals 1\n1 0 1\n", "interval ids must be exactly 0..n-1"),
+        (parse_interval_model, "intervals -1\n0 0 1\n", "interval ids must be exactly 0..n-1"),
+        (parse_interval_model, f"intervals {2**62}\n", "interval ids must be exactly 0..n-1"),
+        (parse_permutation_model, "", "missing 'permutation <n>' header"),
+        (parse_permutation_model, "permutation\n", "bad header: 'permutation'"),
+        (parse_permutation_model, "permutation 1.5\n", "bad header: 'permutation 1.5'"),
+        (parse_permutation_model, "permutation 1\n0 0\n", "bad segment line: '0 0'"),
+        (parse_permutation_model, "permutation 1\nx 0 0\n", "bad segment line: 'x 0 0'"),
+        (parse_permutation_model, "permutation 1\n0 0 y\n", "bad segment line: '0 0 y'"),
+        (parse_permutation_model, "permutation 2\n0 0 0\n0 x 1\n", "bad segment line: '0 x 1'"),
+        (parse_permutation_model, "permutation 2\n0 0 0\n0 1 1\n", "duplicate segment id 0"),
+        (parse_permutation_model, "permutation 2\n0 0 0\n", "segment ids must be exactly 0..n-1"),
+        (parse_permutation_model, f"permutation {2**62}\n", "segment ids must be exactly 0..n-1"),
+    ]
+
+    @pytest.mark.parametrize("parse,text,message", BAD_ROW_FILES)
+    def test_bad_row_file_message(self, parse, text, message):
+        with pytest.raises(ModelFormatError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    def test_graph_write_read_round_trip(self, tmp_path):
+        g = path_graph(5)
+        path = tmp_path / "p5.graph"
+        write_model(g, path)
+        assert path.read_text() == g.to_text()
+        assert read_model(path) == g
 
     def test_rational_endpoints(self):
         m = parse_interval_model("intervals 1\n0 1/2 5/2\n")
