@@ -309,3 +309,22 @@ class TestGolden:
             write_model(inst.model, str(path))
             h.update(inst.manifest_line().encode() + b"\n" + path.read_bytes())
         assert h.hexdigest() == self.DIGEST
+
+
+# The benchmark's larger metric-dimension members, beyond the golden grid.
+BENCH_MD_PARAMS = (
+    [("perm-md", {"k": k, "d": d}) for k, d in ((4, 10), (6, 8), (8, 8))]
+    + [("bipperm-md", {"k": k, "d": d}) for k, d in ((6, 10), (8, 12), (10, 16), (12, 20))]
+    + [("interval-md", {"k": k, "d": d}) for k, d in ((6, 8), (8, 6), (8, 8))]
+)
+
+
+def test_bench_md_digest(tmp_path):
+    """Manifest lines and model texts of the benchmark's large braids."""
+    h = hashlib.sha256()
+    path = tmp_path / "model"
+    for family, params in BENCH_MD_PARAMS:
+        inst = generate(family, **params)
+        write_model(inst.model, str(path))
+        h.update(inst.manifest_line().encode() + b"\n" + path.read_bytes())
+    assert h.hexdigest() == "3d28a01c8c61578560bb7435f8472ae920706f15cc22ce07f581376f873151da"
