@@ -3,9 +3,8 @@
 Every generator returns an :class:`ExtremalInstance` and validates it on the
 spot, once, in ``_validated``: the compiled graph has the claimed order, the
 claimed solution passes the matching verifier, and when a diameter is
-claimed it is recomputed.  The metric-dimension braids try a few widths and
-keep the first that passes this check.  Generation therefore never hands out
-an unchecked construction.
+claimed it is recomputed.  Generation therefore never hands out an unchecked
+construction.
 """
 
 from __future__ import annotations
@@ -17,14 +16,7 @@ from typing import Optional
 
 from . import verify
 from .cograph import solve_cotree
-from .graph import (
-    Disconnected,
-    Graph,
-    all_pairs_distances,
-    bipartition,
-    bits,
-    diameter as graph_diameter,
-)
+from .graph import Graph, bipartition, bits, diameter as graph_diameter, mask_distances
 from .models import (
     Cotree,
     IntervalModel,
@@ -124,25 +116,19 @@ def _validated(
     )
 
 
-def _first_width(
-    family: str, k: int, d: int, widths, build, bipartite: bool = False
-) -> ExtremalInstance:
-    """The braid of the first width that validates as a resolving set of size
-    k with diameter d (and, if asked, is bipartite); ``build(cols)`` returns
-    (model, solution, n).  Widths below 2 are skipped."""
-    last_err = None
-    for cols in widths:
-        if cols < 2:
-            continue
-        model, solution, n = build(cols)
-        try:
-            inst = _validated(model, solution, ProblemKind.RS, n, k, family, claimed_d=d)
-        except (GeneratorError, Disconnected) as exc:
-            last_err = exc
-            continue
-        if not bipartite or bipartition(inst.graph) is not None:
-            return inst
-    raise GeneratorError(f"{family}: no braid width works for k={k}, d={d} ({last_err})")
+def _braid_width(family: str, k: int, d: int) -> int:
+    """Vertices per path of the metric-dimension braid of k/2 paths whose
+    diameter is d.
+
+    The interval braid's far ends are one interval per column apart, so it
+    has d columns.  A permutation braid of one path (k = 2) is a plain path,
+    and d+1 vertices give it diameter d.  With more paths, a shortest path
+    between the far ends crosses between paths, which adds 2, so each path
+    has d-1 vertices.
+    """
+    if family == "interval-md":
+        return d
+    return d + 1 if k == 2 else d - 1
 
 
 # -- interval families --------------------------------------------------------
@@ -220,38 +206,28 @@ def ext_interval_ld(k: int) -> ExtremalInstance:
     )
 
 
-def _interval_md_rows(k: int, cols: int) -> list[list[tuple[Fraction, Fraction]]]:
-    """Braided rows I[i][j] = ](j-1)L+i, jL+1/2+i[ with L = k/2+1."""
+def _build_interval_md(k: int, cols: int) -> tuple[IntervalModel, list[int], int]:
+    """Interval braid with filler pockets; returns (model, solution, n).
+
+    Braid vertex i*cols + j is I[i][j] = ]jL+i+1, (j+1)L+i+3/2[ with
+    L = k/2+1, for row i < k/2 and column j < cols.
+    """
     half_k = k // 2
     big_l = half_k + 1
     half = Fraction(1, 2)
-    return [
-        [
-            (Fraction((j - 1) * big_l + i), Fraction(j * big_l) + half + i)
-            for j in range(1, cols + 1)
-        ]
-        for i in range(1, half_k + 1)
+    rows = [
+        (Fraction(j * big_l + i + 1), Fraction((j + 1) * big_l + i + 1) + half)
+        for i in range(half_k)
+        for j in range(cols)
     ]
-
-
-def _build_interval_md(k: int, cols: int) -> tuple[IntervalModel, list[int], int]:
-    """Interval braid with filler pockets; returns (model, solution, n)."""
-    half_k = k // 2
-    grid = _interval_md_rows(k, cols)
-    rows: list[tuple[Fraction, Fraction]] = []
-    index = {}
-    for i in range(half_k):
-        for j in range(cols):
-            index[(i, j)] = len(rows)
-            rows.append(grid[i][j])
-    solution = [index[(i, 0)] for i in range(half_k)] + [
-        index[(i, cols - 1)] for i in range(half_k)
+    solution = [i * cols for i in range(half_k)] + [
+        i * cols + cols - 1 for i in range(half_k)
     ]
     base_sorted = sorted(range(len(rows)), key=lambda v: rows[v][0])
     fillers: list[tuple[Fraction, Fraction]] = []
     for i in range(half_k):
-        for j in range(2, cols - 1):  # pockets after I[i][j], 1-based j
-            r_end = grid[i][j - 1][1]
+        for j in range(1, cols - 2):  # pockets after I[i][j]
+            r_end = rows[i * cols + j][1]
             following = [v for v in base_sorted if rows[v][0] > r_end]
             if len(following) < half_k + 1:
                 continue  # incomplete pocket: skip rather than trim
@@ -285,9 +261,8 @@ def ext_interval_md(k: int, d: int) -> ExtremalInstance:
         return _validated(
             model, [0, d], ProblemKind.RS, d + 1, 2, "interval-md", claimed_d=d
         )
-    return _first_width(
-        "interval-md", k, d, (d, d - 1, d + 1), lambda cols: _build_interval_md(k, cols)
-    )
+    model, solution, n = _build_interval_md(k, _braid_width("interval-md", k, d))
+    return _validated(model, solution, ProblemKind.RS, n, k, "interval-md", claimed_d=d)
 
 
 # -- unit interval families ---------------------------------------------------
@@ -381,70 +356,40 @@ def _config_based_family(k: int, kind: ProblemKind, family: str) -> ExtremalInst
     The solution induces a path.  A cell (i, j) stands for a segment whose
     top lies in the i-th gap of the solution's top order and bottom in the
     j-th gap of the bottom order; its neighbourhood within the solution is
-    determined by the cell alone.  Cells are grouped by that neighbourhood
-    and one representative per admissible group is realized.
+    determined by the cell alone.  One probe segment per cell, put in slot j
+    of top gap i and slot i of bottom gap j, is added to the path; the first
+    cell of each admissible neighbourhood is kept, at its probe's position.
     """
     if k < 3:
         raise GeneratorError("k must be at least 3")
     code = _zigzag_path_segments(k)
     tops = sorted(t for t, _ in code)
     bots = sorted(b for _, b in code)
-    trank = {t: r for r, t in enumerate(tops)}  # rank 0..k-1
-    brank = {b: r for r, b in enumerate(bots)}
 
-    def cell_nbhd(i: int, j: int) -> int:
-        # Solution member x crosses cell (i, j) iff exactly one of its ranks
-        # is passed: top rank <= i-1 ... encoded with gap semantics below.
-        out = 0
-        for idx, (t, b) in enumerate(code):
-            top_passed = trank[t] < i  # cell top lies right of x's top
-            bot_passed = brank[b] < j
-            if top_passed != bot_passed:
-                out |= 1 << idx
-        return out
-
-    groups: dict[int, tuple[int, int]] = {}
-    for i in range(k + 1):
-        for j in range(k + 1):
-            sig = cell_nbhd(i, j)
-            if sig not in groups:
-                groups[sig] = (i, j)
-
-    # Signatures are masks over the solution, which is the path's vertices 0..k-1.
-    path_masks = permutation_graph(normalized_segments(code)).masks
-    banned = {0}
-    if kind is ProblemKind.IC:
-        banned.update(m | 1 << v for v, m in enumerate(path_masks))
-    elif kind is ProblemKind.OLD:
-        banned.update(path_masks)
-    cells = sorted(cell for sig, cell in groups.items() if sig not in banned)
-
-    # Realize one segment per kept cell: place tops/bottoms inside their gaps.
-    positions: list[tuple[Fraction, Fraction]] = [
-        (Fraction(t), Fraction(b)) for t, b in code
-    ]
-    per_top_gap: dict[int, int] = {}
-    per_bot_gap: dict[int, int] = {}
-    for i, j in cells:
-        per_top_gap[i] = per_top_gap.get(i, 0) + 1
-        per_bot_gap[j] = per_bot_gap.get(j, 0) + 1
-    top_seen: dict[int, int] = {}
-    bot_seen: dict[int, int] = {}
-
-    def gap_position(ranks: list[int], gap: int, seq: int, total: int) -> Fraction:
+    def gap_position(ranks: list[int], gap: int, slot: int) -> Fraction:
         lo = Fraction(ranks[gap - 1]) if gap > 0 else Fraction(ranks[0] - 2)
         hi = Fraction(ranks[gap]) if gap < len(ranks) else Fraction(ranks[-1] + 2)
-        return lo + (hi - lo) * Fraction(seq + 1, total + 1)
+        return lo + (hi - lo) * Fraction(slot + 1, k + 2)
 
-    for i, j in cells:
-        si = top_seen[i] = top_seen.get(i, -1) + 1
-        sj = bot_seen[j] = bot_seen.get(j, -1) + 1
-        positions.append(
-            (
-                gap_position(tops, i, si, per_top_gap[i]),
-                gap_position(bots, j, sj, per_bot_gap[j]),
-            )
-        )
+    positions = [(Fraction(t), Fraction(b)) for t, b in code]
+    positions += [
+        (gap_position(tops, i, j), gap_position(bots, j, i))
+        for i in range(k + 1)
+        for j in range(k + 1)
+    ]
+    # Neighbourhoods within the solution, which is the path's vertices 0..k-1.
+    path = (1 << k) - 1
+    masks = [m & path for m in permutation_graph(normalized_segments(positions)).masks]
+    banned = {0}
+    if kind is ProblemKind.IC:
+        banned.update(m | 1 << v for v, m in enumerate(masks[:k]))
+    elif kind is ProblemKind.OLD:
+        banned.update(masks[:k])
+    first = {}
+    for v in range(k, len(positions)):
+        first.setdefault(masks[v], v)
+    keep = sorted(v for sig, v in first.items() if sig not in banned)
+    positions = positions[:k] + [positions[v] for v in keep]
 
     n = k * k + k - 2 if kind is ProblemKind.LD else k * k - 2
     return _validated(normalized_segments(positions), range(k), kind, n, k, family)
@@ -515,11 +460,10 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
     if not with_fillers:
         return normalized_segments(positions), solution, len(positions)
 
-    base_graph = permutation_graph(normalized_segments(positions))
-    dist = all_pairs_distances(base_graph)
-    masks = list(base_graph.masks)
-    vectors = {tuple(dist[x][v] for x in solution) for v in range(base_graph.n)}
-    vec_of = [tuple(dist[x][v] for x in solution) for v in range(base_graph.n)]
+    base_masks = permutation_graph(normalized_segments(positions)).masks
+    masks = list(base_masks)
+    vec_of = list(zip(*(mask_distances(base_masks, x) for x in solution)))
+    vectors = set(vec_of)
 
     # Each line keeps its positions sorted, with the prefix masks of that
     # order.  A candidate crosses the segments before it on exactly one line,
@@ -613,15 +557,13 @@ def ext_perm_md(k: int, d: int) -> ExtremalInstance:
         return _validated(
             model, solution, ProblemKind.RS, 2 * k, k, "perm-md", claimed_d=2
         )
-    return _first_width(
-        "perm-md", k, d, (d, d - 1, d + 1, d - 2),
-        lambda cols: _build_perm_md(k, cols, with_fillers=True),
-    )
+    model, solution, n = _build_perm_md(k, _braid_width("perm-md", k, d), with_fillers=True)
+    return _validated(model, solution, ProblemKind.RS, n, k, "perm-md", claimed_d=d)
 
 
 def ext_bipperm_md(k: int, d: int) -> ExtremalInstance:
     """Bipartite permutation graph of diameter d with a resolving set of size
-    k: the plain braid, whose width is tuned so the diameter comes out exact."""
+    k: the plain braid, whose width the diameter fixes."""
     if k < 2 or k % 2:
         raise GeneratorError("k must be even and at least 2")
     if d < 2:
@@ -635,11 +577,12 @@ def ext_bipperm_md(k: int, d: int) -> ExtremalInstance:
         return _validated(
             model, solution, ProblemKind.RS, k + 2, k, "bipperm-md", claimed_d=2
         )
-    return _first_width(
-        "bipperm-md", k, d, (d, d - 1, d + 1, d + 2, d - 2),
-        lambda cols: _build_perm_md(k, cols, with_fillers=False),
-        bipartite=True,
-    )
+    cols = _braid_width("bipperm-md", k, d)
+    model, solution, n = _build_perm_md(k, cols, with_fillers=False)
+    inst = _validated(model, solution, ProblemKind.RS, n, k, "bipperm-md", claimed_d=d)
+    if bipartition(inst.graph) is None:
+        raise GeneratorError(f"bipperm-md: the braid of width {cols} is not bipartite")
+    return inst
 
 
 # -- bipartite permutation families (neighbourhood-based) ----------------------

@@ -140,10 +140,6 @@ class Graph:
         self.check_vertex(v)
         return frozenset(bits(self.masks[v] | 1 << v))
 
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return self.masks[v].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) pairs with u < v, sorted."""
         for u, m in enumerate(self.masks):

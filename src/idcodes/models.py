@@ -629,8 +629,9 @@ def _parse_rows(text: str, keyword: str, noun: str, convert) -> list:
 
     ``convert`` turns a line's two values into its row; a ValueError from it
     reports the whole line.  A line's tokens are read before its id is checked
-    for a repeat.  The ids must be exactly 0..n-1; the count is compared first,
-    so a huge n fails before anything of that size is built.
+    for a repeat.  The ids must be exactly 0..n-1; the count is compared
+    first, so a huge n fails before anything of that size is built.  A
+    negative n with no rows then fails as an invalid model, as a graph's does.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -654,6 +655,8 @@ def _parse_rows(text: str, keyword: str, noun: str, convert) -> list:
         rows[vid] = row
     if n > len(rows) or sorted(rows) != list(range(n)):
         raise ModelFormatError(f"{noun} ids must be exactly 0..n-1")
+    if n < 0:  # only a file with no rows gets here
+        raise ModelError("vertex count must be nonnegative")
     return [rows[i] for i in range(n)]
 
 

@@ -103,6 +103,13 @@ class TestVerifyCmd:
         )
         assert code == 2 and out.startswith("fail")
 
+    def test_empty_set_fails_to_resolve(self, workdir, capsys):
+        code, out, err = run_cli(
+            ["verify", "--problem", "md", "--input", workdir / "p5.graph", "--set="],
+            capsys,
+        )
+        assert (code, out, err) == (2, "fail\n", "")
+
 
 class TestCographCmd:
     def test_c4_ic(self, workdir, capsys):
@@ -379,6 +386,12 @@ DOMAIN_ERRORS = [
      "error: cotrees require at least one vertex"),
     (["certify", "--problem", "md", "--set=", "--input", "empty.graph"], 2,
      "error: diameter of the empty graph is undefined"),
+    (["compile-model", "--input", "negative.intervals"], 2,
+     "invalid model: vertex count must be nonnegative"),
+    (["compile-model", "--input", "negative.perm"], 2,
+     "invalid model: vertex count must be nonnegative"),
+    (["verify", "--problem", "ic", "--input", "p5.graph", "--set", "a"], 3,
+     "bad vertex list: 'a'"),
     # vertex counts too large to hold fail before anything is allocated
     (["compile-model", "--input", "huge.intervals"], 3,
      "parse error: interval ids must be exactly 0..n-1"),
@@ -389,6 +402,9 @@ DOMAIN_ERRORS = [
      "cannot load {dir}/huge.graph: too large to allocate"),
     (["compile-model", "--input", "overflow.graph"], 4,
      "cannot load {dir}/overflow.graph: too large to allocate"),
+    (["compile-model", "--input", "missing.graph"], 3,
+     "cannot read {dir}/missing.graph: "
+     "[Errno 2] No such file or directory: '{dir}/missing.graph'"),
     (["compile-model", "--input", "p5.graph", "--out", "missing.d/x.graph"], 3,
      "cannot write {dir}/missing.d/x.graph: "
      "[Errno 2] No such file or directory: '{dir}/missing.d/x.graph'"),
@@ -407,6 +423,7 @@ class TestDomainErrors:
         for ext, header in (("graph", "graph"), ("intervals", "intervals"), ("perm", "permutation")):
             (workdir / f"empty.{ext}").write_text(f"{header} 0\n")
             (workdir / f"huge.{ext}").write_text(f"{header} {2**62}\n")
+            (workdir / f"negative.{ext}").write_text(f"{header} -3\n")
         (workdir / "overflow.graph").write_text(f"graph {10**20}\n")
         paths = [workdir / a if "." in a or a == "fam" else a for a in argv]
         message = message.replace("{dir}", str(workdir))
@@ -421,6 +438,12 @@ class TestCompileModel:
         )
         assert code == 0
         assert out == "graph 4\ne 0 2\ne 0 3\ne 1 2\ne 1 3\n"
+
+    def test_out_file_matches_stdout(self, workdir, capsys):
+        argv = ["compile-model", "--input", workdir / "c4.cotree"]
+        _, out, _ = run_cli(argv, capsys)
+        assert run_cli(argv + ["--out", workdir / "c4.graph"], capsys) == (0, "", "")
+        assert (workdir / "c4.graph").read_text() == out
 
     def test_large_interval_file(self, workdir, capsys):
         rng = random.Random(49)

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from idcodes.cli import main
-from idcodes.cograph import CographSummary, NoOldSolution, solve_cotree
+from idcodes import cograph
+from idcodes.cograph import CographSummary, NoOldSolution, WitnessUnavailable, solve_cotree
 from idcodes.exact import (
     NoSolution,
     OpenTwinsPresent,
@@ -18,6 +19,7 @@ from idcodes.models import (
     JOIN,
     UNION,
     Cotree,
+    MalformedCotree,
     all_cotrees,
     canonicalize,
     cograph_recognize,
@@ -62,8 +64,6 @@ def _root_children(t):
 
 
 def test_one_public_entry_point():
-    from idcodes import cograph
-
     assert sorted(cograph.__all__) == [
         "CographSummary", "NoOldSolution", "WitnessUnavailable", "solve_cotree",
     ]
@@ -309,6 +309,25 @@ class TestWitnesses:
             w = solve_cotree(t, ProblemKind.IC, witness=True).witness
             assert check(g, w, ProblemKind.IC)
             assert len(w) == solve_cotree(t, ProblemKind.IC).value
+
+    def test_rejected_witness_is_unavailable(self, monkeypatch):
+        monkeypatch.setattr(cograph, "check", lambda *args: False)
+        with pytest.raises(WitnessUnavailable, match="failed the"):
+            solve_cotree(parse_cotree("(J 0 (U 1 2))"), ProblemKind.LD, witness=True)
+
+
+@pytest.mark.parametrize(
+    "codes,message",
+    [
+        ((0, node_code(UNION, 1)), "fewer than 2 children"),
+        ((0, node_code(UNION, 2)), "not one post-order tree"),
+        ((0, 1), "not one post-order tree"),
+        ((), "not one post-order tree"),
+    ],
+)
+def test_malformed_raw_codes(codes, message):
+    with pytest.raises(MalformedCotree, match=message):
+        solve_cotree(Cotree(codes), ProblemKind.SEP_ID)
 
 
 class TestScaling:

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from idcodes import verify
+from idcodes import generators, verify
 from idcodes.bounds import certify_instance
 from idcodes.cograph import solve_cotree
 from idcodes.exact import emp_univ_oracle, min_set
@@ -248,6 +248,28 @@ class TestLargeK:
         assert certify_instance(ext_bipperm_ic(k)).satisfied
         assert certify_instance(ext_bipperm_old(k)).satisfied
         assert certify_instance(ext_bipperm_ld(k)).satisfied
+
+
+class TestBraidWidth:
+    def test_one_build_at_the_width_the_diameter_fixes(self, monkeypatch):
+        widths = []
+        for name in ("_build_interval_md", "_build_perm_md"):
+            build = getattr(generators, name)
+            monkeypatch.setattr(
+                generators, name,
+                lambda k, cols, build=build, **kw: widths.append(cols) or build(k, cols, **kw),
+            )
+        for family in ("interval-md", "perm-md", "bipperm-md"):
+            for k in (2, 4, 6, 8):
+                for d in range(3, 9):
+                    widths.clear()
+                    generate(family, k=k, d=d)
+                    if family == "interval-md":
+                        # k = 2 is a plain path of intervals, not a braid
+                        expected = [] if k == 2 else [d]
+                    else:
+                        expected = [d + 1] if k == 2 else [d - 1]
+                    assert widths == expected, (family, k, d)
 
 
 class TestRegistry:

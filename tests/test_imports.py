@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every function,
+method and class the package defines is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import idcodes
 
 MODULES = sorted(Path(idcodes.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +41,47 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "from os import path, sep\nimport json\n__all__ = ['sep']\n"
     assert unused_imports(source) == ["path (line 1)", "json (line 2)"]
+
+
+def unreferenced_definitions(defining: str, sources: list[str]) -> list[str]:
+    """Functions, methods and classes defined in ``defining`` whose names no
+    source reads, as a variable or an attribute; dunder methods are exempt."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    definitions = [
+        node
+        for node in ast.walk(ast.parse(defining))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in sorted(definitions, key=lambda node: node.lineno)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_referenced(path):
+    sources = [p.read_text(encoding="utf-8") for p in MODULES + TESTS]
+    assert unreferenced_definitions(path.read_text(encoding="utf-8"), sources) == []
+
+
+def test_detects_an_unreferenced_definition():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.size = area()\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "def area():\n"
+        "    return 0\n"
+        "def orphan():\n"
+        "    return Box().size\n"
+    )
+    assert unreferenced_definitions(source, [source]) == ["unused (line 4)", "orphan (line 8)"]
