@@ -14,13 +14,13 @@ each kind its flavor ("id", "ld" or "old") and whether it repairs: the
 dominating kinds IC, LD and OLD add one vertex exactly when every minimum
 separating set leaves a hole, so their value is k + [emp].  RS uses the
 "ld" flavor without repair, since a connected cograph has diameter at most
-2, where resolving and separating sets coincide.  The tree is validated
-once and folded once; the fold also runs the flavor's twin gate and carries
-whether each subtree has a universal and an isolated vertex, so the root
-tells whether OLD has a solution at all.
+2, where resolving and separating sets coincide.  A Cotree is valid by
+construction, so the tree is only folded, once; the fold also runs the
+flavor's twin gate and carries whether each subtree has a universal and an
+isolated vertex, so the root tells whether OLD has a solution at all.
 
 A witness is never returned unverified: the assembled set goes through
-``verify.check`` on the compiled adjacency masks.  An RS witness is
+``verify.check`` on the graph ``cotree_to_graph`` compiles.  An RS witness is
 checked there as a SEP_LD set, which needs no breadth-first search: in a
 graph of diameter at most 2 every distance is 0, 1 or 2, so a member is
 told apart by its 0 and a non-member's distance vector is its
@@ -77,8 +77,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .exact import OpenTwinsPresent, TwinsPresent
-from .graph import Disconnected, Graph
-from .models import JOIN, UNION, Cotree, cotree_masks, fold_cotree, validate_cotree
+from .graph import Disconnected
+from .models import JOIN, UNION, Cotree, cotree_to_graph, fold_cotree
 from .verify import ProblemKind, check
 
 __all__ = [
@@ -252,13 +252,12 @@ def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeS
     Raises TwinsPresent / OpenTwinsPresent for twins of the flavor,
     Disconnected for RS on a union root, NoOldSolution for OLD on a graph
     with an isolated vertex, and ValueError for a witness of the OLD kinds.
-    Only the witness's final check builds the adjacency masks
-    (:func:`models.cotree_masks`); an RS witness is checked as a SEP_LD set.
+    Only the witness's final check compiles the graph
+    (:func:`models.cotree_to_graph`); an RS witness is checked as a SEP_LD set.
     """
     flavor, repair = _KINDS[kind]
     if witness and flavor == "old":
         raise ValueError(f"witness reconstruction does not support {kind}")
-    validate_cotree(t)
     part, isolated, added = _fold(t, flavor, witness)
     summary = CographSummary(*(part[0] if witness else part))
     if kind is ProblemKind.RS and t.root_kind == UNION:
@@ -274,7 +273,7 @@ def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeS
     found = frozenset(added)
     # The root is a join or a leaf here, so the diameter is at most 2.
     check_kind = ProblemKind.SEP_LD if kind is ProblemKind.RS else kind
-    if not check(Graph._adopt(cotree_masks(t)), found, check_kind):
+    if not check(cotree_to_graph(t), found, check_kind):
         raise WitnessUnavailable(f"assembled set failed the {kind} verifier")
     if len(found) != value:
         raise WitnessUnavailable("assembled set has the wrong size")

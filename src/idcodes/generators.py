@@ -27,7 +27,6 @@ from .models import (
     _prefix_masks,
     _relabel_dfs,
     canonicalize,
-    cotree_size,
     is_unit_model,
     join_node,
     leaf,
@@ -682,16 +681,17 @@ def ext_bipperm_old(k: int) -> ExtremalInstance:
 # -- cograph families ----------------------------------------------------------
 
 
-# Each family tree is built as an unlabelled shape: a base tree, wrapped by a
-# chain of two-child steps (kind, head) from the inside out.  The shape is
-# canonicalised and labelled 0..n-1 in depth-first order once, at the end.
+# Each family tree is built as the raw codes of an unlabelled shape: a base
+# tree, wrapped by a chain of two-child steps (kind, head) from the inside
+# out.  The shape is labelled 0..n-1 in depth-first order and canonicalised
+# into one Cotree at the end.
 
 
-def _indep(n: int) -> Cotree:
+def _indep(n: int) -> tuple[int, ...]:
     return leaf(0) if n == 1 else union_node(*[leaf(0)] * n)
 
 
-def _clique(n: int) -> Cotree:
+def _clique(n: int) -> tuple[int, ...]:
     return leaf(0) if n == 1 else join_node(*[leaf(0)] * n)
 
 
@@ -705,13 +705,13 @@ def _family_tree(family: str, n: int, variant: int, bases: dict, steps: dict) ->
             raise GeneratorError(f"{family}: ({n}, variant {variant}) is unreachable")
         _min_n, kind, head, variant = step
         chain.append((kind, head))
-        n -= cotree_size(head)
+        n -= sum(code >= 0 for code in head)
     # In post-order the heads come outermost first, then the base, then the
     # step nodes innermost first.
-    codes = [code for _kind, head in chain for code in head.codes]
-    codes += bases[(n, variant)].codes
+    codes = [code for _kind, head in chain for code in head]
+    codes += bases[(n, variant)]
     codes += [node_code(kind, 2) for kind, _head in reversed(chain)]
-    return _relabel_dfs(canonicalize(Cotree(codes)))
+    return canonicalize(_relabel_dfs(codes))
 
 
 def _cograph_id_tree(n: int, variant: int) -> Cotree:

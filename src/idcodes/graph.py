@@ -173,9 +173,9 @@ class Graph:
         """Parse the `graph <n>` / `e <u> <v>` text format."""
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("graph"):
+        head = lines[0].split() if lines else []
+        if not head or head[0] != "graph":
             raise GraphFormatError("missing 'graph <n>' header")
-        head = lines[0].split()
         if len(head) != 2:
             raise GraphFormatError(f"bad header: {lines[0]!r}")
         try:

@@ -4,7 +4,10 @@ Each model compiles to a plain :class:`~idcodes.graph.Graph`.  Interval
 endpoints are exact rationals and intervals are open, so two intervals that
 merely touch at a point are not adjacent.  A cotree is a :class:`Cotree`,
 one tuple of ints in post-order; every cotree function here is a single
-loop over it.
+loop over it.  Every model type rejects bad input when it is built, so no
+other function checks it.  The cotree builders (``leaf``, ``union_node``,
+``join_node``) return raw codes, which ``Cotree`` or :func:`canonicalize`
+turns into a tree.
 """
 
 from __future__ import annotations
@@ -35,14 +38,10 @@ __all__ = [
     "union_node",
     "join_node",
     "fold_cotree",
-    "cotree_leaves",
-    "cotree_size",
     "canonicalize",
-    "validate_cotree",
     "interval_graph",
     "is_unit_model",
     "permutation_graph",
-    "cotree_masks",
     "cotree_to_graph",
     "cograph_recognize",
     "complement_cotree",
@@ -257,19 +256,21 @@ def node_code(kind: int, arity: int) -> int:
 
 
 class Cotree:
-    """An immutable cotree stored as its post-order codes.
+    """An immutable, canonical cotree stored as its post-order codes.
 
     ``codes`` holds the nodes children first: a leaf is its vertex
     ``v >= 0`` and an internal node ``~(arity << 1 | kind)``, with kind
-    UNION (0) or JOIN (1).  Equality and hashing compare the codes, so two
-    trees are equal when they have the same kinds, child counts and leaf
-    labels in the same order.
+    UNION (0) or JOIN (1).  The constructor raises MalformedCotree unless
+    the codes are one tree whose every node has at least two children, none
+    of its own kind, and whose leaves are 0..n-1 exactly once.  Equality and
+    hashing compare the codes, so two trees are equal when they have the
+    same kinds, child counts and leaf labels in the same order.
     """
 
     __slots__ = ("codes",)
 
     def __init__(self, codes: Iterable[int]):
-        object.__setattr__(self, "codes", tuple(codes))
+        object.__setattr__(self, "codes", _checked_codes(codes))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cotree instances are immutable")
@@ -295,25 +296,51 @@ class Cotree:
         return None if code >= 0 else ~code & 1
 
 
-def leaf(v: int) -> Cotree:
+def _checked_codes(codes: Iterable[int]) -> tuple[int, ...]:
+    """The codes as a tuple; MalformedCotree unless they make a valid cotree.
+    Per node, the arity is checked first, then the children, then their kinds;
+    the labels last."""
+    codes = tuple(codes)
+    kinds: list[int] = []  # per finished subtree: its kind, or 2 for a leaf
+    push = kinds.append
+    for code in codes:
+        if code >= 0:
+            push(2)
+            continue
+        code = ~code
+        base = len(kinds) - (code >> 1)
+        if code >> 1 < 2:
+            raise MalformedCotree("internal cotree node with fewer than 2 children")
+        if base < 0:
+            raise MalformedCotree("cotree codes are not one post-order tree")
+        kind = code & 1
+        if kind in kinds[base:]:
+            raise MalformedCotree("same-kind parent/child chain; canonicalize first")
+        del kinds[base:]
+        push(kind)
+    if len(kinds) != 1:
+        raise MalformedCotree("cotree codes are not one post-order tree")
+    labels = [code for code in codes if code >= 0]
+    if max(labels) >= len(labels) or len(set(labels)) != len(labels):
+        raise MalformedCotree("leaf labels must be exactly 0..n-1")
+    return codes
+
+
+def leaf(v: int) -> tuple[int, ...]:
     if v < 0:
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
-    return Cotree((v,))
+    return (v,)
 
 
-def _node(kind: int, children: Sequence[Cotree]) -> Cotree:
-    codes: list[int] = []
-    for child in children:
-        codes.extend(child.codes)
-    codes.append(node_code(kind, len(children)))
-    return Cotree(codes)
+def _node(kind: int, children: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    return (*itertools.chain.from_iterable(children), node_code(kind, len(children)))
 
 
-def union_node(*children: Cotree) -> Cotree:
+def union_node(*children: Sequence[int]) -> tuple[int, ...]:
     return _node(UNION, children)
 
 
-def join_node(*children: Cotree) -> Cotree:
+def join_node(*children: Sequence[int]) -> tuple[int, ...]:
     return _node(JOIN, children)
 
 
@@ -338,22 +365,14 @@ def fold_cotree(t: Cotree, leaf_fn, node_fn):
     return values[0]
 
 
-def cotree_leaves(t: Cotree) -> list[int]:
-    """Vertex labels of the leaves, in depth-first order."""
-    return [code for code in t.codes if code >= 0]
-
-
-def cotree_size(t: Cotree) -> int:
-    return len(cotree_leaves(t))
-
-
-def canonicalize(t: Cotree) -> Cotree:
-    """Merge same-kind parent/child chains and flatten single-child nodes."""
+def canonicalize(codes: Iterable[int]) -> Cotree:
+    """The cotree of raw codes: same-kind parent/child chains merged and
+    single-child nodes flattened."""
     out: list = []
     # Per finished subtree: its kind (2 for a leaf), where its code sits in
     # out, and its arity.  A merged child's code is blanked in out.
     done: list[tuple[int, int, int]] = []
-    for code in t.codes:
+    for code in codes:
         if code >= 0:
             done.append((2, 0, 0))
             out.append(code)
@@ -378,41 +397,14 @@ def canonicalize(t: Cotree) -> Cotree:
     return Cotree(code for code in out if code is not None)
 
 
-def validate_cotree(t: Cotree) -> None:
-    """Raise MalformedCotree unless t is canonical and labels 0..n-1 exactly once."""
-    codes = t.codes
-    kinds: list[int] = []  # per finished subtree: its kind, or 2 for a leaf
-    push = kinds.append
-    for code in codes:
-        if code >= 0:
-            push(2)
-            continue
-        code = ~code
-        base = len(kinds) - (code >> 1)
-        if code >> 1 < 2:
-            raise MalformedCotree("internal cotree node with fewer than 2 children")
-        if base < 0:
-            raise MalformedCotree("cotree codes are not one post-order tree")
-        kind = code & 1
-        if kind in kinds[base:]:
-            raise MalformedCotree("same-kind parent/child chain; canonicalize first")
-        del kinds[base:]
-        push(kind)
-    if len(kinds) != 1:
-        raise MalformedCotree("cotree codes are not one post-order tree")
-    labels = cotree_leaves(t)
-    if max(labels) >= len(labels) or len(set(labels)) != len(labels):
-        raise MalformedCotree("leaf labels must be exactly 0..n-1")
-
-
-def cotree_masks(t: Cotree) -> tuple[int, ...]:
-    """Adjacency masks of the cotree's graph, as :attr:`Graph.masks` has them.
+def cotree_to_graph(t: Cotree) -> Graph:
+    """Evaluate the cotree: UNION keeps parts apart, JOIN adds all cross edges.
 
     One post-order pass gives every node the mask of its leaves and its
     parent's index; a join hands each child the leaves of its siblings, and
     a reverse pass, which meets every parent before its children, ORs those
-    gifts down into the leaves.  t must already be valid
-    (:func:`validate_cotree`).
+    gifts down into the leaves.  The rows are symmetric and loop-free by
+    construction, so the graph adopts them unchecked.
     """
     codes = t.codes
     size = len(codes)
@@ -441,13 +433,7 @@ def cotree_masks(t: Cotree) -> tuple[int, ...]:
         gifts[i] = gift
         if codes[i] >= 0:
             masks[codes[i]] = gift
-    return tuple(masks)
-
-
-def cotree_to_graph(t: Cotree) -> Graph:
-    """Evaluate the cotree: UNION keeps parts apart, JOIN adds all cross edges."""
-    validate_cotree(t)
-    return Graph._adopt(cotree_masks(t))  # symmetric and loop-free by construction
+    return Graph._adopt(tuple(masks))
 
 
 def cograph_recognize(g: Graph) -> Cotree:
@@ -497,12 +483,13 @@ def complement_cotree(t: Cotree) -> Cotree:
 # -- cotree enumeration and sampling -----------------------------------------
 
 
-def _shapes(n: int, root: int) -> list[Cotree]:
-    """All canonical cotree shapes with n leaves whose root has the given kind.
+def _shapes(n: int, root: int) -> list[tuple[int, ...]]:
+    """The codes of all canonical cotree shapes with n leaves whose root has
+    the given kind, every leaf 0.
 
-    Leaves are labelled 0..n-1 in depth-first order, which is enough to
-    enumerate every cograph on n vertices (vertex names do not matter for the
-    parameters computed here).
+    :func:`_relabel_dfs` labels them 0..n-1 in depth-first order, which is
+    enough to enumerate every cograph on n vertices (vertex names do not
+    matter for the parameters computed here).
     """
     other = JOIN if root == UNION else UNION
 
@@ -520,12 +507,12 @@ def _shapes(n: int, root: int) -> list[Cotree]:
 
         yield from rec(total, max_part, [])
 
-    def options(size: int) -> list[Cotree]:
+    def options(size: int) -> list[tuple[int, ...]]:
         if size == 1:
             return [leaf(0)]
         return _shapes(size, other)
 
-    results: list[Cotree] = []
+    results: list[tuple[int, ...]] = []
     for partition in parts(n, n - 1):
         groups: dict[int, int] = {}
         for p in partition:
@@ -537,7 +524,7 @@ def _shapes(n: int, root: int) -> list[Cotree]:
         ]
         sizes_sorted = sorted(groups.items())
         for choice in itertools.product(*pools):
-            children: list[Cotree] = []
+            children: list[tuple[int, ...]] = []
             for (size, _cnt), combo in zip(sizes_sorted, choice):
                 for idx in combo:
                     children.append(per_size[size][idx])
@@ -545,10 +532,11 @@ def _shapes(n: int, root: int) -> list[Cotree]:
     return results
 
 
-def _relabel_dfs(t: Cotree) -> Cotree:
-    """The same shape with leaves labelled 0..n-1 in depth-first order."""
+def _relabel_dfs(codes: Iterable[int]) -> tuple[int, ...]:
+    """The same shape with leaves labelled 0..n-1 in depth-first order; this
+    commutes with :func:`canonicalize`, which only drops node codes."""
     labels = itertools.count()
-    return Cotree(next(labels) if code >= 0 else code for code in t.codes)
+    return tuple(next(labels) if code >= 0 else code for code in codes)
 
 
 def all_cotrees(n: int) -> list[Cotree]:
@@ -556,9 +544,9 @@ def all_cotrees(n: int) -> list[Cotree]:
     if n < 1:
         return []
     if n == 1:
-        return [leaf(0)]
+        return [Cotree(leaf(0))]
     shapes = _shapes(n, UNION) + _shapes(n, JOIN)
-    return [_relabel_dfs(s) for s in shapes]
+    return [Cotree(_relabel_dfs(s)) for s in shapes]
 
 
 def _merged_pair(parts: list[list[int]], i: int, j: int, kind: int) -> None:
@@ -580,7 +568,7 @@ def random_cotree(n: int, rng: random.Random) -> Cotree:
         if j < i:
             i, j = j, i
         _merged_pair(parts, i, j, UNION if rng.random() < 0.5 else JOIN)
-    return canonicalize(Cotree(parts[0]))
+    return canonicalize(parts[0])
 
 
 def random_twin_free_cotree(n: int, rng: random.Random) -> Cotree:
@@ -604,7 +592,7 @@ def random_twin_free_cotree(n: int, rng: random.Random) -> Cotree:
         universal[j] = universal[-1]
         universal.pop()
         _merged_pair(parts, i, j, kind)
-    return canonicalize(Cotree(parts[0]))
+    return canonicalize(parts[0])
 
 
 # -- file formats -------------------------------------------------------------
@@ -635,10 +623,11 @@ def _parse_rows(text: str, keyword: str, noun: str, convert) -> list:
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith(keyword):
+    head = lines[0].split() if lines else []
+    if not head or head[0] != keyword:
         raise ModelFormatError(f"missing '{keyword} <n>' header")
     try:
-        n = int(lines[0].split()[1])
+        n = int(head[1])
     except (IndexError, ValueError):
         raise ModelFormatError(f"bad header: {lines[0]!r}") from None
     rows: dict = {}
@@ -693,8 +682,8 @@ def parse_cotree(text: str) -> Cotree:
     Tokens go straight into post-order codes.  A node opened directly under
     an open node of its own kind hands its children to that node, so the
     chain is merged as it is read; each written node still needs two
-    children of its own.  Labels are checked once the text has parsed, so a
-    syntax error wins over a label error.
+    children of its own.  ``Cotree`` checks the labels once the text has
+    parsed, so a syntax error wins over a label error.
     """
     body = "\n".join(
         ln for ln in text.splitlines() if not ln.lstrip().startswith("#")
@@ -750,9 +739,7 @@ def parse_cotree(text: str) -> Cotree:
         raise ModelFormatError("trailing tokens after cotree expression")
     if negative:
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
-    t = Cotree(codes)
-    validate_cotree(t)
-    return t
+    return Cotree(codes)
 
 
 def format_cotree(t: Cotree) -> str:
@@ -785,20 +772,17 @@ Model = Union[Graph, IntervalModel, PermutationModel, Cotree]
 
 
 def parse_model(text: str) -> Model:
-    """Dispatch on the header keyword: graph, intervals, permutation, or '('."""
-    stripped = ""
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if ln and not ln.startswith("#"):
-            stripped = ln
-            break
-    if stripped.startswith("graph"):
+    """Dispatch on the first token of the first line that is not a comment:
+    the keyword graph, intervals or permutation, or a cotree's '('."""
+    first = next((ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"), "")
+    keyword = first.split()[0] if first else ""
+    if keyword == "graph":
         return Graph.from_text(text)
-    if stripped.startswith("intervals"):
+    if keyword == "intervals":
         return parse_interval_model(text)
-    if stripped.startswith("permutation"):
+    if keyword == "permutation":
         return parse_permutation_model(text)
-    if stripped.startswith("(") or stripped.isdigit():
+    if first.startswith("(") or first.isdigit():
         return parse_cotree(text)
     raise ModelFormatError("unrecognized model file header")
 

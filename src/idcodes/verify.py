@@ -150,6 +150,10 @@ def separation_violation(
     Per kind: SEP_ID / IC compare closed signatures over all vertices,
     SEP_LD / LD only over vertices outside the candidate, SEP_OLD / OLD
     compare open signatures over all vertices.
-    Returns None when all relevant pairs are separated.
+    Returns None when all relevant pairs are separated; raises ValueError
+    for RS, whose distance vectors no signature pair stands for.
     """
-    return first_collision(g.masks, vertex_mask(candidate, g.n), kind)
+    s = vertex_mask(candidate, g.n)
+    if kind is ProblemKind.RS:
+        raise ValueError("a resolving set has no separation pair; use check")
+    return first_collision(g.masks, s, kind)

@@ -20,7 +20,7 @@ from idcodes.bounds import (
 )
 from idcodes.generators import ext_interval_ic
 from idcodes.graph import Graph, path_graph
-from idcodes.models import IntervalModel, PermutationModel, leaf, union_node
+from idcodes.models import Cotree, IntervalModel, PermutationModel, leaf, union_node
 from idcodes.verify import ProblemKind
 
 PK = ProblemKind
@@ -112,7 +112,7 @@ class TestAttestation:
         assert attest_class(tri) is GC.PERMUTATION
 
     def test_cotree_and_graph(self):
-        assert attest_class(union_node(leaf(0), leaf(1))) is GC.COGRAPH
+        assert attest_class(Cotree(union_node(leaf(0), leaf(1)))) is GC.COGRAPH
         assert attest_class(path_graph(3)) is GC.GENERAL
 
 
@@ -166,7 +166,7 @@ class TestCertify:
 
     def test_cograph_hypothesis(self):
         with pytest.raises(HypothesisNotMet):
-            certify(leaf(0), [0], PK.IC)
+            certify(Cotree(leaf(0)), [0], PK.IC)
 
     def test_soundness_sweep_all_classes(self):
         """Oracle-minimum solutions stay inside each class bound.

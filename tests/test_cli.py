@@ -16,6 +16,12 @@ from idcodes.models import IntervalModel, format_interval_model
 P5 = "graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
 K2 = "graph 2\ne 0 1\n"
 C4_COTREE = "(J (U 0 1) (U 2 3))\n"
+# the complete tripartite graph K_{2,2,3}: a join of three independent sets
+K223_COTREE = "(J (U 0 1) (U 2 3) (U 4 5 6))\n"
+K223_GRAPH = "graph 7\n" + "".join(
+    f"e {u} {v}\n" for u in range(7) for v in range(u + 1, 7)
+    if not {u, v} <= {0, 1} and not {u, v} <= {2, 3} and not {u, v} <= {4, 5, 6}
+)
 
 
 @pytest.fixture
@@ -172,33 +178,46 @@ class TestCographCmd:
 
 
 class TestOneFoldPerRequest:
-    """A cograph request validates its cotree at most twice, in the parser and
-    in the solver, and folds it once, witness included."""
+    """A cograph request, witness included, and a cograph-family generate
+    check their cotree once, when the Cotree is built, and fold it once."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         from idcodes import cograph, models
 
-        counts = {"fold_cotree": 0, "validate_cotree": 0}
+        # the constructor's check, and the fold
+        counts = {"_checked_codes": 0, "fold_cotree": 0}
         for name in counts:
             def counted(*args, _name=name, _original=getattr(models, name)):
                 counts[_name] += 1
                 return _original(*args)
 
             for module in (models, cograph):
-                monkeypatch.setattr(module, name, counted)
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         return counts
 
     @pytest.mark.parametrize("problem", ["ic", "ld", "md"])
     def test_cograph_witness(self, workdir, capsys, counts, problem):
         path = workdir / "k223.cotree"
-        path.write_text("(J (U 0 1) (U 2 3) (U 4 5 6))\n")
+        path.write_text(K223_COTREE)
         code, out, _ = run_cli(
             ["cograph", "--problem", problem, "--cotree", path, "--witness"], capsys
         )
         assert code == 0 and " witness=" in out
-        assert counts["fold_cotree"] == 1
-        assert counts["validate_cotree"] <= 2
+        assert counts == {"_checked_codes": 1, "fold_cotree": 1}
+
+    @pytest.mark.parametrize("name,text", [("k223.cotree", K223_COTREE), ("k223.graph", K223_GRAPH)],
+                             ids=["cotree", "graph"])
+    @pytest.mark.parametrize("witness", [[], ["--witness"]], ids=["value", "witness"])
+    def test_cotree_or_graph_input(self, workdir, capsys, counts, name, text, witness):
+        # a graph file's tree is built once, by recognition
+        path = workdir / name
+        path.write_text(text)
+        code, out, _ = run_cli(["cograph", "--problem", "ic", "--cotree", path, *witness], capsys)
+        assert (code, out) == (0, "k=5 emp=false univ=true sep=5"
+                               + (" witness=0,1,3,5,6" if witness else "") + "\n")
+        assert counts == {"_checked_codes": 1, "fold_cotree": 1}
 
     @pytest.mark.parametrize("family", ["cograph-id", "cograph-ld"])
     def test_generate(self, workdir, capsys, counts, family):
@@ -208,7 +227,7 @@ class TestOneFoldPerRequest:
             capsys,
         )
         assert code == 0
-        assert counts["fold_cotree"] == 1
+        assert counts == {"_checked_codes": 1, "fold_cotree": 1}
 
 
 class TestGenerateCertify:
@@ -397,6 +416,13 @@ DOMAIN_ERRORS = [
      "parse error: interval ids must be exactly 0..n-1"),
     (["compile-model", "--input", "huge.perm"], 3,
      "parse error: segment ids must be exactly 0..n-1"),
+    # a header keyword is a whole first token, not a prefix of one
+    (["compile-model", "--input", "prefix.graph"], 3,
+     "parse error: unrecognized model file header"),
+    (["compile-model", "--input", "prefix.intervals"], 3,
+     "parse error: unrecognized model file header"),
+    (["compile-model", "--input", "prefix.perm"], 3,
+     "parse error: unrecognized model file header"),
     # {dir} stands for the test's working directory
     (["compile-model", "--input", "huge.graph"], 4,
      "cannot load {dir}/huge.graph: too large to allocate"),
@@ -425,6 +451,9 @@ class TestDomainErrors:
             (workdir / f"huge.{ext}").write_text(f"{header} {2**62}\n")
             (workdir / f"negative.{ext}").write_text(f"{header} -3\n")
         (workdir / "overflow.graph").write_text(f"graph {10**20}\n")
+        (workdir / "prefix.graph").write_text("graphite 2\n")
+        (workdir / "prefix.intervals").write_text("intervalsx 1\n0 0 1\n")
+        (workdir / "prefix.perm").write_text("permutations 1\n0 0 0\n")
         paths = [workdir / a if "." in a or a == "fam" else a for a in argv]
         message = message.replace("{dir}", str(workdir))
         assert run_cli(paths, capsys) == (code, "", message + "\n")

@@ -24,7 +24,6 @@ from idcodes.models import (
     canonicalize,
     cograph_recognize,
     complement_cotree,
-    cotree_leaves,
     cotree_to_graph,
     fold_cotree,
     format_cotree,
@@ -41,19 +40,19 @@ from idcodes.verify import ProblemKind, check
 
 
 def _rebuilt(t, node_fn=None):
-    """t rebuilt node by node with the construction helpers; node_fn(kind,
-    kids) may see (and reorder) each node's children first."""
+    """t rebuilt node by node from raw codes with the construction helpers;
+    node_fn(kind, kids) may see (and reorder) each node's children first."""
 
     def node(kind, kids):
         if node_fn is not None:
             node_fn(kind, kids)
         return (join_node if kind == JOIN else union_node)(*kids)
 
-    return fold_cotree(t, leaf, node)
+    return Cotree(fold_cotree(t, leaf, node))
 
 
 def _root_children(t):
-    """The root's child subtrees (none for a single leaf)."""
+    """The root's child subtrees as raw codes (none for a single leaf)."""
     last = []
 
     def keep(_kind, kids):
@@ -72,18 +71,18 @@ def test_one_public_entry_point():
 class TestBaseCases:
     def test_single_vertex(self):
         for kind in (ProblemKind.SEP_ID, ProblemKind.SEP_LD):
-            assert solve_cotree(leaf(0), kind).summary == CographSummary(0, True, True, 1)
+            assert solve_cotree(Cotree(leaf(0)), kind).summary == CographSummary(0, True, True, 1)
 
     def test_two_isolated_id(self):
-        s = solve_cotree(union_node(leaf(0), leaf(1)), ProblemKind.SEP_ID).summary
+        s = solve_cotree(Cotree(union_node(leaf(0), leaf(1))), ProblemKind.SEP_ID).summary
         assert (s.k, s.emp, s.univ) == (1, True, True)
 
     def test_two_isolated_ld(self):
-        s = solve_cotree(union_node(leaf(0), leaf(1)), ProblemKind.SEP_LD).summary
+        s = solve_cotree(Cotree(union_node(leaf(0), leaf(1))), ProblemKind.SEP_LD).summary
         assert (s.k, s.emp, s.univ) == (1, True, False)
 
     def test_edge_ld(self):
-        s = solve_cotree(join_node(leaf(0), leaf(1)), ProblemKind.SEP_LD).summary
+        s = solve_cotree(Cotree(join_node(leaf(0), leaf(1))), ProblemKind.SEP_LD).summary
         assert (s.k, s.emp, s.univ) == (1, False, True)
 
     def test_c4(self):
@@ -98,18 +97,18 @@ class TestBaseCases:
         assert solve_cotree(t, ProblemKind.IC).value == 3
 
     def test_gamma_values(self):
-        two = union_node(leaf(0), leaf(1))
+        two = Cotree(union_node(leaf(0), leaf(1)))
         assert solve_cotree(two, ProblemKind.IC).value == 2
-        assert solve_cotree(leaf(0), ProblemKind.LD).value == 1
-        assert solve_cotree(leaf(0), ProblemKind.RS).value == 0
+        assert solve_cotree(Cotree(leaf(0)), ProblemKind.LD).value == 1
+        assert solve_cotree(Cotree(leaf(0)), ProblemKind.RS).value == 0
 
     def test_twins_rejected(self):
         with pytest.raises(TwinsPresent):
-            solve_cotree(join_node(leaf(0), leaf(1)), ProblemKind.SEP_ID)
+            solve_cotree(Cotree(join_node(leaf(0), leaf(1))), ProblemKind.SEP_ID)
 
     def test_dim_needs_connected(self):
         with pytest.raises(Disconnected):
-            solve_cotree(union_node(leaf(0), leaf(1)), ProblemKind.RS)
+            solve_cotree(Cotree(union_node(leaf(0), leaf(1))), ProblemKind.RS)
 
 
 class TestOracleEquivalence:
@@ -209,9 +208,9 @@ class TestOldFlavor:
                 assert (s.k, s.emp, s.univ) == expected, format_cotree(t)
 
     def test_gate_and_gamma(self):
-        assert solve_cotree(join_node(leaf(0), leaf(1)), ProblemKind.OLD).value == 2
+        assert solve_cotree(Cotree(join_node(leaf(0), leaf(1))), ProblemKind.OLD).value == 2
         with pytest.raises(NoOldSolution):
-            solve_cotree(leaf(0), ProblemKind.OLD)
+            solve_cotree(Cotree(leaf(0)), ProblemKind.OLD)
 
     def test_gamma_old_matches_oracle(self):
         for n in range(1, 8):
@@ -246,9 +245,9 @@ class TestFoldProperties:
             t = random_cotree(rng.randint(2, 10), rng)
             whole = solve_cotree(t, ProblemKind.SEP_LD).summary.k
             for c in _root_children(t):
-                relabel = {v: i for i, v in enumerate(sorted(cotree_leaves(c)))}
-                rl = Cotree(relabel[v] if v >= 0 else v for v in c.codes)
-                assert solve_cotree(canonicalize(rl), ProblemKind.SEP_LD).summary.k <= whole
+                relabel = {v: i for i, v in enumerate(sorted(v for v in c if v >= 0))}
+                rl = Cotree(relabel[v] if v >= 0 else v for v in c)
+                assert solve_cotree(rl, ProblemKind.SEP_LD).summary.k <= whole
 
     def test_child_order_invariance(self):
         # flags and value do not depend on the fold order of n-ary children
@@ -327,7 +326,7 @@ class TestWitnesses:
 )
 def test_malformed_raw_codes(codes, message):
     with pytest.raises(MalformedCotree, match=message):
-        solve_cotree(Cotree(codes), ProblemKind.SEP_ID)
+        Cotree(codes)
 
 
 class TestScaling:
@@ -389,7 +388,7 @@ class TestDeepCotrees:
             assert self.LEAVES > sys.getrecursionlimit()
             assert format_cotree(parse_cotree(text)) == text
             assert format_cotree(complement_cotree(complement_cotree(t))) == text
-            assert format_cotree(canonicalize(t)) == text
+            assert format_cotree(canonicalize(t.codes)) == text
             summary = solve_cotree(t, ProblemKind.SEP_LD).summary
             w = solve_cotree(t, ProblemKind.LD, witness=True).witness
         finally:
@@ -410,7 +409,7 @@ class TestDeepCotrees:
             assert format_cotree(parse_cotree(text)) == text
             assert complement_cotree(complement_cotree(t)) == t
             assert complement_cotree(t) != t
-            assert canonicalize(t) == t
+            assert canonicalize(t.codes) == t
             summary = solve_cotree(t, ProblemKind.SEP_LD).summary
             code = main(["cograph", "--problem", "ld", "--cotree", str(path)])
         finally:
@@ -439,7 +438,7 @@ class TestDeepCotrees:
         a, b = self._caterpillar(3000), self._caterpillar(3000)
         assert a is not b and a == b and hash(a) == hash(b)
         assert repr(a) == f"<Cotree {format_cotree(a)}>"
-        c = join_node(leaf(0), self._caterpillar(2999))
+        c = Cotree(union_node(self._caterpillar(2999).codes, leaf(2999)))
         assert a != c
 
     def test_equality_and_hash_as_before_on_small_trees(self):

@@ -261,6 +261,7 @@ class TestTextFormat:
             ("graph 3\ne 1 0\n", GraphFormatError, "edge (1,0) violates 0 <= u < v < n"),
             ("graph 3\ne 0 x\n", GraphFormatError, "bad edge line: 'e 0 x'"),
             ("e 0 1\n", GraphFormatError, "missing 'graph <n>' header"),
+            ("graphite 2\n", GraphFormatError, "missing 'graph <n>' header"),
         ],
     )
     def test_bad_text_class_and_message(self, text, cls, message):

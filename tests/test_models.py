@@ -7,6 +7,9 @@ import pytest
 
 from idcodes.graph import Graph, complete_graph, cycle_graph, empty_graph, path_graph, star_graph
 from idcodes.models import (
+    JOIN,
+    UNION,
+    Cotree,
     DegenerateInterval,
     DuplicateIndex,
     IntervalModel,
@@ -19,7 +22,6 @@ from idcodes.models import (
     canonicalize,
     cograph_recognize,
     complement_cotree,
-    cotree_masks,
     cotree_to_graph,
     format_cotree,
     format_interval_model,
@@ -28,6 +30,7 @@ from idcodes.models import (
     is_unit_model,
     join_node,
     leaf,
+    node_code,
     normalized_segments,
     parse_cotree,
     parse_interval_model,
@@ -38,7 +41,6 @@ from idcodes.models import (
     random_twin_free_cotree,
     read_model,
     union_node,
-    validate_cotree,
     write_model,
 )
 from idcodes.graph import closed_twins
@@ -222,32 +224,30 @@ class TestModelScaling:
 
 class TestCotree:
     def test_c4(self):
-        t = join_node(union_node(leaf(0), leaf(1)), union_node(leaf(2), leaf(3)))
+        t = Cotree(join_node(union_node(leaf(0), leaf(1)), union_node(leaf(2), leaf(3))))
         g = cotree_to_graph(t)
         assert g.n == 4 and g.num_edges() == 4
         assert sorted(g.adj[0]) == [2, 3]
 
     def test_leaf(self):
-        assert cotree_to_graph(leaf(0)) == complete_graph(1)
+        assert cotree_to_graph(Cotree(leaf(0))) == complete_graph(1)
 
     def test_union(self):
-        assert cotree_to_graph(union_node(leaf(0), leaf(1), leaf(2))) == empty_graph(3)
+        assert cotree_to_graph(Cotree(union_node(leaf(0), leaf(1), leaf(2)))) == empty_graph(3)
 
     def test_malformed(self):
         with pytest.raises(MalformedCotree):
-            validate_cotree(union_node(leaf(0), union_node(leaf(1), leaf(2))))
+            Cotree(union_node(leaf(0), union_node(leaf(1), leaf(2))))
         with pytest.raises(MalformedCotree):
-            validate_cotree(union_node(leaf(0), leaf(2)))
+            Cotree(union_node(leaf(0), leaf(2)))
 
     def test_canonicalize_merges_chains(self):
         t = canonicalize(union_node(leaf(0), union_node(leaf(1), leaf(2))))
-        validate_cotree(t)
-        assert t == union_node(leaf(0), leaf(1), leaf(2))
+        assert t == Cotree(union_node(leaf(0), leaf(1), leaf(2)))
 
     def test_canonicalize_drops_a_lone_child_node(self):
         t = canonicalize(join_node(union_node(leaf(0), leaf(1))))
-        validate_cotree(t)
-        assert t == union_node(leaf(0), leaf(1))
+        assert t == Cotree(union_node(leaf(0), leaf(1)))
 
     def test_recognize_c4(self):
         t = cograph_recognize(cycle_graph(4))
@@ -286,7 +286,7 @@ class TestCotree:
                 assert cotree_to_graph(cograph_recognize(g)) == g
 
     def test_cotree_file_comments(self):
-        assert parse_cotree("# a comment\n(U 0 1)\n") == union_node(leaf(0), leaf(1))
+        assert parse_cotree("# a comment\n(U 0 1)\n") == Cotree(union_node(leaf(0), leaf(1)))
 
     def test_complement_cotree(self):
         rng = random.Random(14)
@@ -308,11 +308,56 @@ class TestCotree:
         trees = [t for n in range(1, 9) for t in all_cotrees(n)]
         trees += [random_cotree(rng.randint(9, 60), rng) for _ in range(50)]
         for t in trees:
-            assert cotree_to_graph(t) == Graph.from_masks(cotree_masks(t))
+            g = cotree_to_graph(t)
+            assert g == Graph.from_masks(g.masks)
 
     def test_all_cotrees_counts(self):
         # one shape per unlabelled cograph
         assert [len(all_cotrees(n)) for n in range(1, 8)] == [1, 2, 4, 10, 24, 66, 180]
+
+
+def _is_cotree(codes) -> bool:
+    """Reference definition: one post-order tree whose every node has at
+    least two children, none of its own kind, with leaves 0..n-1 once each."""
+
+    def start(end, parent_kind):
+        # Where the subtree ending just before `end` begins, or None.
+        if end == 0:
+            return None
+        code = codes[end - 1]
+        if code >= 0:
+            return end - 1
+        kind, arity = ~code & 1, ~code >> 1
+        if arity < 2 or kind == parent_kind:
+            return None
+        end -= 1
+        for _ in range(arity):
+            end = start(end, kind)
+            if end is None:
+                return None
+        return end
+
+    leaves = sorted(code for code in codes if code >= 0)
+    return start(len(codes), None) == 0 and leaves == list(range(len(leaves)))
+
+
+def test_constructor_accepts_exactly_the_valid_codes(tmp_path):
+    # every tuple of at most 6 codes over leaves 0..3 and nodes of arity 1..3
+    alphabet = [0, 1, 2, 3] + [node_code(kind, a) for kind in (UNION, JOIN) for a in (1, 2, 3)]
+    path = tmp_path / "t.cotree"
+    accepted = 0
+    for length in range(7):
+        for codes in itertools.product(alphabet, repeat=length):
+            try:
+                t = Cotree(codes)
+            except MalformedCotree:
+                assert not _is_cotree(codes), codes
+                continue
+            assert _is_cotree(codes), codes
+            accepted += 1
+            write_model(t, path)
+            assert read_model(path) == t
+    assert accepted > 100
 
 
 class TestFileFormats:
@@ -329,13 +374,13 @@ class TestFileFormats:
         assert parse_cotree(format_cotree(t)) == t
 
     def test_cotree_single_leaf(self):
-        assert parse_cotree("0") == leaf(0)
+        assert parse_cotree("0") == Cotree(leaf(0))
 
     def test_parse_model_dispatch(self):
         assert isinstance(parse_model("graph 1\n"), object)
         assert isinstance(parse_model("intervals 1\n0 0 1\n"), IntervalModel)
         assert isinstance(parse_model("permutation 1\n0 0 0\n"), PermutationModel)
-        assert parse_model("(U 0 1)") == union_node(leaf(0), leaf(1))
+        assert parse_model("(U 0 1)") == Cotree(union_node(leaf(0), leaf(1)))
 
     def test_bad_files(self):
         with pytest.raises(ModelFormatError):
@@ -378,6 +423,7 @@ class TestFileFormats:
     # than the rows fails before anything of that size is built.
     BAD_ROW_FILES = [
         (parse_interval_model, "", "missing 'intervals <n>' header"),
+        (parse_interval_model, "intervalsx 1\n0 0 1\n", "missing 'intervals <n>' header"),
         (parse_interval_model, "intervals\n", "bad header: 'intervals'"),
         (parse_interval_model, "intervals two\n", "bad header: 'intervals two'"),
         (parse_interval_model, "intervals 1\n0 1\n", "bad interval line: '0 1'"),
@@ -392,6 +438,7 @@ class TestFileFormats:
         (parse_interval_model, "intervals -1\n0 0 1\n", "interval ids must be exactly 0..n-1"),
         (parse_interval_model, f"intervals {2**62}\n", "interval ids must be exactly 0..n-1"),
         (parse_permutation_model, "", "missing 'permutation <n>' header"),
+        (parse_permutation_model, "permutations 1\n0 0 0\n", "missing 'permutation <n>' header"),
         (parse_permutation_model, "permutation\n", "bad header: 'permutation'"),
         (parse_permutation_model, "permutation 1.5\n", "bad header: 'permutation 1.5'"),
         (parse_permutation_model, "permutation 1\n0 0\n", "bad segment line: '0 0'"),

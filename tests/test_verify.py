@@ -167,6 +167,13 @@ class TestSeparating:
         pair = separation_violation(complete_graph(2), [0, 1], ProblemKind.IC)
         assert pair == (0, 1)
 
+    def test_no_violation_pair_for_resolving_sets(self):
+        # {0} resolves P3, where 0 and 1 still share a closed signature
+        g = path_graph(3)
+        assert check(g, [0], ProblemKind.RS)
+        with pytest.raises(ValueError, match="resolving set"):
+            separation_violation(g, [0], ProblemKind.RS)
+
     def test_sep_plus_domination_is_the_full_property(self):
         rng = random.Random(22)
         for _ in range(300):
