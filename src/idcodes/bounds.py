@@ -13,7 +13,6 @@ prior-work reference values for cross-checking only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -29,7 +28,7 @@ from .models import (
     is_unit_model,
     model_to_graph,
 )
-from .verify import ProblemKind
+from .verify import SEPARATING, ProblemKind
 
 __all__ = [
     "GraphClass",
@@ -78,16 +77,14 @@ class VerifierFailed(BoundsError):
     """The claimed solution does not pass its verifier."""
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+class BoundQuery(NamedTuple):
     graph_class: GraphClass
     kind: ProblemKind
     k: int
     d: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     max_n: int
     theorem_label: str
     satisfied: Optional[bool] = None
@@ -148,12 +145,10 @@ _TABLE = {
     (GraphClass.GENERAL, ProblemKind.RS): _Bound(lambda k, d: d**k + k, "n<=D^k+k", needs_d=True),
 }
 
-_SEPARATING = (ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD)
-
 
 def _bound(graph_class: GraphClass, kind: ProblemKind) -> _Bound:
     """The table row for the pair; separating kinds have none in any class."""
-    if kind in _SEPARATING:
+    if SEPARATING.get(kind) is kind:
         raise UnsupportedCombination("bounds are stated for the dominating variants")
     row = _TABLE.get((graph_class, kind))
     if row is None:
@@ -245,8 +240,7 @@ def certify(
         and graph_class in (None, GraphClass.COGRAPH)
     )
     bound_kind = _SEP_GAMMA[kind] if at_gamma else kind
-    if bound_kind in _SEPARATING:  # no row in any class: reject before verifying
-        _bound(GraphClass.GENERAL, bound_kind)
+    _bound(GraphClass.GENERAL, bound_kind)  # rejects a separating kind before verifying
     g = model_to_graph(model)
     solution = frozenset(solution)
     if not _verify.check(g, solution, kind):

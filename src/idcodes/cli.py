@@ -32,16 +32,7 @@ EXIT_DOMAIN = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
 
-_PROBLEMS = {
-    "ic": ProblemKind.IC,
-    "ld": ProblemKind.LD,
-    "old": ProblemKind.OLD,
-    "md": ProblemKind.RS,
-    "rs": ProblemKind.RS,
-    "sep-id": ProblemKind.SEP_ID,
-    "sep-ld": ProblemKind.SEP_LD,
-    "sep-old": ProblemKind.SEP_OLD,
-}
+_PROBLEMS = {k.value: k for k in ProblemKind} | {"md": ProblemKind.RS}
 
 
 class CliError(Exception):

@@ -7,35 +7,36 @@ properties are
 
   emp:  every minimum separating set leaves a vertex with empty signature;
   univ: every minimum separating set has a vertex dominated by the whole set
-        (for the "ld" flavor that vertex must lie outside the set).
+        (under SEP_LD that vertex must lie outside the set).
 
-One entry point, :func:`solve_cotree`, serves every kind.  A table gives
-each kind its flavor ("id", "ld" or "old") and whether it repairs: the
-dominating kinds IC, LD and OLD add one vertex exactly when every minimum
-separating set leaves a hole, so their value is k + [emp].  RS uses the
-"ld" flavor without repair, since a connected cograph has diameter at most
-2, where resolving and separating sets coincide.  A Cotree is valid by
-construction, so the tree is only folded, once; the fold also runs the
-flavor's twin gate and carries whether each subtree has a universal and an
-isolated vertex, so the root tells whether OLD has a solution at all.
+One entry point, :func:`solve_cotree`, serves every kind.  The fold runs on
+the separating kind the kind refines (``verify.SEPARATING``): SEP_ID, SEP_LD
+or SEP_OLD.  The dominating kinds IC, LD and OLD add one repair vertex
+exactly when every minimum separating set leaves a hole, so their value is
+k + [emp].  RS folds as SEP_LD without repair, since a connected cograph has
+diameter at most 2, where resolving and separating sets coincide.  A Cotree
+is valid by construction, so the tree is only folded, once; the fold also
+runs the separating kind's twin gate and carries whether each subtree has a
+universal and an isolated vertex, so the root tells whether OLD has a
+solution at all.
 
 A witness is never returned unverified: the assembled set goes through
 ``verify.check`` on the graph ``cotree_to_graph`` compiles.  An RS witness is
 checked there as a SEP_LD set, which needs no breadth-first search: in a
 graph of diameter at most 2 every distance is 0, 1 or 2, so a member is
 told apart by its 0 and a non-member's distance vector is its
-neighbourhood in the set, and the vectors differ exactly when the "ld"
+neighbourhood in the set, and the vectors differ exactly when the SEP_LD
 signatures do.
 
-One merge rule, ``_merge``, combines two subtrees for every flavor and both
-node kinds.  A union adds one to the value exactly when both parts have emp;
-emp carries over from either part, and univ survives only when one part is
-a single vertex and the other has univ without emp.  A join is the same rule
-with emp and univ exchanged, because complementing a cograph swaps unions
-with joins and emp with univ.  The flavors differ only when both parts are
-single vertices, and those exceptions are data, ``_TWO_SINGLETONS``: the
-"id" flavor needs univ(single ⊕ single) = True and the "old" flavor needs
-emp(single ⋈ single) = True, both forced by the literal definitions and
+One merge rule, ``_merge``, combines two subtrees for every separating kind
+and both node kinds.  A union adds one to the value exactly when both parts
+have emp; emp carries over from either part, and univ survives only when
+one part is a single vertex and the other has univ without emp.  A join is
+the same rule with emp and univ exchanged, because complementing a cograph
+swaps unions with joins and emp with univ.  The separating kinds differ only
+when both parts are single vertices, and those exceptions are data,
+``_TWO_SINGLETONS``: SEP_ID needs univ(single ⊕ single) = True and SEP_OLD
+needs emp(single ⋈ single) = True, both forced by the literal definitions and
 cross-checked exhaustively against the subset-enumeration oracle.  The fold
 runs this rule through ``models.fold_cotree``: one pass over the cotree's
 post-order codes (:class:`models.Cotree`), with the children's values on a
@@ -54,11 +55,11 @@ Parts A then B merge as follows:
       if B is one vertex, B's cov and A's hole if A is, else none.
   union, bump: both parts have a hole.  B's is added if B is one vertex,
       else A's, and the other stays the hole; cov, nn are B's hole and A's
-      hole for "id" with two single vertices, else none.
+      hole under SEP_ID with two single vertices, else none.
   join, no bump: the hole is A's if B is one vertex, B's if A is, else
       none; cov, nn are A's if A has a cov, else B's.
-  join, bump: both parts have a cov; no hole.  "ld" adds B's cov if B is
-      one vertex, else A's.  "id" adds the first that exists of A's hole if
+  join, bump: both parts have a cov; no hole.  SEP_LD adds B's cov if B is
+      one vertex, else A's.  SEP_ID adds the first that exists of A's hole if
       B is one vertex, B's hole if A is, A's nn, B's nn.  cov, nn are those
       of the part the added vertex is not in.
 
@@ -66,20 +67,19 @@ It holds because across a union a vertex of A and one of B see disjoint
 parts of the set, so their signatures can be equal only when both are
 empty; across a join each sees the other part's whole set, so theirs can be
 equal only when both are their own part's whole set; adding a vertex never
-makes two distinct signatures equal; and in an "id" join bump the twin gate
+makes two distinct signatures equal; and in a SEP_ID join bump the twin gate
 guarantees that A's or B's nn exists, since without one both covered
 vertices would be universal in their parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .exact import OpenTwinsPresent, TwinsPresent
 from .graph import Disconnected
 from .models import JOIN, UNION, Cotree, cotree_to_graph, fold_cotree
-from .verify import ProblemKind, check
+from .verify import SEPARATING, ProblemKind, check
 
 __all__ = [
     "CographSummary",
@@ -97,8 +97,7 @@ class WitnessUnavailable(Exception):
     """No verified witness could be produced for this cotree."""
 
 
-@dataclass(frozen=True)
-class CographSummary:
+class CographSummary(NamedTuple):
     """Separating-set size and property flags for one cograph."""
 
     k: int
@@ -117,24 +116,26 @@ class CotreeSolution(NamedTuple):
 
 # -- the merge rule -----------------------------------------------------------
 #
-# A subtree's state is (k, emp, univ, n).  The flavor exceptions, both for
-# two single vertices: two isolated ones under "id" (each singleton set
-# covers itself, so univ) and an adjacent pair under "old" (each singleton
-# set misses its own vertex, so emp).
+# A subtree's state is (k, emp, univ, n).  The exceptions per separating
+# kind, the node kind at which two single vertices break the rule: two
+# isolated ones under SEP_ID (each singleton set covers itself, so univ) and
+# an adjacent pair under SEP_OLD (each singleton set misses its own vertex,
+# so emp).  The fold looks its entry up once and merges on plain ints.
 
-_TWO_SINGLETONS = {("id", UNION), ("old", JOIN)}
+_TWO_SINGLETONS = {ProblemKind.SEP_ID: UNION, ProblemKind.SEP_OLD: JOIN}
 
 _LEAF = (0, True, True, 1)
 
 
-def _merge(a, b, kind: int, flavor: str) -> tuple[int, bool, bool, int]:
-    """State of the union (or join) of two subtrees with states a and b."""
+def _merge(a, b, kind: int, singles: Optional[int]) -> tuple[int, bool, bool, int]:
+    """State of the union (or join) of two subtrees with states a and b;
+    ``singles`` is the separating kind's entry of ``_TWO_SINGLETONS``."""
     ka, emp_a, univ_a, na = a
     kb, emp_b, univ_b, nb = b
     join = kind == JOIN
     if join:
         emp_a, univ_a, emp_b, univ_b = univ_a, emp_a, univ_b, emp_b
-    if na == 1 and nb == 1 and (flavor, kind) in _TWO_SINGLETONS:
+    if na == 1 and nb == 1 and kind == singles:
         univ = True
     elif na == 1:
         univ = univ_b and not emp_b
@@ -149,18 +150,20 @@ def _merge(a, b, kind: int, flavor: str) -> tuple[int, bool, bool, int]:
     return k, emp, univ, na + nb
 
 
-def _witness_merge(a, b, kind: int, flavor: str, added: list[int]) -> tuple:
+def _witness_merge(
+    a, b, kind: int, sep: ProblemKind, singles: Optional[int], added: list[int]
+) -> tuple:
     """(state, hole, cov, nn) of parts a and b merged; a bump appends to `added`."""
     state_a, h_a, c_a, nn_a = a
     state_b, h_b, c_b, nn_b = b
-    state = _merge(state_a, state_b, kind, flavor)
+    state = _merge(state_a, state_b, kind, singles)
     one_a, one_b = state_a[3] == 1, state_b[3] == 1
     bump = state[0] > state_a[0] + state_b[0]
     if kind == UNION:
         if bump:  # both parts have a hole: one is added, the other stays
             hole, x = (h_a, h_b) if one_b else (h_b, h_a)
             added.append(x)
-            if flavor == "id" and one_a and one_b:
+            if sep is ProblemKind.SEP_ID and one_a and one_b:
                 return state, hole, h_b, h_a
             return state, hole, None, None
         hole = h_b if h_a is None else h_a
@@ -171,7 +174,7 @@ def _witness_merge(a, b, kind: int, flavor: str, added: list[int]) -> tuple:
         return (state, hole, c_a, nn_a) if c_a is not None else (state, hole, c_b, nn_b)
     # A bumped join: the two parts' covered vertices collide.  The added
     # vertex tells them apart, and the other part's one stays covered.
-    if flavor == "ld":
+    if sep is ProblemKind.SEP_LD:
         x, in_a = (c_b, False) if one_b else (c_a, True)
     elif one_b and h_a is not None:
         x, in_a = h_a, True
@@ -187,36 +190,26 @@ def _witness_merge(a, b, kind: int, flavor: str, added: list[int]) -> tuple:
 
 # -- the fold -----------------------------------------------------------------
 
-# The twin gate each flavor needs: closed twins appear exactly when a join
-# merges two parts that both contain a universal vertex, open twins exactly
-# when a union merges two parts that both contain an isolated vertex.
+# The twin gate each separating kind needs: closed twins appear exactly when
+# a join merges two parts that both contain a universal vertex, open twins
+# exactly when a union merges two parts that both contain an isolated vertex.
 _TWIN_GATES = {
-    "id": (JOIN, TwinsPresent, "cotree joins two parts with universal vertices"),
-    "old": (UNION, OpenTwinsPresent, "cotree unites two parts with isolated vertices"),
-}
-
-# Kind -> (fold flavor, whether the value adds the repair vertex on emp).
-_KINDS = {
-    ProblemKind.IC: ("id", True),
-    ProblemKind.LD: ("ld", True),
-    ProblemKind.OLD: ("old", True),
-    ProblemKind.RS: ("ld", False),
-    ProblemKind.SEP_ID: ("id", False),
-    ProblemKind.SEP_LD: ("ld", False),
-    ProblemKind.SEP_OLD: ("old", False),
+    ProblemKind.SEP_ID: (JOIN, TwinsPresent, "cotree joins two parts with universal vertices"),
+    ProblemKind.SEP_OLD: (UNION, OpenTwinsPresent, "cotree unites two parts with isolated vertices"),
 }
 
 
-def _fold(t: Cotree, flavor: str, witness: bool) -> tuple:
+def _fold(t: Cotree, sep: ProblemKind, witness: bool) -> tuple:
     """Post-order fold of the merge rule; n-ary nodes are combined left to right.
 
     Returns the root's part, whether its graph has an isolated vertex, and
     the vertices added at bumps.  A part is the state, or with a witness
     (state, hole, cov, nn).  Raises TwinsPresent / OpenTwinsPresent as soon
-    as a merge hits the flavor's twin gate, which is exactly when the
-    compiled graph has closed (open) twins.
+    as a merge hits the separating kind's twin gate, which is exactly when
+    the compiled graph has closed (open) twins.
     """
-    gate_kind, gate_error, gate_message = _TWIN_GATES.get(flavor, (None, None, None))
+    gate_kind, gate_error, gate_message = _TWIN_GATES.get(sep, (None, None, None))
+    singles = _TWO_SINGLETONS.get(sep)
     added: list[int] = []
 
     # Each value is (part, has a universal vertex, has an isolated vertex).
@@ -229,9 +222,9 @@ def _fold(t: Cotree, flavor: str, witness: bool) -> tuple:
             ):
                 raise gate_error(gate_message)
             if witness:
-                part = _witness_merge(part, b, kind, flavor, added)
+                part = _witness_merge(part, b, kind, sep, singles, added)
             else:
-                part = _merge(part, b, kind, flavor)
+                part = _merge(part, b, kind, singles)
             if join:
                 universal, isolated = universal or b_universal, False
             else:
@@ -247,24 +240,25 @@ def _fold(t: Cotree, flavor: str, witness: bool) -> tuple:
 def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeSolution:
     """Summary, minimum size and, if asked for, a verified minimum set of `kind`.
 
-    The summary is the fold's separating state for the kind's flavor; the
+    The summary is the fold's state for the kind's separating kind; the
     value adds the repair vertex for the dominating kinds when emp holds.
-    Raises TwinsPresent / OpenTwinsPresent for twins of the flavor,
+    Raises TwinsPresent / OpenTwinsPresent for twins of the separating kind,
     Disconnected for RS on a union root, NoOldSolution for OLD on a graph
     with an isolated vertex, and ValueError for a witness of the OLD kinds.
     Only the witness's final check compiles the graph
     (:func:`models.cotree_to_graph`); an RS witness is checked as a SEP_LD set.
     """
-    flavor, repair = _KINDS[kind]
-    if witness and flavor == "old":
+    rs = kind is ProblemKind.RS
+    sep = ProblemKind.SEP_LD if rs else SEPARATING[kind]
+    if witness and sep is ProblemKind.SEP_OLD:
         raise ValueError(f"witness reconstruction does not support {kind}")
-    part, isolated, added = _fold(t, flavor, witness)
+    part, isolated, added = _fold(t, sep, witness)
     summary = CographSummary(*(part[0] if witness else part))
-    if kind is ProblemKind.RS and t.root_kind == UNION:
+    if rs and t.root_kind == UNION:
         raise Disconnected("cotree root is a union")
     if kind is ProblemKind.OLD and isolated:
         raise NoOldSolution("a degree-0 vertex cannot be totally dominated")
-    repaired = repair and summary.emp
+    repaired = not rs and sep is not kind and summary.emp
     value = summary.k + (1 if repaired else 0)
     if not witness:
         return CotreeSolution(summary, value, None)
@@ -272,8 +266,7 @@ def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeS
         added.append(part[1])
     found = frozenset(added)
     # The root is a join or a leaf here, so the diameter is at most 2.
-    check_kind = ProblemKind.SEP_LD if kind is ProblemKind.RS else kind
-    if not check(cotree_to_graph(t), found, check_kind):
+    if not check(cotree_to_graph(t), found, sep if rs else kind):
         raise WitnessUnavailable(f"assembled set failed the {kind} verifier")
     if len(found) != value:
         raise WitnessUnavailable("assembled set has the wrong size")

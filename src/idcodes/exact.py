@@ -8,16 +8,18 @@ witness is deterministic.
 Every kind is checked as a hitting set: a subset S passes when it meets each
 mask of a list built once per graph, and one C-level
 ``all(map(and_, hit, repeat(mask)))`` decides it, with no Python loop over the
-vertices; ``mask`` is ``sum(map(bit.__getitem__, subset))``.  The list holds:
+vertices; ``mask`` is ``sum(map(bit.__getitem__, subset))``.  The list is
+built from the kind's row of ``verify.SEPARATING`` and its neighbourhood rows
+N[v] (N(v) under SEP_OLD, :func:`verify.neighbourhoods`).  It holds:
 
-- for domination (IC, LD, OLD), every closed (IC, LD) or open (OLD)
-  neighbourhood;
-- for each pair u < v, the vertices that separate them: ``N[u] ^ N[v]`` (IC,
-  SEP_ID), ``N(u) ^ N(v)`` (OLD, SEP_OLD), ``N[u] ^ N[v]`` plus u and v, since
-  a member needs no distinct signature (LD, SEP_LD), and the vertices at
-  different distances from u and v (RS).
+- for each pair u < v, the vertices that separate them: ``N[u] ^ N[v]``, plus
+  u and v under SEP_LD, since a member needs no distinct signature; for RS,
+  the vertices at different distances from u and v;
+- for the kinds that dominate (IC, LD, OLD), every row N[v].
 
-So the empty set passes exactly when the list is empty, for RS when n <= 1.
+A pair mask is empty exactly when u and v are twins, and a row exactly when
+v is isolated under OLD; those raise before any subset is tried.  So the
+empty set passes exactly when the list is empty, for RS when n <= 1.
 The list is deduplicated and sorted by size, so a failing subset usually stops
 at its first few masks.
 """
@@ -25,13 +27,13 @@ at its first few masks.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import combinations, repeat
 from math import comb
 from operator import and_
+from typing import NamedTuple
 
-from .graph import Graph, Disconnected, all_pairs_distances, closed_twins, is_connected, open_twins
-from .verify import ProblemKind, covered, undominated, vertex_mask
+from .graph import Graph, Disconnected, all_pairs_distances, is_connected
+from .verify import SEPARATING, ProblemKind, covered, neighbourhoods, undominated, vertex_mask
 
 __all__ = [
     "SolveResult",
@@ -69,11 +71,18 @@ class NoSolution(SolverError):
     """No set of any size satisfies the requested property."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     size: int
     witness: frozenset[int]
     kind: ProblemKind
+
+
+# The error for a pair that no set separates, by the separating kind whose
+# neighbourhoods the pair shares; under SEP_LD a pair's mask holds the pair.
+_TWINS = {
+    ProblemKind.SEP_ID: (TwinsPresent, "closed twins present"),
+    ProblemKind.SEP_OLD: (OpenTwinsPresent, "open twins present"),
+}
 
 
 class _Checker:
@@ -82,34 +91,24 @@ class _Checker:
 
     def __init__(self, g: Graph, kind: ProblemKind):
         n = self.n = g.n
-        closed = [m | 1 << v for v, m in enumerate(g.masks)]
         pairs = list(combinations(range(n), 2))
-        if kind in (ProblemKind.IC, ProblemKind.SEP_ID):
-            twins = closed_twins(g)
-            if twins:
-                raise TwinsPresent(f"closed twins present, e.g. {twins[0]}")
-            hit = [closed[u] ^ closed[v] for u, v in pairs]
-        elif kind in (ProblemKind.OLD, ProblemKind.SEP_OLD):
-            twins = open_twins(g)
-            if twins:
-                raise OpenTwinsPresent(f"open twins present, e.g. {twins[0]}")
-            if kind is ProblemKind.OLD and not all(g.masks):
-                raise NoSolution("a degree-0 vertex cannot be totally dominated")
-            hit = [g.masks[u] ^ g.masks[v] for u, v in pairs]
-        elif kind in (ProblemKind.LD, ProblemKind.SEP_LD):
-            hit = [closed[u] ^ closed[v] | 1 << u | 1 << v for u, v in pairs]
-        elif kind is ProblemKind.RS:
+        if kind is ProblemKind.RS:
             if not is_connected(g):
                 raise Disconnected("resolving sets need a connected graph")
             dist = all_pairs_distances(g)
             hit = [sum(1 << x for x in range(n) if dist[x][u] != dist[x][v]) for u, v in pairs]
         else:
-            raise ValueError(f"unsupported kind {kind}")
-        # Domination is part of IC/LD/OLD; SEP_* kinds skip it.
-        if kind in (ProblemKind.IC, ProblemKind.LD):
-            hit += closed
-        elif kind is ProblemKind.OLD:
-            hit += g.masks
+            sep = SEPARATING[kind]
+            rows = neighbourhoods(g.masks, kind)
+            own = 1 if sep is ProblemKind.SEP_LD else 0  # a member needs no distinct signature
+            hit = [rows[u] ^ rows[v] | own << u | own << v for u, v in pairs]
+            if 0 in hit:  # twins: no set separates the pair
+                error, message = _TWINS[sep]
+                raise error(f"{message}, e.g. {pairs[hit.index(0)]}")
+            if sep is not kind:  # domination; only an open row can be empty
+                if 0 in rows:
+                    raise NoSolution("a degree-0 vertex cannot be totally dominated")
+                hit += rows
         # Smallest masks first: a failing subset misses one of them soonest.
         self.hit = sorted(set(hit), key=int.bit_count)
         self.bit = [1 << v for v in range(n)]
@@ -148,21 +147,16 @@ def all_min_sets(g: Graph, kind: ProblemKind, cap: int = DEFAULT_VERTEX_CAP) -> 
     return [frozenset(s) for s in passes.solutions(len(first))]
 
 
-# The emp/univ flavors of the cotree fold are the separating kinds.
-_FLAVORS = {"id": ProblemKind.SEP_ID, "ld": ProblemKind.SEP_LD, "old": ProblemKind.SEP_OLD}
-
-
-def emp_univ_oracle(g: Graph, flavor: str, cap: int = DEFAULT_VERTEX_CAP) -> tuple[bool, bool]:
-    """Evaluate the two properties over every minimum separating set.
+def emp_univ_oracle(g: Graph, kind: ProblemKind, cap: int = DEFAULT_VERTEX_CAP) -> tuple[bool, bool]:
+    """Evaluate the two properties over every minimum set of a separating kind.
 
     emp: every minimum separating set leaves some vertex with empty signature.
     univ: every minimum separating set has a vertex dominated by the whole set
-    (flavor "ld" insists that vertex lies outside the set).  Flavors "id"
-    and "ld" use closed neighbourhoods, "old" open ones.
+    (under SEP_LD that vertex lies outside the set).  Raises ValueError for a
+    kind that is not its own separating kind.
     """
-    if flavor not in _FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    kind = _FLAVORS[flavor]
+    if SEPARATING.get(kind) is not kind:
+        raise ValueError(f"{kind} is not a separating kind")
     masks = [vertex_mask(s, g.n) for s in all_min_sets(g, kind, cap=cap)]
     emp = all(undominated(g.masks, s, kind) for s in masks)
     univ = all(covered(g.masks, s, kind) for s in masks)

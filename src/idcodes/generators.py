@@ -10,9 +10,8 @@ construction.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import verify
 from .cograph import solve_cotree
@@ -67,8 +66,7 @@ class GeneratorError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ExtremalInstance:
+class ExtremalInstance(NamedTuple):
     """A constructed model together with its claimed solution and parameters."""
 
     model: Model
@@ -78,7 +76,7 @@ class ExtremalInstance:
     claimed_k: int
     family: str
     claimed_d: Optional[int] = None
-    graph: Optional[Graph] = field(compare=False, default=None)  # set by _validated
+    graph: Optional[Graph] = None  # set by _validated, the model's graph
 
     def manifest_line(self) -> str:
         d = str(self.claimed_d) if self.claimed_d is not None else "-"
@@ -782,7 +780,7 @@ def ext_cograph_id(n: int, variant: int) -> ExtremalInstance:
 
 
 def ext_cograph_ld(n: int, variant: int) -> ExtremalInstance:
-    """Cograph families meeting the third-order separating bound (LD flavor),
+    """Cograph families meeting the third-order SEP_LD bound,
     with the variant profiles of :func:`ext_cograph_id`."""
     return _cograph_family("cograph-ld", n, variant)
 

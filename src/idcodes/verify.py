@@ -2,18 +2,20 @@
 
 It runs on the graph's adjacency masks (``Graph.masks``: bit w of
 ``masks[v]`` is set when vw is an edge) with the candidate set as one int
-mask from :func:`vertex_mask`, the one place a vertex is range-checked.  A
-vertex's signature is its closed neighbourhood mask (its open one for the
-OLD kinds) ANDed with the candidate mask.  One kernel,
-:func:`first_collision`, visits vertices in increasing order and returns
-the first pair with equal signatures, so a failing pair can always be
-reported back; domination is one mask test per vertex (:func:`undominated`).
+mask from :func:`vertex_mask`, the one place a vertex is range-checked.
+
+Each kind but RS refines the separating kind :data:`SEPARATING` maps it to,
+and that entry fixes its signature rules.  One kernel, ``_signatures``,
+yields each compared vertex with its signature, in increasing order:
+:func:`first_collision` returns the first pair with equal signatures, so a
+failing pair can always be reported back, and :func:`undominated` and
+:func:`covered` read the empty and the full signatures.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import (
     Disconnected,
@@ -26,6 +28,8 @@ from .graph import (
 
 __all__ = [
     "ProblemKind",
+    "SEPARATING",
+    "neighbourhoods",
     "vertex_mask",
     "first_collision",
     "undominated",
@@ -51,12 +55,20 @@ class ProblemKind(Enum):
     SEP_OLD = "sep-old"
 
 
-# Signature rules per kind: the OLD kinds use open neighbourhoods, the LD
-# kinds compare only the vertices outside the set, and IC/LD/OLD also ask
-# every vertex to have a nonempty signature.
-_OPEN = frozenset({ProblemKind.OLD, ProblemKind.SEP_OLD})
-_OUTSIDE = frozenset({ProblemKind.LD, ProblemKind.SEP_LD})
-_DOMINATING = frozenset({ProblemKind.IC, ProblemKind.LD, ProblemKind.OLD})
+# Kind -> the separating kind it refines, the one table of signature rules.
+# A vertex's signature is its neighbourhood (:func:`neighbourhoods`: open
+# under SEP_OLD, else closed) ANDed with the set; SEP_LD compares only the
+# vertices outside the set; and each kind that is not its own separating
+# kind (IC, LD, OLD) also asks every vertex for a nonempty signature.  RS has
+# no row: distance vectors are not neighbourhood signatures.
+SEPARATING = {
+    ProblemKind.IC: ProblemKind.SEP_ID,
+    ProblemKind.LD: ProblemKind.SEP_LD,
+    ProblemKind.OLD: ProblemKind.SEP_OLD,
+    ProblemKind.SEP_ID: ProblemKind.SEP_ID,
+    ProblemKind.SEP_LD: ProblemKind.SEP_LD,
+    ProblemKind.SEP_OLD: ProblemKind.SEP_OLD,
+}
 
 
 def vertex_mask(vertices: Iterable[int], n: int) -> int:
@@ -73,47 +85,56 @@ def _everything(masks: tuple[int, ...]) -> int:
     return (1 << len(masks)) - 1
 
 
+def neighbourhoods(masks: tuple[int, ...], kind: ProblemKind) -> list[int]:
+    """Each vertex's neighbourhood mask under the kind: open for the OLD
+    kinds, else closed (the vertex's own bit added)."""
+    loop = 0 if SEPARATING[kind] is ProblemKind.SEP_OLD else 1
+    return [m | loop << v for v, m in enumerate(masks)]
+
+
+def _signatures(masks: tuple[int, ...], s: int, kind: ProblemKind) -> Iterator[tuple[int, int]]:
+    """(v, signature of v under the set mask s) for each vertex the kind
+    compares, in increasing order: every vertex, less the members of s for
+    the LD kinds."""
+    rows = neighbourhoods(masks, kind)
+    visit = _everything(masks)
+    if SEPARATING[kind] is ProblemKind.SEP_LD:
+        visit &= ~s
+    return ((v, rows[v] & s) for v in bits(visit))
+
+
 def first_collision(
     masks: tuple[int, ...], s: int, kind: ProblemKind
 ) -> tuple[int, int] | None:
-    """First pair u < v of vertices with equal signatures under the set mask s.
-
-    Vertices are visited in increasing order, less the members of s for the
-    LD kinds, and v is the first one whose signature an earlier vertex u
+    """First pair u < v of compared vertices with equal signatures under the
+    set mask s: v is the first one whose signature an earlier vertex u
     already had.  None when all of them are separated.
     """
-    visit = _everything(masks)
-    if kind in _OUTSIDE:
-        visit &= ~s
-    loop = 0 if kind in _OPEN else 1  # a closed neighbourhood holds v itself
     seen: dict[int, int] = {}
-    for v in bits(visit):
-        first = seen.setdefault((masks[v] | loop << v) & s, v)
+    for v, signature in _signatures(masks, s, kind):
+        first = seen.setdefault(signature, v)
         if first != v:
             return (first, v)
     return None
 
 
 def undominated(masks: tuple[int, ...], s: int, kind: ProblemKind) -> int:
-    """Mask of the vertices with an empty signature."""
-    loop = 0 if kind in _OPEN else 1
+    """Mask of the compared vertices with an empty signature.  A member of s
+    has its own bit in a closed signature, so for the LD kinds this is every
+    vertex with an empty one."""
     out = 0
-    for v, m in enumerate(masks):
-        if not (m | loop << v) & s:
+    for v, signature in _signatures(masks, s, kind):
+        if not signature:
             out |= 1 << v
     return out
 
 
 def covered(masks: tuple[int, ...], s: int, kind: ProblemKind) -> int:
-    """Mask of the vertices whose signature is all of s; for the LD kinds
-    only vertices outside s count."""
-    visit = _everything(masks)
-    if kind in _OUTSIDE:
-        visit &= ~s
-    loop = 0 if kind in _OPEN else 1
+    """Mask of the compared vertices whose signature is all of s; for the LD
+    kinds only vertices outside s count."""
     out = 0
-    for v in bits(visit):
-        if not s & ~(masks[v] | loop << v):
+    for v, signature in _signatures(masks, s, kind):
+        if signature == s:
             out |= 1 << v
     return out
 
@@ -137,7 +158,7 @@ def check(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
     s = vertex_mask(candidate, len(masks))
     if kind is ProblemKind.RS:
         return _resolves(masks, s)
-    if kind in _DOMINATING and undominated(masks, s, kind):
+    if SEPARATING[kind] is not kind and undominated(masks, s, kind):
         return False
     return first_collision(masks, s, kind) is None
 
@@ -145,13 +166,10 @@ def check(g: Graph, candidate: Iterable[int], kind: ProblemKind) -> bool:
 def separation_violation(
     g: Graph, candidate: Iterable[int], kind: ProblemKind
 ) -> tuple[int, int] | None:
-    """First pair of vertices sharing a signature under the kind's rules.
-
-    Per kind: SEP_ID / IC compare closed signatures over all vertices,
-    SEP_LD / LD only over vertices outside the candidate, SEP_OLD / OLD
-    compare open signatures over all vertices.
-    Returns None when all relevant pairs are separated; raises ValueError
-    for RS, whose distance vectors no signature pair stands for.
+    """First pair of vertices sharing a signature under the kind's rules
+    (:data:`SEPARATING`), or None when all compared pairs are separated.
+    Raises ValueError for RS, whose distance vectors no signature pair
+    stands for.
     """
     s = vertex_mask(candidate, g.n)
     if kind is ProblemKind.RS:

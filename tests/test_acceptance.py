@@ -171,7 +171,7 @@ class TestCriterion5CographOracleEquivalence:
             g = cotree_to_graph(t)
             s_ld = solve_cotree(t, PK.SEP_LD).summary
             o_ld = min_set(g, PK.SEP_LD)
-            if (s_ld.k, s_ld.emp, s_ld.univ) != (o_ld.size, *emp_univ_oracle(g, "ld")):
+            if (s_ld.k, s_ld.emp, s_ld.univ) != (o_ld.size, *emp_univ_oracle(g, PK.SEP_LD)):
                 mismatches += 1
             if solve_cotree(t, PK.LD).value != min_set(g, PK.LD).size:
                 mismatches += 1
@@ -182,7 +182,7 @@ class TestCriterion5CographOracleEquivalence:
                 o_id = min_set(g, PK.SEP_ID)
                 if (s_id.k, s_id.emp, s_id.univ) != (
                     o_id.size,
-                    *emp_univ_oracle(g, "id"),
+                    *emp_univ_oracle(g, PK.SEP_ID),
                 ):
                     mismatches += 1
                 if solve_cotree(t, PK.IC).value != min_set(g, PK.IC).size:

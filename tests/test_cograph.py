@@ -122,7 +122,7 @@ class TestOracleEquivalence:
                 o_ld = min_set(g, ProblemKind.SEP_LD)
                 assert (s_ld.k, s_ld.emp, s_ld.univ) == (
                     o_ld.size,
-                    *emp_univ_oracle(g, "ld"),
+                    *emp_univ_oracle(g, ProblemKind.SEP_LD),
                 )
                 assert solve_cotree(t, ProblemKind.LD).value == min_set(g, ProblemKind.LD).size
                 if is_connected(g):
@@ -135,7 +135,7 @@ class TestOracleEquivalence:
                 o_id = min_set(g, ProblemKind.SEP_ID)
                 assert (s_id.k, s_id.emp, s_id.univ) == (
                     o_id.size,
-                    *emp_univ_oracle(g, "id"),
+                    *emp_univ_oracle(g, ProblemKind.SEP_ID),
                 )
                 assert solve_cotree(t, ProblemKind.IC).value == min_set(g, ProblemKind.IC).size
 
@@ -204,7 +204,7 @@ class TestOldFlavor:
                 except OpenTwinsPresent:
                     continue
                 s = solve_cotree(t, ProblemKind.SEP_OLD).summary
-                expected = (oracle.size, *emp_univ_oracle(g, "old"))
+                expected = (oracle.size, *emp_univ_oracle(g, ProblemKind.SEP_OLD))
                 assert (s.k, s.emp, s.univ) == expected, format_cotree(t)
 
     def test_gate_and_gamma(self):
@@ -235,7 +235,7 @@ class TestOldFlavor:
             checked += 1
             s = solve_cotree(t, ProblemKind.SEP_OLD).summary
             assert s.k == oracle.size
-            assert (s.emp, s.univ) == emp_univ_oracle(g, "old")
+            assert (s.emp, s.univ) == emp_univ_oracle(g, ProblemKind.SEP_OLD)
 
 
 class TestFoldProperties:

@@ -125,17 +125,18 @@ class TestAllMinSets:
 
 class TestEmpUnivOracle:
     def test_k1(self):
-        assert emp_univ_oracle(complete_graph(1), "id") == (True, True)
+        assert emp_univ_oracle(complete_graph(1), ProblemKind.SEP_ID) == (True, True)
 
     def test_two_isolated_id(self):
-        assert emp_univ_oracle(empty_graph(2), "id") == (True, True)
+        assert emp_univ_oracle(empty_graph(2), ProblemKind.SEP_ID) == (True, True)
 
     def test_two_isolated_ld(self):
-        assert emp_univ_oracle(empty_graph(2), "ld") == (True, False)
+        assert emp_univ_oracle(empty_graph(2), ProblemKind.SEP_LD) == (True, False)
 
-    def test_unknown_flavor(self):
-        with pytest.raises(ValueError, match="unknown flavor 'md'"):
-            emp_univ_oracle(complete_graph(1), "md")
+    def test_non_separating_kind(self):
+        for kind in (ProblemKind.IC, ProblemKind.OLD, ProblemKind.RS):
+            with pytest.raises(ValueError, match=f"{kind} is not a separating kind"):
+                emp_univ_oracle(complete_graph(1), kind)
 
 
 class TestSandwich:
@@ -146,13 +147,13 @@ class TestSandwich:
             sep_ld = min_set(g, ProblemKind.SEP_LD).size
             gamma_ld = min_set(g, ProblemKind.LD).size
             assert sep_ld <= gamma_ld <= sep_ld + 1
-            emp, _ = emp_univ_oracle(g, "ld")
+            emp, _ = emp_univ_oracle(g, ProblemKind.SEP_LD)
             assert (gamma_ld == sep_ld + 1) == emp
             if not closed_twins(g):
                 sep_id = min_set(g, ProblemKind.SEP_ID).size
                 gamma_id = min_set(g, ProblemKind.IC).size
                 assert sep_id <= gamma_id <= sep_id + 1
-                emp, _ = emp_univ_oracle(g, "id")
+                emp, _ = emp_univ_oracle(g, ProblemKind.SEP_ID)
                 assert (gamma_id == sep_id + 1) == emp
 
     def test_parameter_chain(self):

@@ -6,9 +6,12 @@ changed, junk inserted, raw bytes among it) and fed to ``idcodes cograph``,
 which parses, recognises a graph as a cograph, folds and reads the witness
 off the fold.  Mutated interval and permutation texts go through
 ``idcodes cograph``, ``idcodes certify --problem md`` and
-``idcodes compile-model``.  Every run must end in a documented exit code,
-0, 2, 3 or 4, without an exception escaping ``cli.main``.  Examples are
-derandomised, so a run is repeatable.
+``idcodes compile-model``.  Mutated texts of all three kinds go through
+``idcodes solve --cap 8`` and ``idcodes verify`` for every problem, and
+``idcodes generate`` runs every family with integer parameters in -2..8.
+Every run must end in a documented exit code, 0, 2, 3 or 4, without an
+exception escaping ``cli.main``.  Examples are derandomised, so a run is
+repeatable.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from idcodes.cli import main
+from idcodes.generators import FAMILIES
 from idcodes.graph import path_graph
 from idcodes.models import (
     IntervalModel,
@@ -110,17 +114,33 @@ def mutated_rows(draw) -> str:
     return _mutate(draw, tokens, ROW_JUNK)
 
 
+@st.composite
+def solve_or_verify(draw) -> list[str]:
+    """``solve --cap 8`` or ``verify`` with a set of small, possibly out of
+    range vertices, for any problem; the model path comes last."""
+    problem = draw(st.sampled_from(["ic", "ld", "old", "md", "rs", "sep-id", "sep-ld", "sep-old"]))
+    if draw(st.booleans()):
+        return ["solve", "--problem", problem, "--cap", "8", "--input"]
+    vertices = draw(st.lists(st.integers(-1, 9), max_size=4))
+    return ["verify", "--problem", problem, "--set=" + ",".join(map(str, vertices)), "--input"]
+
+
+def _run(argv: list[str]) -> int:
+    """Exit code of ``main(argv)``, with no traceback on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
 def _exit_code(text: str, argv: list[str]) -> int:
     """Exit code of ``main(argv + [path])`` on a file holding ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.model")
         with open(path, "wb") as fh:
             fh.write(text.encode("utf-8", "surrogateescape"))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + [path])
-    assert "Traceback" not in err.getvalue()
-    return code
+        return _run(argv + [path])
 
 
 def _cograph_exit_code(text: str, problem: str, witness: bool) -> int:
@@ -152,3 +172,23 @@ def test_graph_files_end_in_documented_exit_codes(text, problem, witness):
 @given(text=mutated_rows(), argv=st.sampled_from(ROW_COMMANDS))
 def test_interval_and_permutation_files_end_in_documented_exit_codes(text, argv):
     assert _exit_code(text, argv) in (0, 2, 3, 4)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(text=mutated_cotree() | mutated_graph() | mutated_rows(), argv=solve_or_verify())
+def test_solve_and_verify_end_in_documented_exit_codes(text, argv):
+    assert _exit_code(text, argv) in (0, 2, 3, 4)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    params=st.fixed_dictionaries(
+        {p: st.none() | st.integers(-2, 8) for p in ("k", "d", "n", "variant")}
+    ),
+)
+def test_generate_ends_in_documented_exit_codes(family, params):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["generate", "--family", family, "--out", os.path.join(tmp, "instance")]
+        argv += [f"--{p}={v}" for p, v in params.items() if v is not None]
+        assert _run(argv) in (0, 2, 3, 4)

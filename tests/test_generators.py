@@ -165,7 +165,7 @@ class TestCographFamilies:
                 inst = ext_cograph_id(n, variant)
                 g = inst.graph
                 assert min_set(g, ProblemKind.SEP_ID).size == inst.claimed_k
-                emp, univ = emp_univ_oracle(g, "id")
+                emp, univ = emp_univ_oracle(g, ProblemKind.SEP_ID)
                 s = solve_cotree(inst.model, ProblemKind.SEP_ID).summary
                 assert (s.emp, s.univ) == (emp, univ)
 
@@ -175,7 +175,7 @@ class TestCographFamilies:
                 inst = ext_cograph_ld(n, variant)
                 g = inst.graph
                 assert min_set(g, ProblemKind.SEP_LD).size == inst.claimed_k
-                emp, univ = emp_univ_oracle(g, "ld")
+                emp, univ = emp_univ_oracle(g, ProblemKind.SEP_LD)
                 s = solve_cotree(inst.model, ProblemKind.SEP_LD).summary
                 assert (s.emp, s.univ) == (emp, univ)
 

@@ -1,7 +1,11 @@
 """Every module of the package uses each name it imports, and every function,
-method and class the package defines is referenced somewhere."""
+method and class the package defines is referenced somewhere.  The command's
+start-up imports neither ``dataclasses`` nor ``inspect``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +89,13 @@ def test_detects_an_unreferenced_definition():
         "    return Box().size\n"
     )
     assert unreferenced_definitions(source, [source]) == ["unused (line 4)", "orphan (line 8)"]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses imports inspect, which every run of the command would pay for
+    code = "import sys, idcodes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(idcodes.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

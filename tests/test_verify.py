@@ -17,7 +17,7 @@ from idcodes.graph import (
     path_graph,
     star_graph,
 )
-from idcodes.exact import NoSolution, OpenTwinsPresent, TwinsPresent, _Checker
+from idcodes.exact import NoSolution, OpenTwinsPresent, SolverError, TwinsPresent, _Checker
 from idcodes.models import (
     IntervalModel,
     PermutationModel,
@@ -55,8 +55,8 @@ def cov(g, s, kind):
 
 def test_public_names():
     assert sorted(verify.__all__) == [
-        "ProblemKind", "check", "covered", "first_collision", "separation_violation",
-        "undominated", "vertex_mask",
+        "ProblemKind", "SEPARATING", "check", "covered", "first_collision", "neighbourhoods",
+        "separation_violation", "undominated", "vertex_mask",
     ]
 
 
@@ -239,19 +239,53 @@ class TestImplicationChain:
         assert check(p3, [0], ProblemKind.SEP_LD)
 
 
+# The signature rules, written from the definitions apart from the package's
+# table: open neighbourhoods for the OLD kinds, only the vertices outside the
+# set compared for the LD kinds, and no empty signature for IC, LD and OLD.
+OPEN_KINDS = (OLD, SEP_OLD)
+OUTSIDE_KINDS = (LD, SEP_LD)
+DOMINATING_KINDS = (IC, LD, OLD)
+SIGNATURE_KINDS = [kind for kind in ProblemKind if kind is not RS]
+
+
+def _nbhd(g, kind):
+    return g.open_nbhd if kind in OPEN_KINDS else g.closed_nbhd
+
+
+def _signatures(g, s, kind):
+    """{v: signature} for each compared vertex, in increasing order, from the
+    frozenset neighbourhoods."""
+    nbhd = _nbhd(g, kind)
+    return {v: nbhd(v) & s for v in range(g.n) if not (kind in OUTSIDE_KINDS and v in s)}
+
+
 def _brute_violation(g, s, kind):
     """First colliding pair, from the definitions on frozenset adjacency."""
-    s = frozenset(s)
     seen = {}
-    for v in range(g.n):
-        if kind in (ProblemKind.LD, ProblemKind.SEP_LD) and v in s:
-            continue
-        nbhd = g.adj[v] if kind in (ProblemKind.OLD, ProblemKind.SEP_OLD) else g.adj[v] | {v}
-        key = nbhd & s
+    for v, key in _signatures(g, frozenset(s), kind).items():
         if key in seen:
             return (seen[key], v)
         seen[key] = v
     return None
+
+
+def _brute_check(g, s, kind):
+    """Separation, plus domination for IC, LD and OLD, from the definitions."""
+    signatures = _signatures(g, s, kind)
+    separated = len(set(signatures.values())) == len(signatures)
+    nbhd = _nbhd(g, kind)
+    dominated = kind not in DOMINATING_KINDS or all(nbhd(v) & s for v in range(g.n))
+    return separated and dominated
+
+
+def _mask_of(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _subsets(n):
+    """(mask, frozenset) for every subset of range(n)."""
+    for mask in range(1 << n):
+        yield mask, frozenset(v for v in range(n) if mask >> v & 1)
 
 
 def _kernel_graphs():
@@ -289,9 +323,59 @@ class TestMaskKernel:
 
     def test_first_pair_matches_brute_force(self):
         for g in _kernel_graphs():
-            for mask in range(1 << g.n):
-                subset = [v for v in range(g.n) if mask >> v & 1]
-                for kind in ProblemKind:
-                    if kind is ProblemKind.RS:
-                        continue
-                    assert separation_violation(g, subset, kind) == _brute_violation(g, subset, kind)
+            for _mask, subset in _subsets(g.n):
+                for kind in SIGNATURE_KINDS:
+                    expected = _brute_violation(g, subset, kind)
+                    assert separation_violation(g, subset, kind) == expected
+
+    def test_check_matches_definitions(self):
+        # the exact checker reads the same table as check, so this is the
+        # reference that catches a wrong row in both
+        for g in _kernel_graphs():
+            for _mask, subset in _subsets(g.n):
+                for kind in SIGNATURE_KINDS:
+                    expected = _brute_check(g, subset, kind)
+                    assert check(g, subset, kind) == expected, (g, kind, subset)
+
+    def test_undominated_and_covered_match_definitions(self):
+        for g in _kernel_graphs():
+            for mask, subset in _subsets(g.n):
+                for kind in SIGNATURE_KINDS:
+                    nbhd = _nbhd(g, kind)
+                    empty = [v for v in range(g.n) if not nbhd(v) & subset]
+                    whole = [v for v, key in _signatures(g, subset, kind).items() if key == subset]
+                    assert undominated(g.masks, mask, kind) == _mask_of(empty), (g, kind, subset)
+                    assert covered(g.masks, mask, kind) == _mask_of(whole), (g, kind, subset)
+
+
+def _expected_precondition(g, kind):
+    """(type, message) of the error the exact checker raises before trying
+    any subset, from the definitions; None when it raises none."""
+    if kind is RS:
+        return None if is_connected(g) else (Disconnected, "resolving sets need a connected graph")
+    if kind in (IC, SEP_ID) and closed_twins(g):
+        return TwinsPresent, f"closed twins present, e.g. {closed_twins(g)[0]}"
+    if kind in OPEN_KINDS and open_twins(g):
+        return OpenTwinsPresent, f"open twins present, e.g. {open_twins(g)[0]}"
+    if kind is OLD and not all(g.adj):
+        return NoSolution, "a degree-0 vertex cannot be totally dominated"
+    return None
+
+
+class TestCheckerPreconditions:
+    def test_every_kernel_graph_and_kind(self):
+        for g in _kernel_graphs():
+            for kind in ProblemKind:
+                try:
+                    _Checker(g, kind)
+                    raised = None
+                except (SolverError, Disconnected) as exc:
+                    raised = (type(exc), str(exc))
+                assert raised == _expected_precondition(g, kind), (g, kind)
+
+    def test_old_reports_twins_before_an_isolated_vertex(self):
+        # three isolated vertices: open twins (0, 1), and no total domination
+        with pytest.raises(OpenTwinsPresent, match=r"^open twins present, e\.g\. \(0, 1\)$"):
+            _Checker(empty_graph(3), OLD)
+        with pytest.raises(NoSolution):
+            _Checker(Graph(3, [(1, 2)]), OLD)
