@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .exact import OpenTwinsPresent, TwinsPresent
+from .exact import TWINS
 from .graph import Disconnected
 from .models import JOIN, UNION, Cotree, cotree_to_graph, fold_cotree
 from .verify import SEPARATING, ProblemKind, check
@@ -190,25 +190,17 @@ def _witness_merge(
 
 # -- the fold -----------------------------------------------------------------
 
-# The twin gate each separating kind needs: closed twins appear exactly when
-# a join merges two parts that both contain a universal vertex, open twins
-# exactly when a union merges two parts that both contain an isolated vertex.
-_TWIN_GATES = {
-    ProblemKind.SEP_ID: (JOIN, TwinsPresent, "cotree joins two parts with universal vertices"),
-    ProblemKind.SEP_OLD: (UNION, OpenTwinsPresent, "cotree unites two parts with isolated vertices"),
-}
-
-
 def _fold(t: Cotree, sep: ProblemKind, witness: bool) -> tuple:
     """Post-order fold of the merge rule; n-ary nodes are combined left to right.
 
     Returns the root's part, whether its graph has an isolated vertex, and
     the vertices added at bumps.  A part is the state, or with a witness
-    (state, hole, cov, nn).  Raises TwinsPresent / OpenTwinsPresent as soon
-    as a merge hits the separating kind's twin gate, which is exactly when
-    the compiled graph has closed (open) twins.
+    (state, hole, cov, nn).  Raises the error of ``exact.TWINS[sep]``
+    (TwinsPresent / OpenTwinsPresent) as soon as a merge hits its twin gate,
+    which is exactly when the compiled graph has closed (open) twins.
     """
-    gate_kind, gate_error, gate_message = _TWIN_GATES.get(sep, (None, None, None))
+    twins = TWINS.get(sep)
+    gate_kind = twins.node if twins else None
     singles = _TWO_SINGLETONS.get(sep)
     added: list[int] = []
 
@@ -220,7 +212,7 @@ def _fold(t: Cotree, sep: ProblemKind, witness: bool) -> tuple:
             if kind == gate_kind and (
                 (universal and b_universal) if join else (isolated and b_isolated)
             ):
-                raise gate_error(gate_message)
+                raise twins.error(twins.gate_message)
             if witness:
                 part = _witness_merge(part, b, kind, sep, singles, added)
             else:

@@ -33,6 +33,7 @@ from operator import and_
 from typing import NamedTuple
 
 from .graph import Graph, Disconnected, all_pairs_distances, is_connected
+from .models import JOIN, UNION
 from .verify import SEPARATING, ProblemKind, covered, neighbourhoods, undominated, vertex_mask
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
     "SolverError",
     "TwinsPresent",
     "OpenTwinsPresent",
+    "Twins",
+    "TWINS",
     "CapExceeded",
     "NoSolution",
     "min_set",
@@ -77,11 +80,26 @@ class SolveResult(NamedTuple):
     kind: ProblemKind
 
 
-# The error for a pair that no set separates, by the separating kind whose
-# neighbourhoods the pair shares; under SEP_LD a pair's mask holds the pair.
-_TWINS = {
-    ProblemKind.SEP_ID: (TwinsPresent, "closed twins present"),
-    ProblemKind.SEP_OLD: (OpenTwinsPresent, "open twins present"),
+class Twins(NamedTuple):
+    """How twins of one separating kind are reported: the error, its message
+    on a graph (an example pair follows it), and the cotree gate, the node
+    kind whose merge creates them with the fold's message for it."""
+
+    error: type[SolverError]
+    message: str
+    node: int
+    gate_message: str
+
+
+# Twins of a separating kind, a pair that no set separates.  Closed twins
+# appear exactly when a join merges two parts that both contain a universal
+# vertex, open twins exactly when a union merges two parts that both contain
+# an isolated vertex.  SEP_LD has none: a pair's mask holds the pair.
+TWINS = {
+    ProblemKind.SEP_ID: Twins(TwinsPresent, "closed twins present",
+                              JOIN, "cotree joins two parts with universal vertices"),
+    ProblemKind.SEP_OLD: Twins(OpenTwinsPresent, "open twins present",
+                               UNION, "cotree unites two parts with isolated vertices"),
 }
 
 
@@ -103,8 +121,8 @@ class _Checker:
             own = 1 if sep is ProblemKind.SEP_LD else 0  # a member needs no distinct signature
             hit = [rows[u] ^ rows[v] | own << u | own << v for u, v in pairs]
             if 0 in hit:  # twins: no set separates the pair
-                error, message = _TWINS[sep]
-                raise error(f"{message}, e.g. {pairs[hit.index(0)]}")
+                twins = TWINS[sep]
+                raise twins.error(f"{twins.message}, e.g. {pairs[hit.index(0)]}")
             if sep is not kind:  # domination; only an open row can be empty
                 if 0 in rows:
                     raise NoSolution("a degree-0 vertex cannot be totally dominated")

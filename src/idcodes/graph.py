@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, compress
+from operator import lt
 from typing import Iterable, Iterator
 
 __all__ = [
     "INFINITE",
+    "MAX_FILE_VERTICES",
     "Graph",
     "GraphError",
     "InvalidVertex",
@@ -170,33 +172,32 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        """Parse the `graph <n>` / `e <u> <v>` text format."""
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        head = lines[0].split() if lines else []
+        """Parse the `graph <n>` / `e <u> <v>` text format.
+
+        Blank lines and lines starting with ``#`` are skipped.  A header
+        above :data:`MAX_FILE_VERTICES` raises ``MemoryError`` before
+        anything is allocated.  The edge rows are read in blocks of
+        ``_BLOCK_ROWS`` by :func:`_edge_masks`; only a file it refuses goes
+        through :func:`_raise_edge_error`, which names the first bad line.
+        """
+        rows = list(filter(None, map(str.strip, text.splitlines())))
+        if "#" in text:
+            rows = [ln for ln in rows if ln[0] != "#"]
+        header = rows.pop(0) if rows else ""
+        head = header.split()
         if not head or head[0] != "graph":
             raise GraphFormatError("missing 'graph <n>' header")
         if len(head) != 2:
-            raise GraphFormatError(f"bad header: {lines[0]!r}")
+            raise GraphFormatError(f"bad header: {header!r}")
         try:
             n = int(head[1])
         except ValueError:
             raise GraphFormatError(f"bad vertex count: {head[1]!r}") from None
-        masks = [0] * n
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3 or parts[0] != "e":
-                raise GraphFormatError(f"bad edge line: {ln!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"bad edge line: {ln!r}") from None
-            if not (0 <= u < v < n):
-                raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
-            if masks[u] >> v & 1:
-                raise GraphFormatError(f"duplicate edge ({u},{v})")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        if n > MAX_FILE_VERTICES:
+            raise MemoryError(f"graph files hold at most {MAX_FILE_VERTICES} vertices, not {n}")
+        masks = _edge_masks(rows, n)
+        if masks is None:
+            _raise_edge_error(rows, n)
         if n < 0:
             # Graph(n) rejects the count; bad edge lines were reported first.
             return cls(n)
@@ -206,6 +207,78 @@ class Graph:
         lines = [f"graph {self.n}"]
         lines.extend(f"e {u} {v}" for u, v in self.edges())
         return "\n".join(lines) + "\n"
+
+
+# -- graph files -------------------------------------------------------------
+
+# The largest vertex count a graph file may declare: desk-scale graphs of a
+# few thousand vertices fit with room to spare, and a one-line header can no
+# longer claim any memory it likes.
+MAX_FILE_VERTICES = 1 << 16
+
+# Edge rows per bulk block: the tokens of one block are held at a time.
+_BLOCK_ROWS = 4096
+
+
+def _edge_masks(rows: list[str], n: int) -> list[int] | None:
+    """The adjacency masks of ``rows`` when every row is exactly ``e u v``
+    with ``0 <= u < v < n`` and no edge appears twice, else None.
+
+    Per block of rows: one split into tokens, one ``int`` per distinct
+    vertex token, and C-level checks: ``min``/``max`` over the distinct
+    vertices, ``u < v`` over the rows.  A block has exactly ``e u v`` rows
+    when every row starts with ``e``, there are 3k tokens for its k rows and
+    every third token is ``e``: ``int`` rejects a token starting with ``e``,
+    so each row's ``e`` sits at a multiple of three.  A repeated edge shows
+    at the end, as fewer than 2m bits over the masks of m rows.
+    """
+    masks = [0] * n
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        chunk = rows[start:start + _BLOCK_ROWS]
+        k = len(chunk)
+        block = "\n".join(chunk)
+        tokens = block.split()
+        if (block[0] != "e" or block.count("\ne") != k - 1 or len(tokens) != 3 * k
+                or tokens[0::3].count("e") != k):
+            return None
+        heads, tails = tokens[1::3], tokens[2::3]
+        names = set(heads).union(tails)
+        try:
+            value = dict(zip(names, map(int, names)))
+        except ValueError:
+            return None
+        if min(value.values()) < 0 or max(value.values()) >= n:
+            return None
+        us = list(map(value.__getitem__, heads))
+        vs = list(map(value.__getitem__, tails))
+        if not all(map(lt, us, vs)):
+            return None
+        for u, v in zip(us, vs):
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    if sum(map(int.bit_count, masks)) != 2 * len(rows):
+        return None
+    return masks
+
+
+def _raise_edge_error(rows: list[str], n: int) -> None:
+    """Raise the error of the first bad row of edge ``rows`` that
+    :func:`_edge_masks` refused, reading them one line at a time."""
+    masks = [0] * n
+    for ln in rows:
+        parts = ln.split()
+        if len(parts) != 3 or parts[0] != "e":
+            raise GraphFormatError(f"bad edge line: {ln!r}")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise GraphFormatError(f"bad edge line: {ln!r}") from None
+        if not (0 <= u < v < n):
+            raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
+        if masks[u] >> v & 1:
+            raise GraphFormatError(f"duplicate edge ({u},{v})")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
 
 
 # -- traversal and metric helpers ------------------------------------------

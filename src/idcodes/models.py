@@ -775,7 +775,7 @@ def parse_model(text: str) -> Model:
     """Dispatch on the first token of the first line that is not a comment:
     the keyword graph, intervals or permutation, or a cotree's '('."""
     first = next((ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"), "")
-    keyword = first.split()[0] if first else ""
+    keyword = first.split(None, 1)[0] if first else ""
     if keyword == "graph":
         return Graph.from_text(text)
     if keyword == "intervals":

@@ -428,6 +428,9 @@ DOMAIN_ERRORS = [
      "cannot load {dir}/huge.graph: too large to allocate"),
     (["compile-model", "--input", "overflow.graph"], 4,
      "cannot load {dir}/overflow.graph: too large to allocate"),
+    # a graph file declares at most graph.MAX_FILE_VERTICES vertices
+    (["certify", "--problem", "ic", "--set=0", "--input", "ten-million.graph"], 4,
+     "cannot load {dir}/ten-million.graph: too large to allocate"),
     (["compile-model", "--input", "missing.graph"], 3,
      "cannot read {dir}/missing.graph: "
      "[Errno 2] No such file or directory: '{dir}/missing.graph'"),
@@ -451,6 +454,7 @@ class TestDomainErrors:
             (workdir / f"huge.{ext}").write_text(f"{header} {2**62}\n")
             (workdir / f"negative.{ext}").write_text(f"{header} -3\n")
         (workdir / "overflow.graph").write_text(f"graph {10**20}\n")
+        (workdir / "ten-million.graph").write_text("graph 10000000\n")
         (workdir / "prefix.graph").write_text("graphite 2\n")
         (workdir / "prefix.intervals").write_text("intervalsx 1\n0 0 1\n")
         (workdir / "prefix.perm").write_text("permutations 1\n0 0 0\n")

@@ -1,9 +1,13 @@
 import random
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from idcodes import graph as graph_module
 from idcodes.graph import (
+    MAX_FILE_VERTICES,
     Disconnected,
     Graph,
     GraphError,
@@ -269,7 +273,224 @@ class TestTextFormat:
             Graph.from_text(text)
         assert type(caught.value) is cls
 
+    def test_header_cap(self):
+        g = Graph.from_text(f"graph {MAX_FILE_VERTICES}\ne 0 {MAX_FILE_VERTICES - 1}\n")
+        assert g.n == MAX_FILE_VERTICES and g.num_edges() == 1
+        # the count is refused before any edge row is read or any mask built
+        with mock.patch.object(graph_module, "_edge_masks", None):
+            for n in (MAX_FILE_VERTICES + 1, 10**7, 10**20):
+                with pytest.raises(MemoryError):
+                    Graph.from_text(f"graph {n}\ne 0 x\n")
+
     def test_all_pairs(self):
         g = path_graph(4)
         dist = all_pairs_distances(g)
         assert dist[0][3] == 3 and dist[2][1] == 1
+
+
+# -- the bulk parse and the line loop ----------------------------------------
+
+
+def _line_loop(text: str) -> tuple[int, ...]:
+    """Reference reader: the masks of a graph text, read one line at a time
+    with the messages and order of ``Graph.from_text``."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    head = lines[0].split() if lines else []
+    if not head or head[0] != "graph":
+        raise GraphFormatError("missing 'graph <n>' header")
+    if len(head) != 2:
+        raise GraphFormatError(f"bad header: {lines[0]!r}")
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise GraphFormatError(f"bad vertex count: {head[1]!r}") from None
+    if n > MAX_FILE_VERTICES:
+        raise MemoryError
+    masks = [0] * max(n, 0)
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 3 or parts[0] != "e":
+            raise GraphFormatError(f"bad edge line: {ln!r}")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise GraphFormatError(f"bad edge line: {ln!r}") from None
+        if not (0 <= u < v < n):
+            raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n")
+        if masks[u] >> v & 1:
+            raise GraphFormatError(f"duplicate edge ({u},{v})")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    if n < 0:
+        raise GraphError("vertex count must be nonnegative")
+    return tuple(masks)
+
+
+def _outcome(read, text: str) -> tuple:
+    """``(None, masks)`` for the masks ``read(text)`` gives, or the type and
+    message of the error it raises (no message for ``MemoryError``)."""
+    try:
+        result = read(text)
+    except MemoryError:
+        return MemoryError, None
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return None, result.masks if isinstance(result, Graph) else result
+
+
+class _WatchedLoop:
+    """Stands in for ``graph._raise_edge_error``: counts its calls and fails
+    the test if the line loop ever returns instead of raising."""
+
+    def __init__(self):
+        self.calls = 0
+        self.locate = graph_module._raise_edge_error
+
+    def __call__(self, rows, n):
+        self.calls += 1
+        self.locate(rows, n)
+        pytest.fail("the line loop returned on input the bulk parse refused")
+
+
+def _parse_watched(text: str, block_rows: int = graph_module._BLOCK_ROWS):
+    """(outcome of ``Graph.from_text``, calls of the line loop)."""
+    loop = _WatchedLoop()
+    with mock.patch.object(graph_module, "_raise_edge_error", loop), \
+            mock.patch.object(graph_module, "_BLOCK_ROWS", block_rows):
+        return _outcome(Graph.from_text, text), loop.calls
+
+
+PARSE_SEEDS = [
+    g.to_text()
+    for g in [empty_graph(0), empty_graph(3), path_graph(2), cycle_graph(5), star_graph(4),
+              complete_graph(6), k_power_of_path(12, 3)]
+    + [random_graph(n, 0.5, random.Random(n)) for n in (7, 11, 14)]
+]
+# Whitespace that str.split() and str.strip() know, some of it a line break
+# for str.splitlines() too.
+SPACES = ["\t", "  ", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+JUNK = ["E", "ee", "e0", "0e", "x", "1.0", "e e", "graph", "", "#", "0x1", "1e3", "٣"]
+DIGITS = {"arabic-indic": 0x660, "fullwidth": 0xFF10, "devanagari": 0x966}
+
+
+def _retoken(token: str, how: str) -> str:
+    if how in DIGITS:
+        return "".join(chr(DIGITS[how] + int(c)) if c.isascii() and c.isdigit() else c
+                       for c in token)
+    if how == "underscore":
+        return token[:1] + "_" + token[1:]
+    return how + token  # a sign or leading zeros
+
+
+@st.composite
+def mutated_graph_text(draw) -> str:
+    lines = draw(st.sampled_from(PARSE_SEEDS)).split("\n")
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from([
+            "comment", "blank", "crlf", "space", "pad", "token", "reverse", "repeat",
+            "swap", "junk", "drop", "header",
+        ]))
+        i = draw(st.integers(0, len(lines) - 1))
+        parts = lines[i].split(" ")
+        if op == "comment":
+            lines.insert(i, draw(st.sampled_from(["# c", "  #e 0 1", "#", "\t# graph 2"])))
+        elif op == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "   ", "\t", "\r"])))
+        elif op == "crlf":
+            lines[i] += "\r"
+        elif op == "space":
+            lines[i] = draw(st.sampled_from(SPACES)).join(parts)
+        elif op == "pad":
+            lines[i] = draw(st.sampled_from(SPACES)) + lines[i] + draw(st.sampled_from(SPACES))
+        elif op == "token":
+            j = draw(st.integers(0, len(parts) - 1))
+            how = draw(st.sampled_from(["+", "-", "0", "00", "underscore", *DIGITS]))
+            parts[j] = _retoken(parts[j], how)
+            lines[i] = " ".join(parts)
+        elif op == "reverse" and len(parts) == 3:
+            lines[i] = " ".join([parts[0], parts[2], parts[1]])
+        elif op == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "junk":
+            parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(JUNK)))
+            lines[i] = " ".join(parts)
+        elif op == "drop":
+            del parts[draw(st.integers(0, len(parts) - 1))]
+            lines[i] = " ".join(parts)
+        elif op == "header":
+            lines[0] = draw(st.sampled_from(
+                ["graph 0", "graph -1", "graph 5", "graph 20", "graph +14", "graph 1_4",
+                 f"graph {MAX_FILE_VERTICES + 1}", "graph", "graph 3 4"]))
+    return "\n".join(lines)
+
+
+class TestBulkParse:
+    """``Graph.from_text`` builds every valid file in one bulk pass, block by
+    block, and gives exactly the outcome of the line loop on every text."""
+
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_graph_text(), block_rows=st.sampled_from([1, 2, 3, 4096]))
+    def test_same_outcome_as_line_loop(self, text, block_rows):
+        outcome, calls = _parse_watched(text, block_rows)
+        expected = _outcome(_line_loop, text)
+        assert outcome == expected
+        if expected[0] is None:
+            assert calls == 0  # a valid file never reaches the line loop
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5, 4096])
+    def test_valid_files_skip_the_line_loop(self, block_rows):
+        rng = random.Random(19)
+        texts = []
+        for n in (0, 1, 2, 9, 30, 64):
+            g = random_graph(n, rng.random(), rng)
+            rows = g.to_text().splitlines()
+            texts.append(g.to_text())
+            texts.append("# made by hand\n\n" + "\r\n".join(rows) + "\r\n\n# end\n")
+            texts.append("\n".join("\t" + "  \t".join(row.split()) + "  " for row in rows))
+            shuffled = rows[1:]
+            rng.shuffle(shuffled)
+            texts.append("\n".join([rows[0], *shuffled]))
+            texts.append("\n".join([rows[0]] + ["# " + r + "\n" + r for r in rows[1:]]))
+            for text in texts[-5:]:
+                assert _parse_watched(text, block_rows) == ((None, g.masks), 0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("e 0 x", "bad edge line: 'e 0 x'"),
+            ("e 0", "bad edge line: 'e 0'"),
+            ("e 0 1 2", "bad edge line: 'e 0 1 2'"),
+            ("E 0 1", "bad edge line: 'E 0 1'"),
+            ("e 0 e0", "bad edge line: 'e 0 e0'"),
+            ("e 7 3", "edge (7,3) violates 0 <= u < v < n"),
+            ("e 3 3", "edge (3,3) violates 0 <= u < v < n"),
+            ("e -1 3", "edge (-1,3) violates 0 <= u < v < n"),
+            ("e 0 100", "edge (0,100) violates 0 <= u < v < n"),
+            ("e 0 1", "duplicate edge (0,1)"),
+        ],
+    )
+    def test_errors_at_block_boundaries(self, bad, message):
+        # K100 has 4950 edges: rows 4095 and 4096 end one block and start the next
+        rows = complete_graph(100).to_text().splitlines()
+        block = graph_module._BLOCK_ROWS
+        for at in (block - 1, block):
+            broken = rows[:1 + at] + [bad] + rows[2 + at:]
+            text = "\n".join(broken)
+            expected = (GraphFormatError, message)
+            assert _outcome(_line_loop, text) == expected
+            assert _parse_watched(text) == (expected, 1)
+
+    @pytest.mark.parametrize("at", [graph_module._BLOCK_ROWS - 2, graph_module._BLOCK_ROWS - 1])
+    def test_row_split_in_two(self, at):
+        # 'e a b' / 'e c d' rewritten as 'e a' / 'b e c d': the same six
+        # tokens, so inside one block only the check that each row starts
+        # with 'e' refuses them
+        rows = complete_graph(100).to_text().splitlines()
+        (_, a, b), (_, c, d) = rows[1 + at].split(), rows[2 + at].split()
+        broken = rows[:1 + at] + [f"e {a}", f"{b} e {c} {d}"] + rows[3 + at:]
+        expected = (GraphFormatError, f"bad edge line: 'e {a}'")
+        assert _parse_watched("\n".join(broken)) == (expected, 1)
