@@ -18,7 +18,7 @@ diameter at most 2, where resolving and separating sets coincide.  A Cotree
 is valid by construction, so the tree is only folded, once; the fold also
 runs the separating kind's twin gate and carries whether each subtree has a
 universal and an isolated vertex, so the root tells whether OLD has a
-solution at all.
+solution at all.  The summary's n is the tree's leaf count, ``Cotree.n``.
 
 A witness is never returned unverified: the assembled set goes through
 ``verify.check`` on the graph ``cotree_to_graph`` compiles.  An RS witness is
@@ -37,12 +37,24 @@ swaps unions with joins and emp with univ.  The separating kinds differ only
 when both parts are single vertices, and those exceptions are data,
 ``_TWO_SINGLETONS``: SEP_ID needs univ(single ⊕ single) = True and SEP_OLD
 needs emp(single ⋈ single) = True, both forced by the literal definitions and
-cross-checked exhaustively against the subset-enumeration oracle.  The fold
-runs this rule through ``models.fold_cotree``: one pass over the cotree's
-post-order codes (:class:`models.Cotree`), with the children's values on a
-stack.
+cross-checked exhaustively against the subset-enumeration oracle.
 
-When a witness is asked for, the same fold reads it off as it goes.  Besides
+The fold never calls ``_merge``.  A subtree's state is one int, k in the
+high bits and five flags in the low ``_SHIFT`` bits: emp, univ, single
+vertex, has a universal vertex and has an isolated vertex.  On first use a
+separating kind gets a table of two rows, union and join, each indexed by
+the two parts' flags, ``a << _SHIFT | b``, and built from ``_merge``.  An
+entry is ``(bump << _SHIFT | flags) - a - b``, so a child merges with one
+lookup and two additions, ``s += b + row[(s & 31) << 5 | b & 31]``: k adds
+up with the bump, and the old flags cancel out.  Where the twin gate fires
+(both parts with a universal vertex at a SEP_ID join, both with an isolated
+one at a SEP_OLD union) the entry is a ``_Gate``, which raises the kind's
+``exact.TWINS`` error when it is added.  The fold runs through
+``models.fold_cotree``: one pass over the cotree's post-order codes
+(:class:`models.Cotree`), with the children's states on a stack.
+
+When a witness is asked for, the same fold reads it off as it goes, with
+the bump and the single-vertex bits read off the same packed states.  Besides
 the state, each subtree then carries three vertices of the minimum
 separating set built for it, each None when absent: ``hole``, the one vertex
 with an empty signature; ``cov``, the one vertex whose signature is the
@@ -116,49 +128,104 @@ class CotreeSolution(NamedTuple):
 
 # -- the merge rule -----------------------------------------------------------
 #
-# A subtree's state is (k, emp, univ, n).  The exceptions per separating
-# kind, the node kind at which two single vertices break the rule: two
-# isolated ones under SEP_ID (each singleton set covers itself, so univ) and
-# an adjacent pair under SEP_OLD (each singleton set misses its own vertex,
-# so emp).  The fold looks its entry up once and merges on plain ints.
+# The exceptions per separating kind, the node kind at which two single
+# vertices break the rule: two isolated ones under SEP_ID (each singleton set
+# covers itself, so univ) and an adjacent pair under SEP_OLD (each singleton
+# set misses its own vertex, so emp).
 
 _TWO_SINGLETONS = {ProblemKind.SEP_ID: UNION, ProblemKind.SEP_OLD: JOIN}
 
-_LEAF = (0, True, True, 1)
+# A state is k << _SHIFT | flags.
+_EMP, _UNIV, _SINGLE, _UNIVERSAL, _ISOLATED = 1, 2, 4, 8, 16
+_SHIFT = 5
+_FLAGS = (1 << _SHIFT) - 1
+_LEAF = _FLAGS  # k = 0, and a single vertex has every flag
+
+# The flag a twin gate reads in both parts: closed twins appear when a join
+# merges two parts with universal vertices, open twins when a union merges
+# two parts with isolated vertices.
+_GATE_FLAG = {JOIN: _UNIVERSAL, UNION: _ISOLATED}
 
 
-def _merge(a, b, kind: int, singles: Optional[int]) -> tuple[int, bool, bool, int]:
-    """State of the union (or join) of two subtrees with states a and b;
-    ``singles`` is the separating kind's entry of ``_TWO_SINGLETONS``."""
-    ka, emp_a, univ_a, na = a
-    kb, emp_b, univ_b, nb = b
+def _merge(a: int, b: int, kind: int, singles: Optional[int]) -> tuple[int, int]:
+    """(bump, flags) of the union (or join) of two subtrees with flags a and b:
+    the value grows by bump.  ``singles`` is the separating kind's entry of
+    ``_TWO_SINGLETONS``."""
     join = kind == JOIN
+    one_a, one_b = bool(a & _SINGLE), bool(b & _SINGLE)
+    emp_a, univ_a = bool(a & _EMP), bool(a & _UNIV)
+    emp_b, univ_b = bool(b & _EMP), bool(b & _UNIV)
     if join:
         emp_a, univ_a, emp_b, univ_b = univ_a, emp_a, univ_b, emp_b
-    if na == 1 and nb == 1 and kind == singles:
+    if one_a and one_b and kind == singles:
         univ = True
-    elif na == 1:
+    elif one_a:
         univ = univ_b and not emp_b
-    elif nb == 1:
+    elif one_b:
         univ = univ_a and not emp_a
     else:
         univ = False
-    k = ka + kb + (1 if emp_a and emp_b else 0)
+    bump = emp_a and emp_b
     emp = emp_a or emp_b
     if join:
         emp, univ = univ, emp
-    return k, emp, univ, na + nb
+    # A join's vertices see every vertex of the other part, so none is
+    # isolated; a union's see none of it, so none is universal.
+    kept = (a | b) & (_UNIVERSAL if join else _ISOLATED)
+    return int(bump), emp * _EMP | univ * _UNIV | kept
 
 
-def _witness_merge(
-    a, b, kind: int, sep: ProblemKind, singles: Optional[int], added: list[int]
-) -> tuple:
+class _Gate:
+    """The table entry of a merge that hits its twin gate: adding it to a
+    state raises the separating kind's twin error."""
+
+    __slots__ = ("twins",)
+
+    def __init__(self, twins):
+        self.twins = twins
+
+    def __radd__(self, _state):
+        raise self.twins.error(self.twins.gate_message)
+
+
+# Separating kind -> its (union, join) rows, built on first use.
+_TABLES: dict = {}
+
+
+def _rows(sep: ProblemKind) -> tuple[list, list]:
+    """The merge table of a separating kind, one row per node kind."""
+    rows = _TABLES.get(sep)
+    if rows is None:
+        rows = _TABLES[sep] = (_row(sep, UNION), _row(sep, JOIN))
+    return rows
+
+
+def _row(sep: ProblemKind, kind: int) -> list:
+    """The entry for flags a and b sits at ``a << _SHIFT | b``: it is
+    ``(bump << _SHIFT | flags) - a - b`` from ``_merge``, so that ``s + t +
+    entry`` is the merged state of states s and t, or a _Gate where the
+    separating kind's twin gate fires."""
+    twins = TWINS.get(sep)
+    gate = _Gate(twins) if twins and twins.node == kind else None
+    singles = _TWO_SINGLETONS.get(sep)
+    row = []
+    for a in range(_FLAGS + 1):
+        for b in range(_FLAGS + 1):
+            if gate is not None and a & b & _GATE_FLAG[kind]:
+                row.append(gate)
+            else:
+                bump, flags = _merge(a, b, kind, singles)
+                row.append((bump << _SHIFT | flags) - a - b)
+    return row
+
+
+def _witness_merge(a, b, kind: int, row: list, sep: ProblemKind, added: list[int]) -> tuple:
     """(state, hole, cov, nn) of parts a and b merged; a bump appends to `added`."""
-    state_a, h_a, c_a, nn_a = a
-    state_b, h_b, c_b, nn_b = b
-    state = _merge(state_a, state_b, kind, singles)
-    one_a, one_b = state_a[3] == 1, state_b[3] == 1
-    bump = state[0] > state_a[0] + state_b[0]
+    s_a, h_a, c_a, nn_a = a
+    s_b, h_b, c_b, nn_b = b
+    state = s_a + s_b + row[(s_a & _FLAGS) << _SHIFT | s_b & _FLAGS]
+    one_a, one_b = s_a & _SINGLE, s_b & _SINGLE
+    bump = state >> _SHIFT > (s_a >> _SHIFT) + (s_b >> _SHIFT)
     if kind == UNION:
         if bump:  # both parts have a hole: one is added, the other stays
             hole, x = (h_a, h_b) if one_b else (h_b, h_a)
@@ -193,40 +260,32 @@ def _witness_merge(
 def _fold(t: Cotree, sep: ProblemKind, witness: bool) -> tuple:
     """Post-order fold of the merge rule; n-ary nodes are combined left to right.
 
-    Returns the root's part, whether its graph has an isolated vertex, and
-    the vertices added at bumps.  A part is the state, or with a witness
-    (state, hole, cov, nn).  Raises the error of ``exact.TWINS[sep]``
-    (TwinsPresent / OpenTwinsPresent) as soon as a merge hits its twin gate,
-    which is exactly when the compiled graph has closed (open) twins.
+    Returns the root's part and the vertices added at bumps.  A part is the
+    state, or with a witness (state, hole, cov, nn).  Raises the error of
+    ``exact.TWINS[sep]`` (TwinsPresent / OpenTwinsPresent) as soon as a merge
+    hits its twin gate, which is exactly when the compiled graph has closed
+    (open) twins.
     """
-    twins = TWINS.get(sep)
-    gate_kind = twins.node if twins else None
-    singles = _TWO_SINGLETONS.get(sep)
+    rows = _rows(sep)
     added: list[int] = []
+    if witness:
+        def merge_children(kind: int, kids: list) -> tuple:
+            row = rows[kind]
+            part = kids[0]
+            for b in kids[1:]:
+                part = _witness_merge(part, b, kind, row, sep, added)
+            return part
 
-    # Each value is (part, has a universal vertex, has an isolated vertex).
-    def merge_children(kind: int, kids: list) -> tuple:
-        join = kind == JOIN
-        part, universal, isolated = kids[0]
-        for b, b_universal, b_isolated in kids[1:]:
-            if kind == gate_kind and (
-                (universal and b_universal) if join else (isolated and b_isolated)
-            ):
-                raise twins.error(twins.gate_message)
-            if witness:
-                part = _witness_merge(part, b, kind, sep, singles, added)
-            else:
-                part = _merge(part, b, kind, singles)
-            if join:
-                universal, isolated = universal or b_universal, False
-            else:
-                universal, isolated = False, isolated or b_isolated
-        return part, universal, isolated
+        return fold_cotree(t, lambda v: (_LEAF, v, v, None), merge_children), added
 
-    leaf_value = (_LEAF, True, True)
-    leaf_fn = (lambda v: ((_LEAF, v, v, None), True, True)) if witness else (lambda _v: leaf_value)
-    part, _universal, isolated = fold_cotree(t, leaf_fn, merge_children)
-    return part, isolated, added
+    def merge_states(kind: int, kids: list) -> int:
+        row = rows[kind]
+        s = kids[0]
+        for b in kids[1:]:
+            s += b + row[(s & _FLAGS) << _SHIFT | b & _FLAGS]
+        return s
+
+    return fold_cotree(t, lambda _v: _LEAF, merge_states), added
 
 
 def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeSolution:
@@ -244,11 +303,12 @@ def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeS
     sep = ProblemKind.SEP_LD if rs else SEPARATING[kind]
     if witness and sep is ProblemKind.SEP_OLD:
         raise ValueError(f"witness reconstruction does not support {kind}")
-    part, isolated, added = _fold(t, sep, witness)
-    summary = CographSummary(*(part[0] if witness else part))
+    part, added = _fold(t, sep, witness)
+    state = part[0] if witness else part
+    summary = CographSummary(state >> _SHIFT, bool(state & _EMP), bool(state & _UNIV), t.n)
     if rs and t.root_kind == UNION:
         raise Disconnected("cotree root is a union")
-    if kind is ProblemKind.OLD and isolated:
+    if kind is ProblemKind.OLD and state & _ISOLATED:
         raise NoOldSolution("a degree-0 vertex cannot be totally dominated")
     repaired = not rs and sep is not kind and summary.emp
     value = summary.k + (1 if repaired else 0)

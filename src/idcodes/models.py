@@ -260,17 +260,20 @@ class Cotree:
 
     ``codes`` holds the nodes children first: a leaf is its vertex
     ``v >= 0`` and an internal node ``~(arity << 1 | kind)``, with kind
-    UNION (0) or JOIN (1).  The constructor raises MalformedCotree unless
-    the codes are one tree whose every node has at least two children, none
-    of its own kind, and whose leaves are 0..n-1 exactly once.  Equality and
-    hashing compare the codes, so two trees are equal when they have the
-    same kinds, child counts and leaf labels in the same order.
+    UNION (0) or JOIN (1); ``n`` is the number of leaves.  The constructor
+    raises MalformedCotree unless the codes are one tree whose every node has
+    at least two children, none of its own kind, and whose leaves are 0..n-1
+    exactly once.  Equality and hashing compare the codes, so two trees are
+    equal when they have the same kinds, child counts and leaf labels in the
+    same order.
     """
 
-    __slots__ = ("codes",)
+    __slots__ = ("codes", "n")
 
     def __init__(self, codes: Iterable[int]):
-        object.__setattr__(self, "codes", _checked_codes(codes))
+        codes, n = _checked_codes(codes)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "n", n)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cotree instances are immutable")
@@ -296,8 +299,9 @@ class Cotree:
         return None if code >= 0 else ~code & 1
 
 
-def _checked_codes(codes: Iterable[int]) -> tuple[int, ...]:
-    """The codes as a tuple; MalformedCotree unless they make a valid cotree.
+def _checked_codes(codes: Iterable[int]) -> tuple[tuple[int, ...], int]:
+    """The codes as a tuple and the number of leaves; MalformedCotree unless
+    they make a valid cotree.
     Per node, the arity is checked first, then the children, then their kinds;
     the labels last."""
     codes = tuple(codes)
@@ -323,7 +327,7 @@ def _checked_codes(codes: Iterable[int]) -> tuple[int, ...]:
     labels = [code for code in codes if code >= 0]
     if max(labels) >= len(labels) or len(set(labels)) != len(labels):
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
-    return codes
+    return codes, len(labels)
 
 
 def leaf(v: int) -> tuple[int, ...]:
@@ -424,7 +428,7 @@ def cotree_to_graph(t: Cotree) -> Graph:
             below[i] = mask
         done.append(i)
     gifts = [0] * size
-    masks = [0] * below[-1].bit_length()
+    masks = [0] * t.n
     for i in range(size - 2, -1, -1):
         p = parent[i]
         gift = gifts[p]
@@ -685,57 +689,58 @@ def parse_cotree(text: str) -> Cotree:
     children of its own.  ``Cotree`` checks the labels once the text has
     parsed, so a syntax error wins over a label error.
     """
-    body = "\n".join(
-        ln for ln in text.splitlines() if not ln.lstrip().startswith("#")
-    )
-    tokens = body.replace("(", " ( ").replace(")", " ) ").split()
+    if "#" in text:
+        text = "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("#"))
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ModelFormatError("unexpected end of cotree expression")
     codes: list[int] = []
     emit = codes.append
-    # Open operators, innermost last: [kind, children written, children in
-    # the codes, whether its children go to the open node below it].
-    open_nodes: list[list] = []
+    # The innermost open node lives in locals: its kind (None while no node
+    # is open), its children written, its children in the codes, and whether
+    # its children go to the open node below it.  The nodes around it wait
+    # on a stack as tuples of the same four.
+    kind, written, arity, merged = None, 0, 0, False
+    enclosing: list[tuple] = []
     negative = False
-    pos, end = 0, len(tokens)
-    while True:
-        tok = tokens[pos]
-        pos += 1
+    tokens = iter(tokens)
+    for tok in tokens:
         if tok == "(":
-            kind = _TEXT_KIND.get(tokens[pos]) if pos < end else None
-            if kind is None:
+            inner = _TEXT_KIND.get(next(tokens, None))
+            if inner is None:
                 raise ModelFormatError("expected U or J after '('")
-            pos += 1
-            open_nodes.append([kind, 0, 0, bool(open_nodes) and open_nodes[-1][0] == kind])
-        else:
-            if tok == ")":
-                if not open_nodes:
-                    raise ModelFormatError("unexpected ')'")
-                kind, written, arity, merged = open_nodes.pop()
-                if written < 2:
-                    raise ModelFormatError("cotree operator needs at least 2 children")
-                if merged:
-                    gain = arity
-                else:
-                    emit(~(arity << 1 | kind))  # node_code, inlined in the token loop
-                    gain = 1
+            enclosing.append((kind, written, arity, merged))
+            kind, written, arity, merged = inner, 0, 0, inner == kind
+        elif tok == ")":
+            if kind is None:
+                raise ModelFormatError("unexpected ')'")
+            if written < 2:
+                raise ModelFormatError("cotree operator needs at least 2 children")
+            if merged:
+                gain = arity
             else:
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise ModelFormatError(f"bad cotree token: {tok!r}") from None
-                if v < 0:
-                    negative = True
-                emit(v)
+                emit(~(arity << 1 | kind))  # node_code, inlined in the token loop
                 gain = 1
-            if not open_nodes:
+            kind, written, arity, merged = enclosing.pop()
+            if kind is None:
                 break
-            top = open_nodes[-1]
-            top[1] += 1
-            top[2] += gain
-        if pos >= end:
-            raise ModelFormatError("missing ')'")
-    if pos != end:
+            written += 1
+            arity += gain
+        else:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ModelFormatError(f"bad cotree token: {tok!r}") from None
+            if v < 0:
+                negative = True
+            emit(v)
+            if kind is None:
+                break
+            written += 1
+            arity += 1
+    else:
+        raise ModelFormatError("missing ')'")
+    if next(tokens, None) is not None:
         raise ModelFormatError("trailing tokens after cotree expression")
     if negative:
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
@@ -771,10 +776,26 @@ def format_cotree(t: Cotree) -> str:
 Model = Union[Graph, IntervalModel, PermutationModel, Cotree]
 
 
+def _first_line(text: str) -> str:
+    """The first line of ``text.splitlines()`` that is neither blank nor a
+    comment, stripped, or "" if there is none.  The first 4,096 characters
+    are searched first; the whole text is split only when they do not hold
+    that line."""
+    for head in (text[:4096], text):
+        lines = head.splitlines()
+        if head is not text:  # the cut may have shortened the last line
+            del lines[-1:]
+        for ln in lines:
+            ln = ln.strip()
+            if ln and ln[0] != "#":
+                return ln
+    return ""
+
+
 def parse_model(text: str) -> Model:
     """Dispatch on the first token of the first line that is not a comment:
     the keyword graph, intervals or permutation, or a cotree's '('."""
-    first = next((ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"), "")
+    first = _first_line(text)
     keyword = first.split(None, 1)[0] if first else ""
     if keyword == "graph":
         return Graph.from_text(text)

@@ -8,6 +8,7 @@ from idcodes.cli import main
 from idcodes import cograph
 from idcodes.cograph import CographSummary, NoOldSolution, WitnessUnavailable, solve_cotree
 from idcodes.exact import (
+    TWINS,
     NoSolution,
     OpenTwinsPresent,
     TwinsPresent,
@@ -236,6 +237,133 @@ class TestOldFlavor:
             s = solve_cotree(t, ProblemKind.SEP_OLD).summary
             assert s.k == oracle.size
             assert (s.emp, s.univ) == emp_univ_oracle(g, ProblemKind.SEP_OLD)
+
+
+# The fold as it was before states were packed into ints: one _merge call
+# per pair of children on (k, emp, univ, n) tuples, with whether each
+# subtree has a universal and an isolated vertex kept beside the state.
+
+_REFERENCE_TWO_SINGLETONS = {ProblemKind.SEP_ID: UNION, ProblemKind.SEP_OLD: JOIN}
+
+
+def _reference_merge(a, b, kind, singles):
+    ka, emp_a, univ_a, na = a
+    kb, emp_b, univ_b, nb = b
+    join = kind == JOIN
+    if join:
+        emp_a, univ_a, emp_b, univ_b = univ_a, emp_a, univ_b, emp_b
+    if na == 1 and nb == 1 and kind == singles:
+        univ = True
+    elif na == 1:
+        univ = univ_b and not emp_b
+    elif nb == 1:
+        univ = univ_a and not emp_a
+    else:
+        univ = False
+    k = ka + kb + (1 if emp_a and emp_b else 0)
+    emp = emp_a or emp_b
+    if join:
+        emp, univ = univ, emp
+    return k, emp, univ, na + nb
+
+
+def _reference_gate(kind, sep, universal, isolated):
+    """Raises the twin error when a merge of parts with these (a, b) pairs of
+    universal and isolated flags hits the gate of sep."""
+    twins = TWINS.get(sep)
+    if twins and kind == twins.node and (
+        all(universal) if kind == JOIN else all(isolated)
+    ):
+        raise twins.error(twins.gate_message)
+
+
+def _reference_fold(t, sep):
+    """(summary, has an isolated vertex), or the twin error."""
+    singles = _REFERENCE_TWO_SINGLETONS.get(sep)
+
+    def merge_children(kind, kids):
+        part, universal, isolated = kids[0]
+        for b, b_universal, b_isolated in kids[1:]:
+            _reference_gate(kind, sep, (universal, b_universal), (isolated, b_isolated))
+            part = _reference_merge(part, b, kind, singles)
+            if kind == JOIN:
+                universal, isolated = universal or b_universal, False
+            else:
+                universal, isolated = False, isolated or b_isolated
+        return part, universal, isolated
+
+    part, _universal, isolated = fold_cotree(t, lambda _v: ((0, True, True, 1), True, True),
+                                             merge_children)
+    return CographSummary(*part), isolated
+
+
+def _outcome(fold, t, sep):
+    try:
+        return fold(t, sep)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _packed_fold(t, sep):
+    """(summary, has an isolated vertex) from the packed fold."""
+    state = cograph._fold(t, sep, False)[0]
+    return solve_cotree(t, sep).summary, bool(state & cograph._ISOLATED)
+
+
+class TestPackedFold:
+    SEPS = (ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD)
+
+    def test_matches_reference_up_to_nine_leaves(self):
+        for n in range(1, 10):
+            for t in all_cotrees(n):
+                for sep in self.SEPS:
+                    assert _outcome(_packed_fold, t, sep) == _outcome(_reference_fold, t, sep), (
+                        format_cotree(t), sep)
+
+    def test_matches_reference_on_random_trees(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            n = rng.randint(10, 5000)
+            sample = random_cotree if rng.random() < 0.5 else random_twin_free_cotree
+            t = sample(n, rng)
+            for sep in self.SEPS:
+                assert _outcome(_packed_fold, t, sep) == _outcome(_reference_fold, t, sep), (n, sep)
+
+    def test_every_table_entry(self):
+        # each entry against _merge, and _merge and the gate against the
+        # reference rule, over all 32 x 32 flag pairs of both node kinds
+        def flag(x, bit):
+            return bool(x & bit)
+
+        for sep in self.SEPS:
+            rows = cograph._rows(sep)
+            assert cograph._rows(sep) is rows  # built once
+            singles = _REFERENCE_TWO_SINGLETONS.get(sep)
+            for kind in (UNION, JOIN):
+                for a in range(32):
+                    for b in range(32):
+                        entry = rows[kind][a << 5 | b]
+                        universal = (flag(a, cograph._UNIVERSAL), flag(b, cograph._UNIVERSAL))
+                        isolated = (flag(a, cograph._ISOLATED), flag(b, cograph._ISOLATED))
+                        try:
+                            _reference_gate(kind, sep, universal, isolated)
+                        except (TwinsPresent, OpenTwinsPresent) as exc:
+                            with pytest.raises(type(exc)) as info:
+                                a + b + entry
+                            assert str(info.value) == str(exc)
+                            continue
+                        bump, flags = cograph._merge(a, b, kind, singles)
+                        assert entry == (bump << 5 | flags) - a - b
+                        k, emp, univ, _n = _reference_merge(
+                            *((0, flag(x, cograph._EMP), flag(x, cograph._UNIV),
+                               1 if x & cograph._SINGLE else 2) for x in (a, b)),
+                            kind, singles,
+                        )
+                        assert (bump, flag(flags, cograph._EMP), flag(flags, cograph._UNIV)) == (
+                            k, emp, univ)
+                        assert not flags & cograph._SINGLE
+                        assert flag(flags, cograph._UNIVERSAL) == (kind == JOIN and any(universal))
+                        assert flag(flags, cograph._ISOLATED) == (kind == UNION and any(isolated))
 
 
 class TestFoldProperties:

@@ -10,8 +10,9 @@ off the fold.  Mutated interval and permutation texts go through
 ``idcodes solve --cap 8`` and ``idcodes verify`` for every problem, and
 ``idcodes generate`` runs every family with integer parameters in -2..8.
 Every run must end in a documented exit code, 0, 2, 3 or 4, without an
-exception escaping ``cli.main``.  Examples are derandomised, so a run is
-repeatable.
+exception escaping ``cli.main``.  The cotree parser and the search for a
+model file's header line are also compared with reference versions on the
+mutated texts.  Examples are derandomised, so a run is repeatable.
 """
 
 import contextlib
@@ -28,13 +29,19 @@ from idcodes.cli import main
 from idcodes.generators import FAMILIES
 from idcodes.graph import path_graph
 from idcodes.models import (
+    _TEXT_KIND,
+    Cotree,
     IntervalModel,
+    MalformedCotree,
+    ModelFormatError,
     PermutationModel,
+    _first_line,
     all_cotrees,
     cotree_to_graph,
     format_cotree,
     format_interval_model,
     format_permutation_model,
+    parse_cotree,
     random_cotree,
 )
 
@@ -192,3 +199,116 @@ def test_generate_ends_in_documented_exit_codes(family, params):
         argv = ["generate", "--family", family, "--out", os.path.join(tmp, "instance")]
         argv += [f"--{p}={v}" for p, v in params.items() if v is not None]
         assert _run(argv) in (0, 2, 3, 4)
+
+
+def _reference_parse_cotree(text: str) -> Cotree:
+    """The cotree parser as it was before its token loop kept the innermost
+    open node in locals: one list per open node, updated at every token."""
+    body = "\n".join(
+        ln for ln in text.splitlines() if not ln.lstrip().startswith("#")
+    )
+    tokens = body.replace("(", " ( ").replace(")", " ) ").split()
+    if not tokens:
+        raise ModelFormatError("unexpected end of cotree expression")
+    codes: list[int] = []
+    emit = codes.append
+    open_nodes: list[list] = []
+    negative = False
+    pos, end = 0, len(tokens)
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            kind = _TEXT_KIND.get(tokens[pos]) if pos < end else None
+            if kind is None:
+                raise ModelFormatError("expected U or J after '('")
+            pos += 1
+            open_nodes.append([kind, 0, 0, bool(open_nodes) and open_nodes[-1][0] == kind])
+        else:
+            if tok == ")":
+                if not open_nodes:
+                    raise ModelFormatError("unexpected ')'")
+                kind, written, arity, merged = open_nodes.pop()
+                if written < 2:
+                    raise ModelFormatError("cotree operator needs at least 2 children")
+                if merged:
+                    gain = arity
+                else:
+                    emit(~(arity << 1 | kind))
+                    gain = 1
+            else:
+                try:
+                    v = int(tok)
+                except ValueError:
+                    raise ModelFormatError(f"bad cotree token: {tok!r}") from None
+                if v < 0:
+                    negative = True
+                emit(v)
+                gain = 1
+            if not open_nodes:
+                break
+            top = open_nodes[-1]
+            top[1] += 1
+            top[2] += gain
+        if pos >= end:
+            raise ModelFormatError("missing ')'")
+    if pos != end:
+        raise ModelFormatError("trailing tokens after cotree expression")
+    if negative:
+        raise MalformedCotree("leaf labels must be exactly 0..n-1")
+    return Cotree(codes)
+
+
+def _outcome(parse, text: str):
+    """The codes parse gives for text, or the class and message it raises."""
+    try:
+        return parse(text).codes
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(text=mutated_cotree())
+def test_cotree_parser_matches_reference(text):
+    assert _outcome(parse_cotree, text) == _outcome(_reference_parse_cotree, text)
+
+
+# Every line boundary of str.splitlines; \r\n is one boundary.
+SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+
+def _reference_first_line(text: str) -> str:
+    return next((ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"), "")
+
+
+@st.composite
+def separated_model_text(draw) -> str:
+    """A mutated model text with its line breaks drawn from SEPARATORS, after
+    blank and comment lines that may end near the 4,096-character prefix that
+    ``_first_line`` searches first."""
+    text = draw(mutated_cotree() | mutated_graph() | mutated_rows())
+    head = draw(st.lists(
+        st.sampled_from(["", " \t", "#", "  # note"]) | st.integers(4060, 4100).map(lambda k: "#" * k),
+        max_size=3,
+    ))
+    lines = head + text.split("\n")
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + sep for line, sep in zip(lines, seps))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(text=separated_model_text())
+def test_first_line_matches_splitting_the_whole_text(text):
+    assert _first_line(text) == _reference_first_line(text)
+
+
+def test_first_line_at_the_prefix_cut():
+    # the header line starts or ends at every offset around the cut, after a
+    # comment line, with each separator
+    for sep in SEPARATORS:
+        for width in range(4080, 4100):
+            for text in ("#" * width + sep + "graph 2" + sep + "e 0 1",
+                         " " * width + "graph 2" + sep + "e 0 1",
+                         "#" * width + sep + sep + "(U 0 1)"):
+                assert _first_line(text) == _reference_first_line(text), (sep, width)

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, and every function,
 method and class the package defines is referenced somewhere.  The command's
-start-up imports neither ``dataclasses`` nor ``inspect``."""
+start-up imports neither ``dataclasses`` nor ``inspect``, adds exactly the
+pinned set of public modules, and builds no merge table."""
 
 import ast
 import os
@@ -91,11 +92,39 @@ def test_detects_an_unreferenced_definition():
     assert unreferenced_definitions(source, [source]) == ["unused (line 4)", "orphan (line 8)"]
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # dataclasses imports inspect, which every run of the command would pay for
-    code = "import sys, idcodes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that imports this package."""
     src = str(Path(idcodes.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses imports inspect, which every run of the command would pay for
+    code = "import sys, idcodes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_interpreter(code) == "[]\n"
+
+
+# The standard modules the package imports itself, and re and locale, which
+# argparse and gettext load: whether start-up has loaded them already differs
+# between installs, so they are imported before the count starts.
+START_UP = "bisect, collections, contextlib, enum, itertools, locale, math, operator, random, re, typing"
+CLI_ADDS = ["argparse", "decimal", "fractions", "gettext", "numbers"] + [
+    "idcodes" if p.stem == "__init__" else f"idcodes.{p.stem}" for p in MODULES
+]
+
+
+def test_cli_import_adds_the_pinned_modules_and_no_merge_table():
+    # each module the command's start-up adds is paid for by every run
+    code = (
+        f"import sys, {START_UP}\n"
+        "before = set(sys.modules)\n"
+        "import idcodes.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(m for m in added if not m.startswith('_')))\n"
+        "print(sys.modules['idcodes.cograph']._TABLES)\n"
+    )
+    assert _fresh_interpreter(code) == f"{sorted(CLI_ADDS)}\n{{}}\n"

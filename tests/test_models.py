@@ -409,6 +409,9 @@ class TestFileFormats:
         ("(U 0 0)", MalformedCotree, "leaf labels must be exactly 0..n-1"),
         ("(U -1 0)", MalformedCotree, "leaf labels must be exactly 0..n-1"),
         ("(U -1 0", ModelFormatError, "missing ')'"),
+        ("(U0 1)", ModelFormatError, "expected U or J after '('"),
+        ("((U 0 1) 2)", ModelFormatError, "expected U or J after '('"),
+        ("(U 1_0 0", ModelFormatError, "missing ')'"),
     ]
 
     @pytest.mark.parametrize("text,error,message", BAD_COTREES)
@@ -417,6 +420,17 @@ class TestFileFormats:
             parse_cotree(text)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    # Texts beside the bad ones that parse: spaces inside the parentheses,
+    # and a same-kind child merged into its parent.
+    GOOD_COTREES = [
+        ("( U 0 1 )", (0, 1, node_code(UNION, 2))),
+        ("(U (U 0 1) 2)", (0, 1, 2, node_code(UNION, 3))),
+    ]
+
+    @pytest.mark.parametrize("text,codes", GOOD_COTREES)
+    def test_good_cotree_codes(self, text, codes):
+        assert parse_cotree(text).codes == codes
 
     # Exact message per bad interval or permutation text.  A line's tokens are
     # read before its id is checked for a repeat, and a vertex count larger
