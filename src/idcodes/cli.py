@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import sys
 
-from . import bounds, cograph, exact, generators, models, verify
+from . import cograph, exact, models, verify
 from .graph import Disconnected, Graph, GraphError, GraphFormatError, InvalidVertex
 from .models import (
     Cotree,
@@ -41,20 +42,41 @@ class CliError(Exception):
         self.code = code
 
 
+def _module(name: str):
+    """The package's module ``name``, imported on first use: ``bounds`` and
+    ``generators`` are loaded only by the subcommands that run them."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 # The errors a subcommand may raise, matched in this order: exception types,
-# the stderr line as a template of the exception, and the exit code.
+# the stderr line as a template of the exception, and the exit code.  A type
+# written "module.Name" is that module's, looked up only once the module is
+# loaded: until then none of its errors can have been raised.
 _ERRORS = (
-    ((bounds.VerifierFailed,), "error: VerifierFailed {}", EXIT_DOMAIN),
+    (("bounds.VerifierFailed",), "error: VerifierFailed {}", EXIT_DOMAIN),
     ((exact.TwinsPresent,), "error: twins {}", EXIT_DOMAIN),
     ((exact.OpenTwinsPresent,), "error: open twins {}", EXIT_DOMAIN),
     ((Disconnected,), "error: disconnected {}", EXIT_DOMAIN),
     ((NotCograph,), "error: not a cograph: {}", EXIT_DOMAIN),
     ((InvalidVertex,), "error: vertex out of range", EXIT_DOMAIN),
     ((exact.CapExceeded,), "error: cap exceeded {}", EXIT_RESOURCE),
-    ((exact.NoSolution, generators.GeneratorError, bounds.BoundsError, ModelError, GraphError),
+    ((exact.NoSolution, "generators.GeneratorError", "bounds.BoundsError", ModelError, GraphError),
      "error: {}", EXIT_DOMAIN),
 )
-_ERROR_TYPES = tuple(t for types, _line, _code in _ERRORS for t in types)
+
+
+def _raised_types(types: tuple) -> tuple:
+    """The classes of one _ERRORS row that can have been raised."""
+    found = []
+    for t in types:
+        if isinstance(t, str):
+            module, name = t.split(".")
+            module = sys.modules.get(f"{__package__}.{module}")
+            if module is None:
+                continue
+            t = getattr(module, name)
+        found.append(t)
+    return tuple(found)
 
 
 def _load_model(path: str):
@@ -131,7 +153,7 @@ def _cmd_generate(args) -> int:
     params = {
         p: getattr(args, p) for p in ("k", "d", "n", "variant") if getattr(args, p) is not None
     }
-    inst = generators.generate(args.family, **params)
+    inst = _module("generators").generate(args.family, **params)
     ext = {
         Graph: ".graph",
         IntervalModel: ".intervals",
@@ -151,13 +173,14 @@ def _cmd_generate(args) -> int:
 def _cmd_certify(args) -> int:
     kind = _PROBLEMS[args.problem]
     model = _load_model(args.input)
-    report = bounds.certify(model, _parse_set(args.set), kind)
+    report = _module("bounds").certify(model, _parse_set(args.set), kind)
     word = "satisfied" if report.satisfied else "violated"
     print(f"{word} slack={report.slack} max_n={report.max_n} bound={report.theorem_label}")
     return EXIT_OK if report.satisfied else EXIT_DOMAIN
 
 
 def _cmd_bounds(args) -> int:
+    bounds = _module("bounds")
     cls = bounds.GraphClass(args.graph_class)
     kind = _PROBLEMS[args.kind]
     max_n = bounds.max_order(bounds.BoundQuery(cls, kind, args.k, args.d))
@@ -178,45 +201,46 @@ def _cmd_compile_model(args) -> int:
     return EXIT_OK
 
 
-# One row per subcommand: name, help, handler and its arguments as
-# (flags, add_argument keywords) pairs.
+# One row per subcommand: name, help, handler and a function giving its
+# arguments as (flags, add_argument keywords) pairs, called only when the
+# subcommand's parser is built.
 _COMMANDS = (
-    ("solve", "exact minimum solution by enumeration", _cmd_solve, (
+    ("solve", "exact minimum solution by enumeration", _cmd_solve, lambda: (
         (("--problem",), dict(required=True, choices=sorted(_PROBLEMS))),
         (("--input",), dict(required=True)),
         (("--cap",), dict(type=int, default=exact.DEFAULT_VERTEX_CAP)),
     )),
-    ("verify", "check a set against a problem kind", _cmd_verify, (
+    ("verify", "check a set against a problem kind", _cmd_verify, lambda: (
         (("--problem",), dict(required=True, choices=sorted(_PROBLEMS))),
         (("--input",), dict(required=True)),
         (("--set",), dict(required=True)),
     )),
-    ("cograph", "cotree dynamic program", _cmd_cograph, (
+    ("cograph", "cotree dynamic program", _cmd_cograph, lambda: (
         (("--problem",), dict(required=True, choices=["ic", "ld", "md"])),
         (("--cotree",), dict(required=True)),
         (("--witness",), dict(action="store_true")),
     )),
-    ("generate", "emit an extremal family instance", _cmd_generate, (
-        (("--family",), dict(required=True, choices=sorted(generators.FAMILIES))),
+    ("generate", "emit an extremal family instance", _cmd_generate, lambda: (
+        (("--family",), dict(required=True, choices=sorted(_module("generators").FAMILIES))),
         (("--k",), dict(type=int)),
         (("--d",), dict(type=int)),
         (("--n",), dict(type=int)),
         (("--variant", "--k-variant"), dict(type=int, dest="variant")),
         (("--out",), dict(required=True)),
     )),
-    ("certify", "verify a solution and check the class bound", _cmd_certify, (
+    ("certify", "verify a solution and check the class bound", _cmd_certify, lambda: (
         (("--input",), dict(required=True)),
         (("--set",), dict(required=True)),
         (("--problem",), dict(required=True, choices=sorted(_PROBLEMS))),
     )),
-    ("bounds", "print one bound-table row", _cmd_bounds, (
+    ("bounds", "print one bound-table row", _cmd_bounds, lambda: (
         (("--class",), dict(dest="graph_class", required=True,
-                            choices=[c.value for c in bounds.GraphClass])),
+                            choices=[c.value for c in _module("bounds").GraphClass])),
         (("--kind",), dict(required=True, choices=["ic", "ld", "old", "md"])),
         (("--k",), dict(type=int, required=True)),
         (("--d",), dict(type=int)),
     )),
-    ("compile-model", "compile any model file to graph text", _cmd_compile_model, (
+    ("compile-model", "compile any model file to graph text", _cmd_compile_model, lambda: (
         (("--input",), dict(required=True)),
         (("--out",), {}),
     )),
@@ -243,7 +267,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, help_text, fn, arguments in _COMMANDS:
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
-            for flags, options in arguments:
+            for flags, options in arguments():
                 p.add_argument(*flags, **options)
             p.set_defaults(fn=fn)
     return parser
@@ -258,10 +282,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except _ERROR_TYPES as exc:
-        line, code = next((t, c) for types, t, c in _ERRORS if isinstance(exc, types))
-        print(line.format(exc), file=sys.stderr)
-        return code
+    except Exception as exc:
+        for types, line, code in _ERRORS:
+            if isinstance(exc, _raised_types(types)):
+                print(line.format(exc), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ or SEP_OLD.  The dominating kinds IC, LD and OLD add one repair vertex
 exactly when every minimum separating set leaves a hole, so their value is
 k + [emp].  RS folds as SEP_LD without repair, since a connected cograph has
 diameter at most 2, where resolving and separating sets coincide.  A Cotree
-is valid by construction, so the tree is only folded, once; the fold also
+is valid once built, so the tree is only folded, once; the fold also
 runs the separating kind's twin gate and carries whether each subtree has a
 universal and an isolated vertex, so the root tells whether OLD has a
 solution at all.  The summary's n is the tree's leaf count, ``Cotree.n``.
@@ -49,18 +49,21 @@ lookup and two additions, ``s += b + row[(s & 31) << 5 | b & 31]``: k adds
 up with the bump, and the old flags cancel out.  Where the twin gate fires
 (both parts with a universal vertex at a SEP_ID join, both with an isolated
 one at a SEP_OLD union) the entry is a ``_Gate``, which raises the kind's
-``exact.TWINS`` error when it is added.  The fold runs through
-``models.fold_cotree``: one pass over the cotree's post-order codes
-(:class:`models.Cotree`), with the children's states on a stack.
+``exact.TWINS`` error when it is added.  The fold is one loop over the
+cotree's post-order codes (:class:`models.Cotree`) with the finished
+subtrees' states on a stack and no call per node: a leaf pushes ``_LEAF``,
+and a node merges its children's states off the stack with its row.
 
-When a witness is asked for, the same fold reads it off as it goes, with
-the bump and the single-vertex bits read off the same packed states.  Besides
-the state, each subtree then carries three vertices of the minimum
-separating set built for it, each None when absent: ``hole``, the one vertex
-with an empty signature; ``cov``, the one vertex whose signature is the
-whole set; and ``nn``, a vertex of the subtree outside N[cov].  The set is
-never stored: it is the vertices added at bumped merges (where the value
-grows by one), plus the root's hole when IC or LD need the repair vertex.
+When a witness is asked for, the fold runs through ``models.fold_cotree``
+instead, one call per node combining its children left to right, and reads
+the witness off as it goes, with the bump and the single-vertex bits read
+off the same packed states.  Besides the state, each subtree then carries
+three vertices of the minimum separating set built for it, each None when
+absent: ``hole``, the one vertex with an empty signature; ``cov``, the one
+vertex whose signature is the whole set; and ``nn``, a vertex of the subtree
+outside N[cov].  The set is never stored: it is the vertices added at bumped
+merges (where the value grows by one), plus the root's hole when IC or LD
+need the repair vertex.
 Parts A then B merge as follows:
 
   union, no bump: the hole is A's or B's; cov, nn are A's cov and B's hole
@@ -258,13 +261,21 @@ def _witness_merge(a, b, kind: int, row: list, sep: ProblemKind, added: list[int
 # -- the fold -----------------------------------------------------------------
 
 def _fold(t: Cotree, sep: ProblemKind, witness: bool) -> tuple:
-    """Post-order fold of the merge rule; n-ary nodes are combined left to right.
+    """Post-order fold of the merge rule.
 
     Returns the root's part and the vertices added at bumps.  A part is the
     state, or with a witness (state, hole, cov, nn).  Raises the error of
     ``exact.TWINS[sep]`` (TwinsPresent / OpenTwinsPresent) as soon as a merge
     hits its twin gate, which is exactly when the compiled graph has closed
     (open) twins.
+
+    The witness fold combines a node's children left to right, through
+    ``models.fold_cotree``.  The plain fold is one loop over the codes: the
+    last finished subtree's state stays in ``s`` and the earlier ones wait
+    on a stack, so a node of arity a pops a - 1 states into ``s``, from its
+    last child back to its first.  The order does not change the root's
+    state, since the merge is symmetric and a subtree's state is a property
+    of its graph alone.
     """
     rows = _rows(sep)
     added: list[int] = []
@@ -278,14 +289,21 @@ def _fold(t: Cotree, sep: ProblemKind, witness: bool) -> tuple:
 
         return fold_cotree(t, lambda v: (_LEAF, v, v, None), merge_children), added
 
-    def merge_states(kind: int, kids: list) -> int:
-        row = rows[kind]
-        s = kids[0]
-        for b in kids[1:]:
-            s += b + row[(s & _FLAGS) << _SHIFT | b & _FLAGS]
-        return s
-
-    return fold_cotree(t, lambda _v: _LEAF, merge_states), added
+    waiting: list[int] = []
+    push, pop = waiting.append, waiting.pop
+    s = 0  # the state below the first leaf, never merged
+    for code in t.codes:
+        if code >= 0:
+            push(s)
+            s = _LEAF
+        else:
+            row = rows[~code & 1]
+            arity = ~code >> 1
+            while arity > 1:
+                b = pop()
+                s += b + row[(s & _FLAGS) << _SHIFT | b & _FLAGS]
+                arity -= 1
+    return s, added
 
 
 def solve_cotree(t: Cotree, kind: ProblemKind, witness: bool = False) -> CotreeSolution:

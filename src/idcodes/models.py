@@ -263,9 +263,12 @@ class Cotree:
     UNION (0) or JOIN (1); ``n`` is the number of leaves.  The constructor
     raises MalformedCotree unless the codes are one tree whose every node has
     at least two children, none of its own kind, and whose leaves are 0..n-1
-    exactly once.  Equality and hashing compare the codes, so two trees are
-    equal when they have the same kinds, child counts and leaf labels in the
-    same order.
+    exactly once.  Every way to build a tree runs that check, except
+    :func:`parse_cotree`, which adopts its codes through ``_adopt``: its
+    token loop enforces each structural rule as it reads the text, and it
+    checks the labels itself, so its trees are just as valid.  Equality and
+    hashing compare the codes, so two trees are equal when they have the
+    same kinds, child counts and leaf labels in the same order.
     """
 
     __slots__ = ("codes", "n")
@@ -274,6 +277,14 @@ class Cotree:
         codes, n = _checked_codes(codes)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _adopt(cls, codes: tuple[int, ...], n: int) -> "Cotree":
+        """A tree on codes already known to be valid, with n leaves."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "codes", codes)
+        object.__setattr__(t, "n", n)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Cotree instances are immutable")
@@ -324,10 +335,16 @@ def _checked_codes(codes: Iterable[int]) -> tuple[tuple[int, ...], int]:
         push(kind)
     if len(kinds) != 1:
         raise MalformedCotree("cotree codes are not one post-order tree")
+    return codes, _leaf_count(codes)
+
+
+def _leaf_count(codes: tuple[int, ...]) -> int:
+    """The number of leaves of a tree's codes; MalformedCotree unless the
+    nonnegative codes are exactly 0..n-1, once each."""
     labels = [code for code in codes if code >= 0]
     if max(labels) >= len(labels) or len(set(labels)) != len(labels):
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
-    return codes, len(labels)
+    return len(labels)
 
 
 def leaf(v: int) -> tuple[int, ...]:
@@ -686,8 +703,11 @@ def parse_cotree(text: str) -> Cotree:
     Tokens go straight into post-order codes.  A node opened directly under
     an open node of its own kind hands its children to that node, so the
     chain is merged as it is read; each written node still needs two
-    children of its own.  ``Cotree`` checks the labels once the text has
-    parsed, so a syntax error wins over a label error.
+    children of its own.  So every tree the loop finishes is one canonical
+    tree, and the labels are checked only after it, so a syntax error wins
+    over a label error: a negative label is noted as it is read, and the rest
+    are checked to be 0..n-1, once each.  The tree is then adopted
+    (``Cotree._adopt``) without a second structural check.
     """
     if "#" in text:
         text = "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("#"))
@@ -744,7 +764,8 @@ def parse_cotree(text: str) -> Cotree:
         raise ModelFormatError("trailing tokens after cotree expression")
     if negative:
         raise MalformedCotree("leaf labels must be exactly 0..n-1")
-    return Cotree(codes)
+    codes = tuple(codes)
+    return Cotree._adopt(codes, _leaf_count(codes))
 
 
 def format_cotree(t: Cotree) -> str:

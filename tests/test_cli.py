@@ -179,22 +179,25 @@ class TestCographCmd:
 
 class TestOneFoldPerRequest:
     """A cograph request, witness included, and a cograph-family generate
-    check their cotree once, when the Cotree is built, and fold it once."""
+    walk their cotree's structure once and fold it once.  A cotree file's
+    tree is checked by the parser's token loop alone, never by the
+    ``Cotree`` constructor's check; a graph file's tree is checked once,
+    when recognition builds it, and a generated one when it is built.  Only
+    a witness folds through ``fold_cotree``, one call per node."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         from idcodes import cograph, models
 
-        # the constructor's check, and the fold
-        counts = {"_checked_codes": 0, "fold_cotree": 0}
-        for name in counts:
-            def counted(*args, _name=name, _original=getattr(models, name)):
+        # the constructor's check, the fold, and the per-node fold
+        counts = {"_checked_codes": 0, "_fold": 0, "fold_cotree": 0}
+        for module, name in ((models, "_checked_codes"), (cograph, "_fold"),
+                             (cograph, "fold_cotree")):
+            def counted(*args, _name=name, _original=getattr(module, name)):
                 counts[_name] += 1
                 return _original(*args)
 
-            for module in (models, cograph):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     @pytest.mark.parametrize("problem", ["ic", "ld", "md"])
@@ -205,19 +208,20 @@ class TestOneFoldPerRequest:
             ["cograph", "--problem", problem, "--cotree", path, "--witness"], capsys
         )
         assert code == 0 and " witness=" in out
-        assert counts == {"_checked_codes": 1, "fold_cotree": 1}
+        assert counts == {"_checked_codes": 0, "_fold": 1, "fold_cotree": 1}
 
     @pytest.mark.parametrize("name,text", [("k223.cotree", K223_COTREE), ("k223.graph", K223_GRAPH)],
                              ids=["cotree", "graph"])
     @pytest.mark.parametrize("witness", [[], ["--witness"]], ids=["value", "witness"])
     def test_cotree_or_graph_input(self, workdir, capsys, counts, name, text, witness):
-        # a graph file's tree is built once, by recognition
+        # a graph file's tree is checked once, by recognition
         path = workdir / name
         path.write_text(text)
         code, out, _ = run_cli(["cograph", "--problem", "ic", "--cotree", path, *witness], capsys)
         assert (code, out) == (0, "k=5 emp=false univ=true sep=5"
                                + (" witness=0,1,3,5,6" if witness else "") + "\n")
-        assert counts == {"_checked_codes": 1, "fold_cotree": 1}
+        assert counts == {"_checked_codes": int(name.endswith(".graph")), "_fold": 1,
+                          "fold_cotree": len(witness)}
 
     @pytest.mark.parametrize("family", ["cograph-id", "cograph-ld"])
     def test_generate(self, workdir, capsys, counts, family):
@@ -227,7 +231,8 @@ class TestOneFoldPerRequest:
             capsys,
         )
         assert code == 0
-        assert counts == {"_checked_codes": 1, "fold_cotree": 1}
+        # the family is built from a witness
+        assert counts == {"_checked_codes": 1, "_fold": 1, "fold_cotree": 1}
 
 
 class TestGenerateCertify:

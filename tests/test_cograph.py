@@ -366,6 +366,69 @@ class TestPackedFold:
                         assert flag(flags, cograph._ISOLATED) == (kind == UNION and any(isolated))
 
 
+def _plain_state(t, sep):
+    """The root state of the value-only loop, which merges a node's children
+    from the last one back to the first."""
+    return cograph._fold(t, sep, False)[0]
+
+
+def _witness_state(t, sep):
+    """The root state of the witness fold, which merges left to right."""
+    return cograph._fold(t, sep, True)[0][0]
+
+
+def _merge_state(t, sep):
+    """The root state from one ``_merge`` call per pair of children, left to
+    right, with the twin gate tested before each merge."""
+    singles = cograph._TWO_SINGLETONS.get(sep)
+    twins = TWINS.get(sep)
+
+    def node(kind, kids):
+        s = kids[0]
+        for b in kids[1:]:
+            if twins and twins.node == kind and s & b & cograph._GATE_FLAG[kind]:
+                raise twins.error(twins.gate_message)
+            bump, flags = cograph._merge(s & 31, b & 31, kind, singles)
+            s = ((s >> 5) + (b >> 5) + bump) << 5 | flags
+        return s
+
+    return fold_cotree(t, lambda _v: cograph._LEAF, node)
+
+
+class TestPlainFoldLoop:
+    """The value-only fold's loop gives the witness fold's state and the
+    per-pair _merge fold's, or the same twin error, for every separating kind."""
+
+    SEPS = (ProblemKind.SEP_ID, ProblemKind.SEP_LD, ProblemKind.SEP_OLD)
+
+    def _outcomes(self, t, sep):
+        plain = _outcome(_plain_state, t, sep)
+        assert plain == _outcome(_witness_state, t, sep) == _outcome(_merge_state, t, sep), (
+            format_cotree(t), sep)
+        return plain
+
+    def test_every_cotree_up_to_nine_leaves(self):
+        gated = 0
+        for n in range(1, 10):
+            for t in all_cotrees(n):
+                for sep in self.SEPS:
+                    gated += isinstance(self._outcomes(t, sep), tuple)
+        assert 0 < gated  # both outcomes are covered
+
+    def test_random_trees_of_thousands_of_leaves(self):
+        rng = random.Random(53)
+        for i in range(8):
+            sample = random_cotree if i % 2 else random_twin_free_cotree
+            t = sample(rng.randint(1_000, 10_000), rng)
+            for sep in self.SEPS:
+                self._outcomes(t, sep)
+
+    def test_deep_caterpillar(self):
+        t = TestDeepCotrees._caterpillar(10_000)
+        assert [isinstance(self._outcomes(t, sep), tuple) for sep in self.SEPS] == [
+            True, False, False]  # its innermost join is of two leaves, closed twins
+
+
 class TestFoldProperties:
     def test_value_nondecreasing_under_subtrees(self):
         rng = random.Random(42)

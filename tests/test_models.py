@@ -23,6 +23,7 @@ from idcodes.models import (
     cograph_recognize,
     complement_cotree,
     cotree_to_graph,
+    fold_cotree,
     format_cotree,
     format_interval_model,
     format_permutation_model,
@@ -43,6 +44,7 @@ from idcodes.models import (
     union_node,
     write_model,
 )
+from idcodes.models import _checked_codes
 from idcodes.graph import closed_twins
 from idcodes import verify
 from idcodes.verify import ProblemKind
@@ -431,6 +433,68 @@ class TestFileFormats:
     @pytest.mark.parametrize("text,codes", GOOD_COTREES)
     def test_good_cotree_codes(self, text, codes):
         assert parse_cotree(text).codes == codes
+
+    # parse_cotree adopts its codes without the constructor's check, so every
+    # small tree is parsed back, as printed, with same-kind chains written out
+    # and with mixed whitespace, and its codes are run through that check.
+    SPACES = [" ", "  ", "\t", "\n", "\r\n", " \t\n"]
+
+    @staticmethod
+    def _nested(t):
+        """t as nested (kind, children) pairs, with a leaf as its label."""
+        return fold_cotree(t, lambda v: v, lambda kind, kids: (kind, kids))
+
+    @staticmethod
+    def _chained(node, rng):
+        """The same tree with random runs of two or more children, but not all
+        of a node's, wrapped in a written node of the parent's kind."""
+        if isinstance(node, int):
+            return node
+        kind, kids = node
+        kids = [TestFileFormats._chained(kid, rng) for kid in kids]
+        while len(kids) > 2 and rng.random() < 0.7:
+            size = rng.randint(2, len(kids) - 1)
+            at = rng.randint(0, len(kids) - size)
+            kids[at:at + size] = [(kind, kids[at:at + size])]
+        return kind, kids
+
+    @staticmethod
+    def _tokens(node):
+        if isinstance(node, int):
+            return [str(node)]
+        kind, kids = node
+        return ["(", "UJ"[kind], *itertools.chain.from_iterable(map(TestFileFormats._tokens, kids)),
+                ")"]
+
+    def _spaced(self, tokens, rng):
+        """The tokens with random whitespace between them, none next to a
+        parenthesis at random, and some before and after."""
+        out = [rng.choice(self.SPACES)]
+        for before, tok in zip([None] + tokens, tokens):
+            if before is not None:
+                touching = before in "()" or tok in "()"
+                out.append("" if touching and rng.random() < 0.5 else rng.choice(self.SPACES))
+            out.append(tok)
+        out.append(rng.choice(self.SPACES))
+        return "".join(out)
+
+    def test_every_small_cotree_parses_to_checked_codes(self):
+        rng = random.Random(61)
+        for n in range(1, 8):
+            for t in all_cotrees(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                shuffled = Cotree(perm[c] if c >= 0 else c for c in t.codes)
+                nested = self._nested(shuffled)
+                for tree, text in (
+                    (t, format_cotree(t)),
+                    (shuffled, " ".join(self._tokens(self._chained(nested, rng)))),
+                    (shuffled, self._spaced(self._tokens(nested), rng)),
+                ):
+                    parsed = parse_cotree(text)
+                    assert parsed.codes == tree.codes and parsed.n == n, text
+                    assert _checked_codes(parsed.codes) == (parsed.codes, n), text
+                    assert Cotree(parsed.codes).codes == parsed.codes, text
 
     # Exact message per bad interval or permutation text.  A line's tokens are
     # read before its id is checked for a repeat, and a vertex count larger
