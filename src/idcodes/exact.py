@@ -3,12 +3,13 @@
 These routines exist to validate the fast algorithms and the extremal
 constructions, not for production use: they enumerate candidate sets by
 increasing size and, within a size, in lexicographic order, so the returned
-witness is deterministic.
+witness is deterministic.  The enumeration is pruned, and its order is
+unchanged: it skips only subsets that cannot pass.
 
 Every kind is checked as a hitting set: a subset S passes when it meets each
 mask of a list built once per graph, and one C-level
 ``all(map(and_, hit, repeat(mask)))`` decides it, with no Python loop over the
-vertices; ``mask`` is ``sum(map(bit.__getitem__, subset))``.  The list is
+vertices; ``mask`` is the subset's vertex mask.  The list is
 built from the kind's row of ``verify.SEPARATING`` and its neighbourhood rows
 N[v] (N(v) under SEP_OLD, :func:`verify.neighbourhoods`).  It holds:
 
@@ -20,8 +21,12 @@ N[v] (N(v) under SEP_OLD, :func:`verify.neighbourhoods`).  It holds:
 A pair mask is empty exactly when u and v are twins, and a row exactly when
 v is isolated under OLD; those raise before any subset is tried.  So the
 empty set passes exactly when the list is empty, for RS when n <= 1.
-The list is deduplicated and sorted by size, so a failing subset usually stops
-at its first few masks.
+The list is deduplicated and sorted by size for that final check, so a
+failing subset usually stops at its first few masks.  It is also indexed by
+each mask's highest vertex for the prefix rule of the search: subsets are
+built by a depth-first search over increasing members, and once the members
+chosen so far skip past a mask's highest vertex without meeting it, no
+extension of them can pass.
 """
 
 from __future__ import annotations
@@ -104,8 +109,8 @@ TWINS = {
 
 
 class _Checker:
-    """Callable deciding one candidate subset and its mask, with the
-    preconditions applied once: the set must meet every mask in ``hit``."""
+    """The preconditions of one kind on one graph, applied once: a subset
+    passes when it meets every mask in ``hit``."""
 
     def __init__(self, g: Graph, kind: ProblemKind):
         n = self.n = g.n
@@ -129,15 +134,47 @@ class _Checker:
                 hit += rows
         # Smallest masks first: a failing subset misses one of them soonest.
         self.hit = sorted(set(hit), key=int.bit_count)
-        self.bit = [1 << v for v in range(n)]
-
-    def __call__(self, subset: tuple[int, ...], mask: int) -> bool:
-        return all(map(and_, self.hit, repeat(mask)))
+        # below[v]: the masks whose highest vertex is v - 1, which a subset
+        # must meet with its members below v.
+        self.below: list[list[int]] = [[] for _ in range(n + 1)]
+        for m in self.hit:
+            self.below[m.bit_length()].append(m)
 
     def solutions(self, size: int) -> Iterator[tuple[int, ...]]:
-        """The passing subsets of one size, in lexicographic order."""
-        bit = self.bit.__getitem__
-        return (s for s in combinations(range(self.n), size) if self(s, sum(map(bit, s))))
+        """The passing subsets of one size, in lexicographic order.
+
+        A depth-first search over increasing members.  Before v is tried as
+        the next member, the prefix must meet every mask whose highest vertex
+        is v - 1: no later member can, so no larger v passes either and the
+        level ends there.  A complete subset is checked against every mask.
+        """
+        n, hit, below = self.n, self.hit, self.below
+        if size == 0:
+            if not hit:
+                yield ()
+            return
+        members: list[int] = []
+        prefix = [0]  # prefix[d]: the mask of members[:d]
+        last = size - 1
+        v = 0
+        while True:
+            d = len(members)
+            mask = prefix[d]
+            if d == last:  # the last member: each complete subset is checked
+                for v in range(v, n):
+                    if not all(map(and_, below[v], repeat(mask))):
+                        break
+                    if all(map(and_, hit, repeat(mask | 1 << v))):
+                        yield (*members, v)
+            elif v <= n - size + d and all(map(and_, below[v], repeat(mask))):
+                members.append(v)
+                prefix.append(mask | 1 << v)
+                v += 1
+                continue
+            if not members:
+                return
+            v = members.pop() + 1
+            prefix.pop()
 
 
 def _first_solution(g: Graph, kind: ProblemKind, cap: int) -> tuple[_Checker, tuple[int, ...]]:

@@ -363,12 +363,16 @@ def _config_based_family(k: int, kind: ProblemKind, family: str) -> ExtremalInst
     tops = sorted(t for t, _ in code)
     bots = sorted(b for _, b in code)
 
-    def gap_position(ranks: list[int], gap: int, slot: int) -> Fraction:
-        lo = Fraction(ranks[gap - 1]) if gap > 0 else Fraction(ranks[0] - 2)
-        hi = Fraction(ranks[gap]) if gap < len(ranks) else Fraction(ranks[-1] + 2)
-        return lo + (hi - lo) * Fraction(slot + 1, k + 2)
+    # Positions are scaled by k + 2, so the slots of a gap are integers; only
+    # their order matters.
+    scale = k + 2
 
-    positions = [(Fraction(t), Fraction(b)) for t, b in code]
+    def gap_position(ranks: list[int], gap: int, slot: int) -> int:
+        lo = ranks[gap - 1] if gap > 0 else ranks[0] - 2
+        hi = ranks[gap] if gap < len(ranks) else ranks[-1] + 2
+        return lo * scale + (hi - lo) * (slot + 1)
+
+    positions = [(t * scale, b * scale) for t, b in code]
     positions += [
         (gap_position(tops, i, j), gap_position(bots, j, i))
         for i in range(k + 1)

@@ -8,7 +8,7 @@ import random
 import statistics
 import time
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -16,6 +16,7 @@ from idcodes import verify
 from idcodes.bounds import GraphClass, certify, certify_instance
 from idcodes.cograph import solve_cotree
 from idcodes.exact import (
+    DEFAULT_VERTEX_CAP,
     NoSolution,
     OpenTwinsPresent,
     TwinsPresent,
@@ -71,8 +72,17 @@ def _report(name: str, started: float, budget: float, detail: str = "") -> None:
     assert elapsed < budget
 
 
-def _oracle_minimal(instance, kind) -> bool:
-    return min_set(instance.graph, kind).size == instance.claimed_k
+def _minimal_up_to_cap(family, kind, start=1, step=1) -> list[int]:
+    """Check that every member of a family, k = start, start + step, ...,
+    hands out a minimum solution, until its order passes the oracle's vertex
+    cap; the ks checked."""
+    checked = []
+    for k in count(start, step):
+        inst = family(k)
+        if inst.claimed_n > DEFAULT_VERTEX_CAP:
+            return checked
+        assert min_set(inst.graph, kind).size == inst.claimed_k, (inst.family, k)
+        checked.append(k)
 
 
 class TestCriterion1IntervalTightness:
@@ -86,11 +96,9 @@ class TestCriterion1IntervalTightness:
                 assert certify_instance(inst).slack == 0
             if k % 2 == 0:
                 assert certify_instance(ext_interval_old(k)).slack == 0
-        for k in range(1, 6):
-            assert _oracle_minimal(ext_interval_ic(k), PK.IC)
-            assert _oracle_minimal(ext_interval_ld(k), PK.LD)
-            if k % 2 == 0:
-                assert _oracle_minimal(ext_interval_old(k), PK.OLD)
+        assert _minimal_up_to_cap(ext_interval_ic, PK.IC) == [*range(1, 8)]
+        assert _minimal_up_to_cap(ext_interval_ld, PK.LD) == [*range(1, 7)]
+        assert _minimal_up_to_cap(ext_interval_old, PK.OLD, 2, 2) == [2, 4, 6]
         _report("criterion 1 (interval tightness)", t0, 60)
 
 
@@ -101,10 +109,9 @@ class TestCriterion2UnitTightness:
             for inst in (ext_unit_ic(k), ext_unit_old(k), ext_unit_ld(k)):
                 assert is_unit_model(inst.model)
                 assert certify_instance(inst).slack == 0
-        for k in range(1, 6):
-            assert _oracle_minimal(ext_unit_ic(k), PK.IC)
-            assert _oracle_minimal(ext_unit_old(k), PK.OLD)
-            assert _oracle_minimal(ext_unit_ld(k), PK.LD)
+        assert _minimal_up_to_cap(ext_unit_ic, PK.IC) == [*range(1, 16)]
+        assert _minimal_up_to_cap(ext_unit_old, PK.OLD) == [*range(1, 8)]
+        assert _minimal_up_to_cap(ext_unit_ld, PK.LD) == [*range(1, 11)]
         _report("criterion 2 (unit interval tightness)", t0, 60)
 
 
@@ -116,11 +123,9 @@ class TestCriterion3PermutationTightness:
             assert certify_instance(ext_perm_ld(k)).slack == 0
             if k % 2 == 0:
                 assert certify_instance(ext_perm_old(k)).slack == 0
-        for k in (3, 4):
-            assert _oracle_minimal(ext_perm_ic(k), PK.IC)
-            assert _oracle_minimal(ext_perm_ld(k), PK.LD)
-            if k % 2 == 0:
-                assert _oracle_minimal(ext_perm_old(k), PK.OLD)
+        assert _minimal_up_to_cap(ext_perm_ic, PK.IC, 3) == [3, 4, 5]
+        assert _minimal_up_to_cap(ext_perm_ld, PK.LD, 3) == [3, 4, 5]
+        assert _minimal_up_to_cap(ext_perm_old, PK.OLD, 4, 2) == [4]
         _report("criterion 3 (permutation tightness)", t0, 300)
 
 

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import and_
 
 import pytest
 
@@ -7,8 +8,10 @@ from idcodes.exact import (
     CapExceeded,
     NoSolution,
     OpenTwinsPresent,
+    SolveResult,
     SolverError,
     TwinsPresent,
+    _Checker,
     all_min_sets,
     emp_univ_oracle,
     min_set,
@@ -33,6 +36,8 @@ from idcodes.models import (
     cotree_to_graph,
     interval_graph,
     permutation_graph,
+    random_cotree,
+    random_twin_free_cotree,
 )
 from idcodes.verify import ProblemKind, check
 
@@ -245,3 +250,74 @@ class TestTieBreak:
                 result = min_set(g, kind)
                 assert (result.size, result.witness) == (len(expected[0]), frozenset(expected[0])), (g, kind)
                 assert all_min_sets(g, kind) == [frozenset(s) for s in expected], (g, kind)
+
+
+def _plain_solutions(checker, size):
+    """The unpruned scan: every combinations subset that meets every mask."""
+    bit = [1 << v for v in range(checker.n)]
+    return [s for s in combinations(range(checker.n), size)
+            if all(map(and_, checker.hit, repeat(sum(map(bit.__getitem__, s)))))]
+
+
+def _outcome(solve, g, kind):
+    """What solve(g, kind) returns, or the class and message it raises."""
+    try:
+        return solve(g, kind)
+    except (SolverError, Disconnected) as e:
+        return type(e), str(e)
+
+
+def _plain_min_sets(g, kind):
+    """Every passing subset of the least size, by the unpruned scan."""
+    checker = _Checker(g, kind)
+    for size in range(g.n + 1):
+        found = _plain_solutions(checker, size)
+        if found:
+            return [frozenset(s) for s in found]
+
+
+def _pruning_graphs():
+    """Seeded interval, permutation and cograph graphs of 10 to 16 vertices;
+    some with an extra isolated vertex, which OLD rejects."""
+    rng = random.Random(35)
+    graphs = []
+    for i in range(68):
+        isolated = i % 4 == 0
+        n = rng.randint(10, 14 + isolated)
+        ends = [sorted(rng.sample(range(2 * n + 2), 2)) for _ in range(n)]
+        if isolated:
+            ends.append((2 * n + 2, 2 * n + 3))
+        graphs.append(interval_graph(IntervalModel(ends)))
+        bottoms = rng.sample(range(n), n) + [n] * isolated
+        graphs.append(permutation_graph(PermutationModel(enumerate(bottoms))))
+        make = random_twin_free_cotree if i % 2 else random_cotree
+        g = cotree_to_graph(make(n + isolated, rng))
+        if isolated:
+            g = Graph(n + 1, [(u, v) for u in range(n) for v in range(u + 1, n) if g.masks[u] >> v & 1])
+        graphs.append(g)
+    return graphs
+
+
+class TestPrunedOrder:
+    def test_pruned_search_matches_plain_scan(self):
+        """min_set and all_min_sets give the unpruned scan's first set and
+        whole list, or raise its error, on graphs past TestTieBreak's sizes."""
+        graphs = _pruning_graphs()
+        assert {g.n for g in graphs} == set(range(10, 17))
+        assert any(not is_connected(g) for g in graphs)
+        seen = set()
+        for g in graphs:
+            for kind in ProblemKind:
+                expected = _outcome(_plain_min_sets, g, kind)
+                result = _outcome(min_set, g, kind)
+                if isinstance(expected, list):
+                    first = expected[0]
+                    assert result == SolveResult(len(first), first, kind), (g, kind)
+                    assert all_min_sets(g, kind) == expected, (g, kind)
+                    seen.add(kind)
+                else:
+                    assert result == expected, (g, kind)
+                    assert _outcome(all_min_sets, g, kind) == expected, (g, kind)
+                    seen.add(expected[0])
+        # every kind answered somewhere, and every precondition error raised
+        assert set(ProblemKind) | {TwinsPresent, OpenTwinsPresent, NoSolution, Disconnected} <= seen
