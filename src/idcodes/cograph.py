@@ -54,16 +54,16 @@ cotree's post-order codes (:class:`models.Cotree`) with the finished
 subtrees' states on a stack and no call per node: a leaf pushes ``_LEAF``,
 and a node merges its children's states off the stack with its row.
 
-When a witness is asked for, the fold runs through ``models.fold_cotree``
-instead, one call per node combining its children left to right, and reads
-the witness off as it goes, with the bump and the single-vertex bits read
-off the same packed states.  Besides the state, each subtree then carries
-three vertices of the minimum separating set built for it, each None when
-absent: ``hole``, the one vertex with an empty signature; ``cov``, the one
-vertex whose signature is the whole set; and ``nn``, a vertex of the subtree
-outside N[cov].  The set is never stored: it is the vertices added at bumped
-merges (where the value grows by one), plus the root's hole when IC or LD
-need the repair vertex.
+When a witness is asked for, a loop of the same shape runs instead, and
+its stack holds ``(state, hole, cov, nn)``: the state as before, and three
+vertices of the minimum separating set built for the subtree, each None
+when absent.  ``hole`` is the one vertex with an empty signature, ``cov``
+the one vertex whose signature is the whole set, and ``nn`` a vertex of
+the subtree outside N[cov].  A node merges its children left to right
+through ``_witness_merge``, which reads the bump and the single-vertex bits
+off the packed states.  The set is never stored: it is the vertices added
+at bumped merges (where the value grows by one), plus the root's hole when
+IC or LD need the repair vertex.
 Parts A then B merge as follows:
 
   union, no bump: the hole is A's or B's; cov, nn are A's cov and B's hole
@@ -93,7 +93,7 @@ from typing import NamedTuple, Optional
 
 from .exact import TWINS
 from .graph import Disconnected
-from .models import JOIN, UNION, Cotree, cotree_to_graph, fold_cotree
+from .models import JOIN, UNION, Cotree, cotree_to_graph
 from .verify import SEPARATING, ProblemKind, check
 
 __all__ = [
@@ -269,25 +269,32 @@ def _fold(t: Cotree, sep: ProblemKind, witness: bool) -> tuple:
     hits its twin gate, which is exactly when the compiled graph has closed
     (open) twins.
 
-    The witness fold combines a node's children left to right, through
-    ``models.fold_cotree``.  The plain fold is one loop over the codes: the
-    last finished subtree's state stays in ``s`` and the earlier ones wait
-    on a stack, so a node of arity a pops a - 1 states into ``s``, from its
-    last child back to its first.  The order does not change the root's
-    state, since the merge is symmetric and a subtree's state is a property
-    of its graph alone.
+    Both folds are loops over the codes with the finished subtrees' parts
+    on a stack.  The witness loop merges a node's children left to right,
+    and that order fixes the chosen set.  The plain loop keeps the last
+    finished subtree's state in ``s`` and the earlier ones on the stack, so
+    a node of arity a pops a - 1 states into ``s``, from its last child back
+    to its first.  The order does not change the root's state, since the
+    merge is symmetric and a subtree's state is a property of its graph
+    alone.
     """
     rows = _rows(sep)
     added: list[int] = []
     if witness:
-        def merge_children(kind: int, kids: list) -> tuple:
-            row = rows[kind]
-            part = kids[0]
-            for b in kids[1:]:
-                part = _witness_merge(part, b, kind, row, sep, added)
-            return part
-
-        return fold_cotree(t, lambda v: (_LEAF, v, v, None), merge_children), added
+        parts: list[tuple] = []
+        push = parts.append
+        for code in t.codes:
+            if code >= 0:
+                push((_LEAF, code, code, None))
+            else:
+                kind = ~code & 1
+                row = rows[kind]
+                base = len(parts) - (~code >> 1)
+                part = parts[base]
+                for b in parts[base + 1:]:
+                    part = _witness_merge(part, b, kind, row, sep, added)
+                parts[base:] = (part,)
+        return parts[0], added
 
     waiting: list[int] = []
     push, pop = waiting.append, waiting.pop

@@ -37,7 +37,6 @@ __all__ = [
     "leaf",
     "union_node",
     "join_node",
-    "fold_cotree",
     "canonicalize",
     "interval_graph",
     "is_unit_model",
@@ -363,27 +362,6 @@ def union_node(*children: Sequence[int]) -> tuple[int, ...]:
 
 def join_node(*children: Sequence[int]) -> tuple[int, ...]:
     return _node(JOIN, children)
-
-
-def fold_cotree(t: Cotree, leaf_fn, node_fn):
-    """Post-order fold over the codes.
-
-    ``leaf_fn(vertex)`` gives a leaf's value and ``node_fn(kind, values)`` an
-    internal node's, from the values of its children in order.  Child values
-    wait on one value stack, so no node needs a dictionary entry.
-    """
-    values: list = []
-    push = values.append
-    for code in t.codes:
-        if code >= 0:
-            push(leaf_fn(code))
-        else:
-            code = ~code
-            base = len(values) - (code >> 1)
-            kids = values[base:]
-            del values[base:]
-            push(node_fn(code & 1, kids))
-    return values[0]
 
 
 def canonicalize(codes: Iterable[int]) -> Cotree:

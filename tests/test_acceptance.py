@@ -7,6 +7,7 @@ lines and timings.
 import random
 import statistics
 import time
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count
 
@@ -53,8 +54,10 @@ from idcodes.graph import (
     open_twins,
 )
 from idcodes.models import (
+    IntervalModel,
     all_cotrees,
     cotree_to_graph,
+    interval_graph,
     is_unit_model,
     random_cotree,
     random_twin_free_cotree,
@@ -99,7 +102,16 @@ class TestCriterion1IntervalTightness:
         assert _minimal_up_to_cap(ext_interval_ic, PK.IC) == [*range(1, 8)]
         assert _minimal_up_to_cap(ext_interval_ld, PK.LD) == [*range(1, 7)]
         assert _minimal_up_to_cap(ext_interval_old, PK.OLD, 2, 2) == [2, 4, 6]
-        _report("criterion 1 (interval tightness)", t0, 60)
+        # The published OLD row n <= k(k+1)/2 is falsified by an 11-vertex
+        # graph: vertex i is ]2i, 2r[i] + 1[.  Pinned, not patched.
+        r = (1, 4, 4, 6, 7, 7, 9, 9, 9, 10, 10)
+        umbrella = IntervalModel((2 * i, 2 * r_i + 1) for i, r_i in enumerate(r))
+        best = min_set(interval_graph(umbrella), PK.OLD)
+        assert best.size == 4 and certify(umbrella, best.witness, PK.OLD).slack == -1
+        _report(
+            "criterion 1 (interval tightness)", t0, 60,
+            "OLD row n<=k(k+1)/2 falsified at n=11, k=4; slack -1 pinned",
+        )
 
 
 class TestCriterion2UnitTightness:
@@ -112,7 +124,17 @@ class TestCriterion2UnitTightness:
         assert _minimal_up_to_cap(ext_unit_ic, PK.IC) == [*range(1, 16)]
         assert _minimal_up_to_cap(ext_unit_old, PK.OLD) == [*range(1, 8)]
         assert _minimal_up_to_cap(ext_unit_ld, PK.LD) == [*range(1, 11)]
-        _report("criterion 2 (unit interval tightness)", t0, 60)
+        # The published unit OLD row n <= 2k-1 is falsified by a K4 with two
+        # pendants (n = 6, k = 3).  Pinned, not patched.
+        pendant_k4 = IntervalModel(
+            (Fraction(a), Fraction(a) + 1) for a in ("0", "9/10", "6/5", "7/5", "9/5", "27/10")
+        )
+        best = min_set(interval_graph(pendant_k4), PK.OLD)
+        assert best.size == 3 and certify(pendant_k4, best.witness, PK.OLD).slack == -1
+        _report(
+            "criterion 2 (unit interval tightness)", t0, 60,
+            "OLD row n<=2k-1 falsified at n=6, k=3; slack -1 pinned",
+        )
 
 
 class TestCriterion3PermutationTightness:

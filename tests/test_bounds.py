@@ -6,6 +6,7 @@ import pytest
 
 from idcodes.bounds import (
     BoundQuery,
+    BoundReport,
     GraphClass,
     HypothesisNotMet,
     MissingDiameter,
@@ -20,7 +21,16 @@ from idcodes.bounds import (
 )
 from idcodes.generators import ext_interval_ic
 from idcodes.graph import Graph, path_graph
-from idcodes.models import Cotree, IntervalModel, PermutationModel, leaf, union_node
+from idcodes.exact import min_set
+from idcodes.models import (
+    Cotree,
+    IntervalModel,
+    PermutationModel,
+    interval_graph,
+    is_unit_model,
+    leaf,
+    union_node,
+)
 from idcodes.verify import ProblemKind
 
 PK = ProblemKind
@@ -277,6 +287,36 @@ class TestCertify:
     def test_labels(self):
         assert bound_label(GC.INTERVAL, PK.IC) == "n<=k(k+1)/2"
         assert bound_label(GC.COGRAPH, PK.LD) == "n<=3k"
+
+
+# The smallest unit interval graph that breaks the unit-interval OLD row: a
+# K4 on {1, 2, 3, 4} with pendants 0-1 and 4-5.
+UNIT_OLD_COUNTEREXAMPLE = IntervalModel(
+    (Fraction(a), Fraction(a) + 1) for a in ("0", "9/10", "6/5", "7/5", "9/5", "27/10")
+)
+# A unit interval graph of 11 vertices, written with unequal lengths so that
+# it attests INTERVAL: vertex i is ]2i, 2r[i] + 1[, so i ~ j for i < j <= r[i].
+UMBRELLA = (1, 4, 4, 6, 7, 7, 9, 9, 9, 10, 10)
+INTERVAL_OLD_COUNTEREXAMPLE = IntervalModel((2 * i, 2 * r + 1) for i, r in enumerate(UMBRELLA))
+
+
+class TestFalsifiedOldRows:
+    """Two open locating-dominating rows of the bound table fail on small
+    interval graphs: the oracle's minimum set certifies with slack -1.  They
+    are pinned here, not patched.  PAPER.md holds only the abstract, so this
+    repo cannot tell a transcription error in the table from an error in the
+    paper."""
+
+    @pytest.mark.parametrize("model,unit,witness,report", [
+        (UNIT_OLD_COUNTEREXAMPLE, True, {1, 2, 4}, BoundReport(5, "n<=2k-1", False, -1)),
+        (INTERVAL_OLD_COUNTEREXAMPLE, False, {1, 4, 6, 9},
+         BoundReport(10, "n<=k(k+1)/2", False, -1)),
+    ], ids=["unit-interval", "interval"])
+    def test_oracle_minimum_breaks_the_row(self, model, unit, witness, report):
+        assert is_unit_model(model) == unit
+        best = min_set(interval_graph(model), PK.OLD)
+        assert (best.size, best.witness) == (len(witness), witness)
+        assert certify(model, best.witness, PK.OLD) == report
 
 
 def _outcome(fn, *args) -> str:

@@ -182,17 +182,17 @@ class TestOneFoldPerRequest:
     walk their cotree's structure once and fold it once.  A cotree file's
     tree is checked by the parser's token loop alone, never by the
     ``Cotree`` constructor's check; a graph file's tree is checked once,
-    when recognition builds it, and a generated one when it is built.  Only
-    a witness folds through ``fold_cotree``, one call per node."""
+    when recognition builds it, and a generated one when it is built.  A
+    witness folds inside ``_fold`` too, in its own loop over the codes, with
+    no call per node."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         from idcodes import cograph, models
 
-        # the constructor's check, the fold, and the per-node fold
-        counts = {"_checked_codes": 0, "_fold": 0, "fold_cotree": 0}
-        for module, name in ((models, "_checked_codes"), (cograph, "_fold"),
-                             (cograph, "fold_cotree")):
+        # the constructor's check and the fold
+        counts = {"_checked_codes": 0, "_fold": 0}
+        for module, name in ((models, "_checked_codes"), (cograph, "_fold")):
             def counted(*args, _name=name, _original=getattr(module, name)):
                 counts[_name] += 1
                 return _original(*args)
@@ -208,7 +208,7 @@ class TestOneFoldPerRequest:
             ["cograph", "--problem", problem, "--cotree", path, "--witness"], capsys
         )
         assert code == 0 and " witness=" in out
-        assert counts == {"_checked_codes": 0, "_fold": 1, "fold_cotree": 1}
+        assert counts == {"_checked_codes": 0, "_fold": 1}
 
     @pytest.mark.parametrize("name,text", [("k223.cotree", K223_COTREE), ("k223.graph", K223_GRAPH)],
                              ids=["cotree", "graph"])
@@ -220,8 +220,7 @@ class TestOneFoldPerRequest:
         code, out, _ = run_cli(["cograph", "--problem", "ic", "--cotree", path, *witness], capsys)
         assert (code, out) == (0, "k=5 emp=false univ=true sep=5"
                                + (" witness=0,1,3,5,6" if witness else "") + "\n")
-        assert counts == {"_checked_codes": int(name.endswith(".graph")), "_fold": 1,
-                          "fold_cotree": len(witness)}
+        assert counts == {"_checked_codes": int(name.endswith(".graph")), "_fold": 1}
 
     @pytest.mark.parametrize("family", ["cograph-id", "cograph-ld"])
     def test_generate(self, workdir, capsys, counts, family):
@@ -232,7 +231,7 @@ class TestOneFoldPerRequest:
         )
         assert code == 0
         # the family is built from a witness
-        assert counts == {"_checked_codes": 1, "_fold": 1, "fold_cotree": 1}
+        assert counts == {"_checked_codes": 1, "_fold": 1}
 
 
 class TestGenerateCertify:
@@ -325,6 +324,27 @@ class TestGenerateCertify:
             capsys,
         )
         assert code == 0 and out.startswith("satisfied slack=0 ")
+
+    # The two falsified open locating-dominating rows (see test_bounds.py):
+    # the oracle's answer certifies with slack -1, and certify exits 2.
+    @pytest.mark.parametrize("text,solved,certified", [
+        ("intervals 6\n0 0 1\n1 9/10 19/10\n2 6/5 11/5\n3 7/5 12/5\n4 9/5 14/5\n"
+         "5 27/10 37/10\n",
+         "k=3 witness=1,2,4", "violated slack=-1 max_n=5 bound=n<=2k-1"),
+        ("intervals 11\n" + "".join(
+            f"{i} {2 * i} {2 * r + 1}\n" for i, r in enumerate((1, 4, 4, 6, 7, 7, 9, 9, 9, 10, 10))),
+         "k=4 witness=1,4,6,9", "violated slack=-1 max_n=10 bound=n<=k(k+1)/2"),
+    ], ids=["unit-interval", "interval"])
+    def test_falsified_old_rows(self, workdir, capsys, text, solved, certified):
+        path = workdir / "old.intervals"
+        path.write_text(text)
+        code, out, _ = run_cli(["solve", "--problem", "old", "--input", path], capsys)
+        assert (code, out) == (0, solved + "\n")
+        witness = solved.split("witness=")[1]
+        code, out, _ = run_cli(
+            ["certify", "--problem", "old", "--input", path, "--set", witness], capsys
+        )
+        assert (code, out) == (2, certified + "\n")
 
     def test_generate_deterministic(self, workdir, capsys):
         a, b = workdir / "a", workdir / "b"

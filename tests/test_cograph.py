@@ -26,7 +26,6 @@ from idcodes.models import (
     cograph_recognize,
     complement_cotree,
     cotree_to_graph,
-    fold_cotree,
     format_cotree,
     join_node,
     leaf,
@@ -37,6 +36,8 @@ from idcodes.models import (
     union_node,
 )
 from idcodes.verify import ProblemKind, check
+
+from cotree_reference import fold_cotree, witness_fold
 
 
 
@@ -427,6 +428,50 @@ class TestPlainFoldLoop:
         t = TestDeepCotrees._caterpillar(10_000)
         assert [isinstance(self._outcomes(t, sep), tuple) for sep in self.SEPS] == [
             True, False, False]  # its innermost join is of two leaves, closed twins
+
+
+def _witness_loop(t, sep):
+    return cograph._fold(t, sep, True)
+
+
+class TestWitnessFoldLoop:
+    """The witness fold's own loop over the codes returns what the per-node
+    reference fold does: the same root part and the same added vertices in
+    the same order, or the same twin error.  The order of the added vertices
+    is the order of the merges, so a loop that merged a node's children in
+    another order would fail here."""
+
+    SEPS = (ProblemKind.SEP_ID, ProblemKind.SEP_LD)
+
+    def _outcomes(self, t, sep):
+        loop = _outcome(_witness_loop, t, sep)
+        assert loop == _outcome(witness_fold, t, sep), (format_cotree(t), sep)
+        return loop
+
+    def test_every_cotree_up_to_nine_leaves(self):
+        gated = bumped = 0
+        for n in range(1, 10):
+            for t in all_cotrees(n):
+                for sep in self.SEPS:
+                    outcome = self._outcomes(t, sep)
+                    if isinstance(outcome[0], type):
+                        gated += 1
+                    else:
+                        bumped += len(outcome[1]) > 1
+        assert 0 < gated and 0 < bumped  # both outcomes, and sets of two or more
+
+    def test_random_trees_of_thousands_of_leaves(self):
+        rng = random.Random(57)
+        for i in range(6):
+            sample = random_cotree if i % 3 == 2 else random_twin_free_cotree
+            t = sample(rng.randint(1_000, 5_000), rng)
+            for sep in self.SEPS:
+                self._outcomes(t, sep)
+
+    def test_deep_caterpillar(self):
+        t = TestDeepCotrees._caterpillar(10_000)
+        assert [isinstance(self._outcomes(t, sep)[0], type) for sep in self.SEPS] == [
+            True, False]
 
 
 class TestFoldProperties:

@@ -23,7 +23,6 @@ from idcodes.models import (
     cograph_recognize,
     complement_cotree,
     cotree_to_graph,
-    fold_cotree,
     format_cotree,
     format_interval_model,
     format_permutation_model,
@@ -48,6 +47,8 @@ from idcodes.models import _checked_codes
 from idcodes.graph import closed_twins
 from idcodes import verify
 from idcodes.verify import ProblemKind
+
+from cotree_reference import fold_cotree
 
 
 class TestIntervalGraph:
