@@ -4,14 +4,18 @@ Exit codes: 0 success, 2 domain error (twins, disconnected input, vertex out
 of range, failed verification, bound violation), 3 input parse error or a
 file that cannot be read or written, 4 resource cap exceeded.
 All output is line-oriented and deterministic so shell harnesses can diff it.
+
+A well-formed call is read straight from the subcommand table; argparse is
+imported and built only for help, errors and the other spellings it accepts,
+so every help, usage and error text is argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib
 import sys
+from types import SimpleNamespace
 
 from . import cograph, exact, models, verify
 from .graph import Disconnected, Graph, GraphError, GraphFormatError, InvalidVertex
@@ -202,8 +206,9 @@ def _cmd_compile_model(args) -> int:
 
 
 # One row per subcommand: name, help, handler and a function giving its
-# arguments as (flags, add_argument keywords) pairs, called only when the
-# subcommand's parser is built.
+# arguments as (flags, add_argument keywords) pairs, called only when a call
+# names the subcommand or needs the whole parser.  The rows are read twice:
+# by read_args first, and by build_parser for a call read_args refuses.
 _COMMANDS = (
     ("solve", "exact minimum solution by enumeration", _cmd_solve, lambda: (
         (("--problem",), dict(required=True, choices=sorted(_PROBLEMS))),
@@ -248,8 +253,64 @@ _COMMANDS = (
 _COMMAND_NAMES = tuple(row[0] for row in _COMMANDS)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``idcodes`` parser, with every subcommand or only ``command``'s.
+# The add_argument keywords read_args understands; a row using any other is
+# left to argparse.
+_READ_KEYWORDS = frozenset(("required", "choices", "type", "default", "dest", "action"))
+
+
+def read_args(argv: list[str]):
+    """A namespace with the attributes ``build_parser().parse_args(argv)``
+    sets, read from ``_COMMANDS`` without argparse, or None unless ``argv`` is
+    well formed.
+
+    Well formed means: a subcommand, then each flag spelt out in full at most
+    once, a switch without a value, any other flag followed by a value that
+    does not start with "-" and that passes the row's type and choices, and
+    every required flag present.  Abbreviations, "--flag=value", values
+    starting with "-", repeated flags, help, "--", stray positionals and every
+    error are left to argparse, which gives them their meaning and texts.
+    """
+    row = next((row for row in _COMMANDS if argv and argv[0] == row[0]), None)
+    if row is None:
+        return None
+    name, _, fn, arguments = row
+    values = {"command": name, "fn": fn}
+    actions = {}
+    for flags, options in arguments():
+        if options.keys() - _READ_KEYWORDS or options.get("action", "store_true") != "store_true":
+            return None
+        long_flag = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = options.get("dest", long_flag.lstrip("-").replace("-", "_"))
+        values[dest] = options.get("default", False if "action" in options else None)
+        actions.update(dict.fromkeys(flags, (dest, options)))
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        dest, options = actions.get(flag, (None, None))
+        if dest is None or dest in seen:
+            return None
+        seen.add(dest)
+        if "action" in options:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest] = value
+    if any(options.get("required") and dest not in seen for dest, options in actions.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser(command: str | None = None):
+    """The ``idcodes`` argparse parser, with every subcommand or only
+    ``command``'s: ``main`` builds it only for a call ``read_args`` refuses.
 
     ``main`` passes the subcommand that its first argument names, so one call
     builds one subparser.  Help, a missing or an unknown command get the whole
@@ -257,6 +318,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     names every subcommand through the metavar, and every other text comes
     from the subparser, which is built the same either way.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="idcodes",
         description="Identification problems on graphs: solvers, models, bounds.",
@@ -275,8 +338,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
-    args = build_parser(command).parse_args(argv)
+    args = read_args(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+        args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

@@ -8,9 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import idcodes
-from idcodes.cli import build_parser, main
+from idcodes.cli import _COMMANDS, build_parser, main, read_args
 from idcodes.models import IntervalModel, format_interval_model
 
 P5 = "graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
@@ -556,3 +557,86 @@ class TestParserTexts:
     def test_same_texts_as_the_full_parser(self, case, capsys):
         expected = run_texts(build_parser().parse_args, case["argv"], capsys)
         assert run_texts(main, case["argv"], capsys) == expected
+
+
+def argparse_vars(argv):
+    """vars() of the full parser's namespace for argv, or None if it exits."""
+    try:
+        return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# Values a flag may be given besides its well-formed ones: ones its type or
+# choices refuse, and ones argparse reads as a negative number, a flag, help
+# or the end of the flags.
+ODD_VALUES = ["", "x", "-1", "-x", "--", "-h", "0,1", " 7"]
+# Tokens only argparse reads: help, the end of the flags and a stray
+# positional.  The row's own flags are added to these, which repeats a flag
+# or takes another flag's value.
+ODD_TOKENS = ["-h", "--help", "--", "stray"]
+
+
+def subcommand_argv(data, name, arguments):
+    """An argv for one subcommand: its required flags and some of the others
+    in any order, each flag spelt in full, abbreviated or with "=", its value
+    well formed or odd, and now and then an odd token put in.  About one in
+    five is well formed."""
+    argv = [name]
+    for flags, options in data.draw(st.permutations(arguments)):
+        if not options.get("required") and data.draw(st.booleans()):
+            continue
+        flag = data.draw(st.sampled_from(flags))
+        if options.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        good = [str(c) for c in options.get("choices", ())] or (
+            ["4", "12"] if "type" in options else ["in.graph", "0,1", ""])
+        odd = data.draw(st.integers(0, 3)) == 0
+        value = data.draw(st.sampled_from(ODD_VALUES if odd else good))
+        spelling = data.draw(st.integers(0, 7))
+        if spelling == 0:
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag[:-1] if spelling == 1 and len(flag) > 4 else flag, value]
+    if data.draw(st.integers(0, 3)) == 0:
+        odd = ODD_TOKENS + [flag for flags, _ in arguments for flag in flags]
+        argv.insert(data.draw(st.integers(1, len(argv))), data.draw(st.sampled_from(odd)))
+    return argv
+
+
+class TestReadArgs:
+    @pytest.mark.parametrize("row", _COMMANDS, ids=lambda row: row[0])
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_never_disagrees_with_argparse(self, row, data):
+        argv = subcommand_argv(data, row[0], row[3]())
+        args = read_args(argv)
+        if args is not None:
+            assert vars(args) == argparse_vars(argv)
+
+    # One argv of each shape bench/workloads.py sends, then the spellings of
+    # the other subcommands and of --k-variant.
+    WELL_FORMED = [
+        ["solve", "--problem", "ld", "--input", "m.intervals"],
+        ["solve", "--problem", "sep-id", "--input", "m.cotree", "--cap", "12"],
+        ["certify", "--problem", "ic", "--input", "m.perm", "--set", ""],
+        ["certify", "--problem", "md", "--input", "m.intervals", "--set", "0,3,5"],
+        ["generate", "--family", "interval-ic", "--k", "5", "--out", "m"],
+        ["generate", "--family", "bipperm-md", "--k", "4", "--d", "3", "--out", "m"],
+        ["generate", "--family", "cograph-id", "--n", "12", "--variant", "2", "--out", "m"],
+        ["cograph", "--problem", "ld", "--cotree", "m.cotree"],
+        ["cograph", "--problem", "ic", "--witness", "--cotree", "m.cotree"],
+        ["generate", "--family", "cograph-ld", "--n", "12", "--k-variant", "3", "--out", "m"],
+        ["verify", "--problem", "rs", "--input", "m.graph", "--set", "0,1"],
+        ["bounds", "--class", "interval", "--kind", "ic", "--k", "4"],
+        ["bounds", "--kind", "md", "--k", "2", "--d", "3", "--class", "unit-interval"],
+        ["compile-model", "--input", "m.cotree"],
+        ["compile-model", "--input", "m.cotree", "--out", "m.graph"],
+    ]
+
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_reads_every_benchmark_shape(self, argv):
+        args = read_args(argv)
+        assert args is not None
+        assert vars(args) == argparse_vars(argv)

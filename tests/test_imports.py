@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, and every function,
 method and class the package defines is referenced somewhere.  The command's
 start-up imports neither ``dataclasses`` nor ``inspect``, adds exactly the
-pinned set of public modules, and builds no merge table."""
+pinned set of public modules, and builds no merge table.  A well-formed call
+leaves ``argparse`` unloaded; help loads it."""
 
 import ast
 import os
@@ -108,13 +109,14 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert _fresh_interpreter(code) == "[]\n"
 
 
-# The standard modules the package imports itself, and re and locale, which
-# argparse and gettext load: whether start-up has loaded them already differs
-# between installs, so they are imported before the count starts.
-START_UP = "bisect, collections, contextlib, enum, itertools, locale, math, operator, random, re, typing"
+# The standard modules the package imports itself, and re, which fractions
+# loads: whether start-up has loaded them already differs between installs, so
+# they are imported before the count starts.
+START_UP = "bisect, collections, contextlib, enum, itertools, math, operator, random, re, types, typing"
 # bounds and generators are left out: only the subcommands that run them
-# import them.
-CLI_ADDS = ["argparse", "decimal", "fractions", "gettext", "numbers"] + [
+# import them.  So are argparse and gettext: only help and errors build the
+# parser.
+CLI_ADDS = ["decimal", "fractions", "numbers"] + [
     "idcodes" if p.stem == "__init__" else f"idcodes.{p.stem}"
     for p in MODULES
     if p.stem not in ("bounds", "generators")
@@ -132,3 +134,21 @@ def test_cli_import_adds_the_pinned_modules_and_no_merge_table():
         "print(sys.modules['idcodes.cograph']._TABLES)\n"
     )
     assert _fresh_interpreter(code) == f"{sorted(CLI_ADDS)}\n{{}}\n"
+
+
+def test_argparse_loads_only_for_help_and_errors():
+    # a well-formed call is read from the subcommand table; --help needs argparse
+    code = (
+        "import sys\n"
+        "from idcodes.cli import main\n"
+        "main(['bounds', '--class', 'interval', '--kind', 'ic', '--k', '4'])\n"
+        "after_call = sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "try:\n"
+        "    main(['bounds', '--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(after_call, sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    out = _fresh_interpreter(code)
+    assert out.startswith("interval ic 4 - 10 n<=k(k+1)/2\n")
+    assert out.endswith("\n[] ['argparse', 'gettext']\n")
