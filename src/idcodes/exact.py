@@ -7,11 +7,9 @@ witness is deterministic.  The enumeration is pruned, and its order is
 unchanged: it skips only subsets that cannot pass.
 
 Every kind is checked as a hitting set: a subset S passes when it meets each
-mask of a list built once per graph, and one C-level
-``all(map(and_, hit, repeat(mask)))`` decides it, with no Python loop over the
-vertices; ``mask`` is the subset's vertex mask.  The list is
-built from the kind's row of ``verify.SEPARATING`` and its neighbourhood rows
-N[v] (N(v) under SEP_OLD, :func:`verify.neighbourhoods`).  It holds:
+mask of a list built once per graph.  The list is built from the kind's row
+of ``verify.SEPARATING`` and its neighbourhood rows N[v] (N(v) under
+SEP_OLD, :func:`verify.neighbourhoods`).  It holds:
 
 - for each pair u < v, the vertices that separate them: ``N[u] ^ N[v]``, plus
   u and v under SEP_LD, since a member needs no distinct signature; for RS,
@@ -21,23 +19,30 @@ N[v] (N(v) under SEP_OLD, :func:`verify.neighbourhoods`).  It holds:
 A pair mask is empty exactly when u and v are twins, and a row exactly when
 v is isolated under OLD; those raise before any subset is tried.  So the
 empty set passes exactly when the list is empty, for RS when n <= 1.
-The list is deduplicated and sorted by size for that final check, so a
-failing subset usually stops at its first few masks.  It is also indexed by
-each mask's highest vertex for the prefix rule of the search: subsets are
-built by a depth-first search over increasing members, and once the members
-chosen so far skip past a mask's highest vertex without meeting it, no
-extension of them can pass.
+The list is deduplicated and sorted by size.
+
+Subsets are built by a depth-first search over increasing members, which
+keeps the masks the members so far miss, filtered at C level on each
+descent.  The search stops early on a packing bound: before v is tried as
+the next member, the missed masks, cut to the candidates >= v, are packed
+greedily into pairwise disjoint ones, smallest first.  Each needs a member
+of its own, so when there are more of them than members left to choose, or
+one has no candidate left, no subset of this size extends the prefix
+through v or any later vertex, and the level ends.  The last member must
+lie in every mask still missed, so the passing subsets through a prefix
+are read off one AND of those masks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations, repeat
+from functools import reduce
+from itertools import combinations, compress, repeat
 from math import comb
-from operator import and_
+from operator import and_, not_
 from typing import NamedTuple
 
-from .graph import Graph, Disconnected, all_pairs_distances, is_connected
+from .graph import Graph, Disconnected, all_pairs_distances, bits, is_connected
 from .models import JOIN, UNION
 from .verify import SEPARATING, ProblemKind, covered, neighbourhoods, undominated, vertex_mask
 
@@ -132,49 +137,64 @@ class _Checker:
                 if 0 in rows:
                     raise NoSolution("a degree-0 vertex cannot be totally dominated")
                 hit += rows
-        # Smallest masks first: a failing subset misses one of them soonest.
+        # Smallest masks first: the greedy packing of _packs keeps more of them.
         self.hit = sorted(set(hit), key=int.bit_count)
-        # below[v]: the masks whose highest vertex is v - 1, which a subset
-        # must meet with its members below v.
-        self.below: list[list[int]] = [[] for _ in range(n + 1)]
-        for m in self.hit:
-            self.below[m.bit_length()].append(m)
 
     def solutions(self, size: int) -> Iterator[tuple[int, ...]]:
         """The passing subsets of one size, in lexicographic order.
 
-        A depth-first search over increasing members.  Before v is tried as
-        the next member, the prefix must meet every mask whose highest vertex
-        is v - 1: no later member can, so no larger v passes either and the
-        level ends there.  A complete subset is checked against every mask.
+        A depth-first search over increasing members that keeps, per depth,
+        the masks the members so far miss.  Before v is tried as the next
+        member, :func:`_packs` bounds the members still needed from v on;
+        when it fails, it fails for every later v too, so the level ends
+        there.  The last member must lie in every mask still missed: those
+        vertices, in increasing order, complete the passing subsets.
         """
-        n, hit, below = self.n, self.hit, self.below
+        n = self.n
         if size == 0:
-            if not hit:
+            if not self.hit:
                 yield ()
             return
         members: list[int] = []
-        prefix = [0]  # prefix[d]: the mask of members[:d]
+        missed = [self.hit]  # missed[d]: the masks members[:d] do not meet
         last = size - 1
         v = 0
         while True:
             d = len(members)
-            mask = prefix[d]
-            if d == last:  # the last member: each complete subset is checked
-                for v in range(v, n):
-                    if not all(map(and_, below[v], repeat(mask))):
-                        break
-                    if all(map(and_, hit, repeat(mask | 1 << v))):
-                        yield (*members, v)
-            elif v <= n - size + d and all(map(and_, below[v], repeat(mask))):
+            rest = missed[d]
+            if d == last:
+                for w in bits(reduce(and_, rest, (1 << n) - (1 << v))):
+                    yield (*members, w)
+            elif v <= n - size + d and _packs(rest, v, size - d):
                 members.append(v)
-                prefix.append(mask | 1 << v)
+                missed.append(list(compress(rest, map(not_, map(and_, rest, repeat(1 << v))))))
                 v += 1
                 continue
             if not members:
                 return
             v = members.pop() + 1
-            prefix.pop()
+            missed.pop()
+
+
+def _packs(missed: list[int], v: int, left: int) -> bool:
+    """Whether ``left`` members from v on can still meet every mask in
+    ``missed``.  Cut to the candidates >= v, the masks are packed greedily,
+    in their order: each one disjoint from those kept needs a member of its
+    own, and a mask with no candidate left needs one that does not exist.
+    A larger v only shrinks the cut masks, so when this fails, it fails for
+    every later v too."""
+    low = -1 << v
+    used = count = 0
+    for m in missed:
+        m &= low
+        if not m:
+            return False
+        if not m & used:
+            used |= m
+            count += 1
+            if count > left:
+                return False
+    return True
 
 
 def _first_solution(g: Graph, kind: ProblemKind, cap: int) -> tuple[_Checker, tuple[int, ...]]:

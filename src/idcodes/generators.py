@@ -15,7 +15,8 @@ from typing import NamedTuple, Optional
 
 from . import verify
 from .cograph import solve_cotree
-from .graph import Graph, bipartition, bits, diameter as graph_diameter, mask_distances
+from .exact import CapExceeded
+from .graph import MAX_FILE_VERTICES, Graph, bipartition, bits, diameter as graph_diameter, mask_distances
 from .models import (
     Cotree,
     IntervalModel,
@@ -791,34 +792,42 @@ def ext_cograph_ld(n: int, variant: int) -> ExtremalInstance:
 
 # -- registry for the CLI -----------------------------------------------------
 
+# Each family's builder, its parameters, and the order it claims from them
+# (for the metric-dimension braids a lower bound: k/2 paths of at least d-1
+# vertices each), read before anything is built.
 FAMILIES = {
-    "interval-ic": (ext_interval_ic, ("k",)),
-    "interval-old": (ext_interval_old, ("k",)),
-    "interval-ld": (ext_interval_ld, ("k",)),
-    "interval-md": (ext_interval_md, ("k", "d")),
-    "unit-ic": (ext_unit_ic, ("k",)),
-    "unit-old": (ext_unit_old, ("k",)),
-    "unit-ld": (ext_unit_ld, ("k",)),
-    "unit-md": (ext_unit_md, ("k", "d")),
-    "perm-ic": (ext_perm_ic, ("k",)),
-    "perm-old": (ext_perm_old, ("k",)),
-    "perm-ld": (ext_perm_ld, ("k",)),
-    "perm-md": (ext_perm_md, ("k", "d")),
-    "bipperm-ic": (ext_bipperm_ic, ("k",)),
-    "bipperm-old": (ext_bipperm_old, ("k",)),
-    "bipperm-ld": (ext_bipperm_ld, ("k",)),
-    "bipperm-md": (ext_bipperm_md, ("k", "d")),
-    "cograph-id": (ext_cograph_id, ("n", "variant")),
-    "cograph-ld": (ext_cograph_ld, ("n", "variant")),
+    "interval-ic": (ext_interval_ic, ("k",), lambda k: k * (k + 1) // 2),
+    "interval-old": (ext_interval_old, ("k",), lambda k: k * (k + 1) // 2),
+    "interval-ld": (ext_interval_ld, ("k",), lambda k: k * (k + 3) // 2),
+    "interval-md": (ext_interval_md, ("k", "d"), lambda k, d: k * (d - 1) // 2),
+    "unit-ic": (ext_unit_ic, ("k",), lambda k: 2 * k - 1),
+    "unit-old": (ext_unit_old, ("k",), lambda k: 4 * k - 1),
+    "unit-ld": (ext_unit_ld, ("k",), lambda k: 3 * k - 1),
+    "unit-md": (ext_unit_md, ("k", "d"), lambda k, d: k * d + 1),
+    "perm-ic": (ext_perm_ic, ("k",), lambda k: k * k - 2),
+    "perm-old": (ext_perm_old, ("k",), lambda k: k * k - 2),
+    "perm-ld": (ext_perm_ld, ("k",), lambda k: k * k + k - 2),
+    "perm-md": (ext_perm_md, ("k", "d"), lambda k, d: k * (d - 1) // 2),
+    "bipperm-ic": (ext_bipperm_ic, ("k",), lambda k: 3 * k - 3),
+    "bipperm-old": (ext_bipperm_old, ("k",), lambda k: 2 * k - 2),
+    "bipperm-ld": (ext_bipperm_ld, ("k",), lambda k: 3 * k - 1),
+    "bipperm-md": (ext_bipperm_md, ("k", "d"), lambda k, d: k * (d - 1) // 2),
+    "cograph-id": (ext_cograph_id, ("n", "variant"), lambda n, variant: n),
+    "cograph-ld": (ext_cograph_ld, ("n", "variant"), lambda n, variant: n),
 }
 
 
 def generate(family: str, **params) -> ExtremalInstance:
-    """Build a named family instance; raises GeneratorError for bad input."""
+    """Build a named family instance; raises GeneratorError for bad input,
+    and exact.CapExceeded before building more than MAX_FILE_VERTICES
+    vertices."""
     if family not in FAMILIES:
         raise GeneratorError(f"unknown family {family!r}")
-    fn, names = FAMILIES[family]
+    fn, names, order = FAMILIES[family]
     missing = [p for p in names if p not in params]
     if missing:
         raise GeneratorError(f"{family} needs parameters {names}")
+    n = order(*(max(params[p], 0) for p in names))  # a negative parameter is the builder's error
+    if n > MAX_FILE_VERTICES:
+        raise CapExceeded(f"{family} has at least {n} vertices, above the cap {MAX_FILE_VERTICES}")
     return fn(**{p: params[p] for p in names})

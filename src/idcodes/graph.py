@@ -329,20 +329,34 @@ def all_pairs_distances(g: Graph) -> list[tuple[int, ...]]:
 
 
 def diameter(g: Graph) -> int:
-    """Largest distance between any two vertices of a connected graph."""
+    """Largest distance between any two vertices of a connected graph.
+
+    The iFUB scheme (Crescenzi, Grossi, Habib, Lanzi, Marino, TCS 514,
+    2013): a double sweep 0 -> a -> b gives the lower bound lb = ecc(b) and
+    a vertex u halfway along a shortest a-b path.  The levels L_e, ..., L_1
+    of a search from u are then taken from the farthest in, each raising lb
+    to its vertices' eccentricities.  Two vertices in levels <= i are at
+    most 2i apart, so once lb >= 2i, lb is the diameter.
+    """
     if g.n == 0:
         raise GraphError("diameter of the empty graph is undefined")
-    everything = (1 << g.n) - 1
-    best = 0
-    for v in range(g.n):
-        reached, eccentricity = 0, -1
-        for layer in _bfs_layers(g.masks, v):
-            reached |= layer
-            eccentricity += 1
-        if reached != everything:
-            raise Disconnected("graph is not connected")
-        best = max(best, eccentricity)
-    return best
+    masks = g.masks
+    layers = list(_bfs_layers(masks, 0))
+    if sum(layers) != (1 << g.n) - 1:
+        raise Disconnected("graph is not connected")
+    # a and b: the lowest vertices farthest from 0 and from a
+    layers_a = list(_bfs_layers(masks, bits(layers[-1])[0]))
+    layers_b = list(_bfs_layers(masks, bits(layers_a[-1])[0]))
+    d_ab = len(layers_a) - 1
+    u = bits(layers_a[d_ab // 2] & layers_b[d_ab - d_ab // 2])[0]
+    levels = list(_bfs_layers(masks, u))
+    lb = len(layers_b) - 1
+    for i in range(len(levels) - 1, 0, -1):
+        if lb >= 2 * i:
+            break
+        for x in bits(levels[i]):
+            lb = max(lb, sum(1 for _ in _bfs_layers(masks, x)) - 1)
+    return lb
 
 
 def _equal_pairs(keys: Iterable) -> list[tuple[int, int]]:

@@ -17,7 +17,6 @@ from idcodes import verify
 from idcodes.bounds import GraphClass, certify, certify_instance
 from idcodes.cograph import solve_cotree
 from idcodes.exact import (
-    DEFAULT_VERTEX_CAP,
     NoSolution,
     OpenTwinsPresent,
     TwinsPresent,
@@ -75,16 +74,22 @@ def _report(name: str, started: float, budget: float, detail: str = "") -> None:
     assert elapsed < budget
 
 
+# The largest member order the tightness criteria solve exactly, past the
+# oracle's default cap of 30: its packing bound answers each member of the
+# neighbourhood families below it in at most a few seconds.
+EXACT_MAX_N = 45
+
+
 def _minimal_up_to_cap(family, kind, start=1, step=1) -> list[int]:
     """Check that every member of a family, k = start, start + step, ...,
-    hands out a minimum solution, until its order passes the oracle's vertex
-    cap; the ks checked."""
+    hands out a minimum solution, until its order passes EXACT_MAX_N; the ks
+    checked."""
     checked = []
     for k in count(start, step):
         inst = family(k)
-        if inst.claimed_n > DEFAULT_VERTEX_CAP:
+        if inst.claimed_n > EXACT_MAX_N:
             return checked
-        assert min_set(inst.graph, kind).size == inst.claimed_k, (inst.family, k)
+        assert min_set(inst.graph, kind, cap=EXACT_MAX_N).size == inst.claimed_k, (inst.family, k)
         checked.append(k)
 
 
@@ -99,9 +104,9 @@ class TestCriterion1IntervalTightness:
                 assert certify_instance(inst).slack == 0
             if k % 2 == 0:
                 assert certify_instance(ext_interval_old(k)).slack == 0
-        assert _minimal_up_to_cap(ext_interval_ic, PK.IC) == [*range(1, 8)]
-        assert _minimal_up_to_cap(ext_interval_ld, PK.LD) == [*range(1, 7)]
-        assert _minimal_up_to_cap(ext_interval_old, PK.OLD, 2, 2) == [2, 4, 6]
+        assert _minimal_up_to_cap(ext_interval_ic, PK.IC) == [*range(1, 10)]
+        assert _minimal_up_to_cap(ext_interval_ld, PK.LD) == [*range(1, 9)]
+        assert _minimal_up_to_cap(ext_interval_old, PK.OLD, 2, 2) == [2, 4, 6, 8]
         # The published OLD row n <= k(k+1)/2 is falsified by an 11-vertex
         # graph: vertex i is ]2i, 2r[i] + 1[.  Pinned, not patched.
         r = (1, 4, 4, 6, 7, 7, 9, 9, 9, 10, 10)
@@ -121,9 +126,9 @@ class TestCriterion2UnitTightness:
             for inst in (ext_unit_ic(k), ext_unit_old(k), ext_unit_ld(k)):
                 assert is_unit_model(inst.model)
                 assert certify_instance(inst).slack == 0
-        assert _minimal_up_to_cap(ext_unit_ic, PK.IC) == [*range(1, 16)]
-        assert _minimal_up_to_cap(ext_unit_old, PK.OLD) == [*range(1, 8)]
-        assert _minimal_up_to_cap(ext_unit_ld, PK.LD) == [*range(1, 11)]
+        assert _minimal_up_to_cap(ext_unit_ic, PK.IC) == [*range(1, 24)]
+        assert _minimal_up_to_cap(ext_unit_old, PK.OLD) == [*range(1, 12)]
+        assert _minimal_up_to_cap(ext_unit_ld, PK.LD) == [*range(1, 16)]
         # The published unit OLD row n <= 2k-1 is falsified by a K4 with two
         # pendants (n = 6, k = 3).  Pinned, not patched.
         pendant_k4 = IntervalModel(
@@ -145,9 +150,9 @@ class TestCriterion3PermutationTightness:
             assert certify_instance(ext_perm_ld(k)).slack == 0
             if k % 2 == 0:
                 assert certify_instance(ext_perm_old(k)).slack == 0
-        assert _minimal_up_to_cap(ext_perm_ic, PK.IC, 3) == [3, 4, 5]
-        assert _minimal_up_to_cap(ext_perm_ld, PK.LD, 3) == [3, 4, 5]
-        assert _minimal_up_to_cap(ext_perm_old, PK.OLD, 4, 2) == [4]
+        assert _minimal_up_to_cap(ext_perm_ic, PK.IC, 3) == [3, 4, 5, 6]
+        assert _minimal_up_to_cap(ext_perm_ld, PK.LD, 3) == [3, 4, 5, 6]
+        assert _minimal_up_to_cap(ext_perm_old, PK.OLD, 4, 2) == [4, 6]
         _report("criterion 3 (permutation tightness)", t0, 300)
 
 

@@ -457,6 +457,12 @@ DOMAIN_ERRORS = [
     # a graph file declares at most graph.MAX_FILE_VERTICES vertices
     (["certify", "--problem", "ic", "--set=0", "--input", "ten-million.graph"], 4,
      "cannot load {dir}/ten-million.graph: too large to allocate"),
+    # and so does a generated family, refused from its parameters before
+    # anything is built (interval-ic would ask for k(k+1)/2 intervals)
+    (["generate", "--family", "interval-ic", "--k", "100000", "--out", "fam"], 4,
+     "error: cap exceeded interval-ic has at least 5000050000 vertices, above the cap 65536"),
+    (["generate", "--family", "perm-md", "--k", "1000", "--d", "1000", "--out", "fam"], 4,
+     "error: cap exceeded perm-md has at least 499500 vertices, above the cap 65536"),
     (["compile-model", "--input", "missing.graph"], 3,
      "cannot read {dir}/missing.graph: "
      "[Errno 2] No such file or directory: '{dir}/missing.graph'"),

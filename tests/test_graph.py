@@ -1,11 +1,13 @@
 import random
 import re
+from itertools import combinations
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idcodes import graph as graph_module
+from idcodes.generators import generate
 from idcodes.graph import (
     MAX_FILE_VERTICES,
     Disconnected,
@@ -31,6 +33,8 @@ from idcodes.graph import (
     path_graph,
     star_graph,
 )
+
+from graph_reference import diameter_all_sources
 
 
 def k_power_of_path(n, k):
@@ -100,6 +104,80 @@ class TestDistances:
                 got = bfs_distances(g, v)
                 want = tuple(d[v][j] if d[v][j] < big else INFINITE for j in range(n))
                 assert got == want
+
+
+def _diameter_outcome(diameter_fn, g):
+    """The diameter, or the class and message of the error raised."""
+    try:
+        return diameter_fn(g)
+    except GraphError as e:
+        return type(e), str(e)
+
+
+# The metric-dimension members of the benchmark's extremal_oracle sweeps.
+_MD_SWEEPS = {
+    "interval-md": [(k, d) for k in (2, 4, 6) for d in (2, 3, 4)] + [(6, 8), (8, 6), (8, 8)],
+    "unit-md": [(k, d) for k in (2, 3, 4) for d in (2, 3, 4, 5)] + [(4, 20), (6, 12), (8, 16)],
+    "perm-md": [(k, d) for k in (2, 4) for d in (2, 3, 4, 5)] + [(4, 10), (6, 8), (8, 8)],
+    "bipperm-md": [(k, d) for k in (2, 4) for d in (2, 3, 4, 5)]
+    + [(6, 10), (8, 12), (10, 16), (12, 20)],
+}
+
+
+class TestDiameterAgainstAllSources:
+    """diameter stops early on the iFUB bounds and still gives the value, or
+    the error, of one search from every vertex."""
+
+    def test_every_graph_of_at_most_six_vertices(self):
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for m in range(1 << len(pairs)):
+                g = Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1])
+                expected = _diameter_outcome(diameter_all_sources, g)
+                assert _diameter_outcome(diameter, g) == expected, (n, m)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(29)
+        connected = 0
+        for _ in range(600):
+            n = rng.randint(1, 60)
+            p = rng.choice((0.02, 0.05, 0.1, 0.3, 0.7))
+            edges = random_edges(n, p, rng)
+            if rng.random() < 0.7:  # a random spanning tree keeps it connected
+                edges += [(rng.randrange(v), v) for v in range(1, n)]
+            g = Graph(n, set(edges))
+            expected = _diameter_outcome(diameter_all_sources, g)
+            assert _diameter_outcome(diameter, g) == expected, (n, p, sorted(edges))
+            connected += isinstance(expected, int)
+        assert 300 < connected < 600
+
+    def test_metric_dimension_members(self):
+        for family, members in _MD_SWEEPS.items():
+            for k, d in members:
+                g = generate(family, k=k, d=d).graph
+                assert diameter(g) == diameter_all_sources(g) == d, (family, k, d)
+
+    def test_edge_cases(self):
+        with pytest.raises(GraphError, match="diameter of the empty graph is undefined"):
+            diameter(Graph(0, []))
+        assert diameter(Graph(1, [])) == 0
+        for g in (empty_graph(2), Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph(4, [(1, 2), (2, 3)])):
+            with pytest.raises(Disconnected, match="graph is not connected"):
+                diameter(g)
+
+    def test_few_searches_on_long_graphs(self, monkeypatch):
+        searches = []
+        layers = graph_module._bfs_layers
+
+        def counted(masks, v):
+            searches.append(v)
+            return layers(masks, v)
+
+        monkeypatch.setattr(graph_module, "_bfs_layers", counted)
+        for g, d in ((path_graph(2000), 1999), (k_power_of_path(2001, 4), 500)):
+            searches.clear()
+            assert diameter(g) == d
+            assert len(searches) <= 10, len(searches)
 
 
 class TestTwins:
