@@ -1,20 +1,19 @@
 """Closed-form order bounds per graph class, and instance certification.
 
 max_order answers "how many vertices can a graph of this class have, given a
-solution of size k (and diameter D for resolving sets)"; min_parameter inverts
-that exactly.  certify checks a concrete model/solution pair against the
-tightest bound its model attests.
+solution of size k (and diameter D for resolving sets)"; min_parameter gives
+the least k whose bound admits a given order.  certify checks a concrete
+model/solution pair against the tightest bound its model attests, and
+certify_instance does so for a generated extremal instance.
 
 Each bound is one row of _TABLE: its formula in k and D, its label, whether it
-needs the diameter D, the least k it covers and, for a linear bound
-n <= a*k + b, its exact inverse (n - b) / a.  The general-class rows are
+needs the diameter D and the least k it covers.  The general-class rows are
 prior-work reference values for cross-checking only.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import verify as _verify
@@ -41,7 +40,6 @@ __all__ = [
     "VerifierFailed",
     "max_order",
     "min_parameter",
-    "min_parameter_exact",
     "certify",
     "certify_instance",
     "attest_class",
@@ -96,13 +94,12 @@ class _Bound(NamedTuple):
     label: str
     needs_d: bool = False
     min_k: int = 0
-    exact: Optional[Callable[[int], Fraction]] = None
 
 
 def _linear(a: int, b: int) -> _Bound:
-    """The row n <= a*k + b, with its exact inverse k >= (n - b) / a."""
+    """The row n <= a*k + b."""
     label = f"n<={a}k{b:+d}" if b else f"n<={a}k"
-    return _Bound(lambda k, d: a * k + b, label, exact=lambda n: Fraction(n - b, a))
+    return _Bound(lambda k, d: a * k + b, label)
 
 
 # Connected cographs have diameter <= 2, so their resolving row needs no D;
@@ -152,8 +149,13 @@ def _bound(graph_class: GraphClass, kind: ProblemKind) -> _Bound:
         raise UnsupportedCombination("bounds are stated for the dominating variants")
     row = _TABLE.get((graph_class, kind))
     if row is None:
-        raise UnsupportedCombination(f"no bound for {graph_class} / {kind}")
+        raise UnsupportedCombination(f"no bound for {_pair(graph_class, kind)}")
     return row
+
+
+def _pair(graph_class: GraphClass, kind: ProblemKind) -> str:
+    """The pair as an error message names it: "cograph / old"."""
+    return f"{graph_class.value} / {kind.value}"
 
 
 def max_order(query: BoundQuery) -> int:
@@ -161,10 +163,10 @@ def max_order(query: BoundQuery) -> int:
     key = (query.graph_class, query.kind)
     row = _bound(*key)
     if query.k < row.min_k:
-        raise HypothesisNotMet(f"bound for {key} assumes k >= {row.min_k}")
+        raise HypothesisNotMet(f"bound for {_pair(*key)} assumes k >= {row.min_k}")
     if row.needs_d:
         if query.d is None:
-            raise MissingDiameter(f"bound for {key} needs the diameter")
+            raise MissingDiameter(f"bound for {_pair(*key)} needs the diameter")
         if query.d < 1:
             raise HypothesisNotMet("diameter must be at least 1")
     return row.formula(query.k, query.d)
@@ -182,14 +184,6 @@ def min_parameter(
     while max_order(BoundQuery(graph_class, kind, k, d)) < n:
         k += 1
     return k
-
-
-def min_parameter_exact(graph_class: GraphClass, kind: ProblemKind, n: int) -> Fraction:
-    """The rational lower-bound expression, for the linear bounds."""
-    exact = _bound(graph_class, kind).exact
-    if exact is None:
-        raise UnsupportedCombination(f"lower bound for {(graph_class, kind)} is not rational")
-    return exact(n)
 
 
 def attest_class(model: Model, g: Optional[Graph] = None) -> GraphClass:

@@ -120,8 +120,11 @@ def _format_set(s) -> str:
 
 def _cmd_solve(args) -> int:
     kind = _PROBLEMS[args.problem]
-    g = model_to_graph(_load_model(args.input))
-    result = exact.min_set(g, kind, cap=args.cap)
+    model = _load_model(args.input)
+    # the order is read off the model, so an instance above the cap is never compiled
+    n = len(model) if isinstance(model, (IntervalModel, PermutationModel)) else model.n
+    exact.check_cap(n, args.cap)
+    result = exact.min_set(model_to_graph(model), kind, cap=args.cap)
     print(f"k={result.size} witness={_format_set(result.witness)}")
     return EXIT_OK
 

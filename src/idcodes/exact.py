@@ -13,7 +13,8 @@ SEP_OLD, :func:`verify.neighbourhoods`).  It holds:
 
 - for each pair u < v, the vertices that separate them: ``N[u] ^ N[v]``, plus
   u and v under SEP_LD, since a member needs no distinct signature; for RS,
-  the vertices at different distances from u and v;
+  the vertices at different distances from u and v, which is every vertex
+  but those in the same breadth-first layer of u as of v;
 - for the kinds that dominate (IC, LD, OLD), every row N[v].
 
 A pair mask is empty exactly when u and v are twins, and a row exactly when
@@ -42,7 +43,7 @@ from math import comb
 from operator import and_, not_
 from typing import NamedTuple
 
-from .graph import Graph, Disconnected, all_pairs_distances, bits, is_connected
+from .graph import Graph, Disconnected, _bfs_layers, bits
 from .models import JOIN, UNION
 from .verify import SEPARATING, ProblemKind, covered, neighbourhoods, undominated, vertex_mask
 
@@ -55,6 +56,7 @@ __all__ = [
     "TWINS",
     "CapExceeded",
     "NoSolution",
+    "check_cap",
     "min_set",
     "all_min_sets",
     "emp_univ_oracle",
@@ -121,10 +123,13 @@ class _Checker:
         n = self.n = g.n
         pairs = list(combinations(range(n), 2))
         if kind is ProblemKind.RS:
-            if not is_connected(g):
+            everything = (1 << n) - 1
+            layers = [list(_bfs_layers(g.masks, v)) for v in range(n)]
+            if layers and sum(layers[0]) != everything:
                 raise Disconnected("resolving sets need a connected graph")
-            dist = all_pairs_distances(g)
-            hit = [sum(1 << x for x in range(n) if dist[x][u] != dist[x][v]) for u, v in pairs]
+            # the ANDs at equal depths are disjoint; they sum to the vertices
+            # as far from u as from v
+            hit = [everything ^ sum(map(and_, layers[u], layers[v])) for u, v in pairs]
         else:
             sep = SEPARATING[kind]
             rows = neighbourhoods(g.masks, kind)
@@ -197,10 +202,15 @@ def _packs(missed: list[int], v: int, left: int) -> bool:
     return True
 
 
+def check_cap(n: int, cap: int) -> None:
+    """Raise CapExceeded when an order-n graph is above the solver cap."""
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds the solver cap {cap}")
+
+
 def _first_solution(g: Graph, kind: ProblemKind, cap: int) -> tuple[_Checker, tuple[int, ...]]:
     """The checker and the lexicographically first subset of least size."""
-    if g.n > cap:
-        raise CapExceeded(f"n={g.n} exceeds the solver cap {cap}")
+    check_cap(g.n, cap)
     passes = _Checker(g, kind)
     for size in range(g.n + 1):
         for subset in passes.solutions(size):

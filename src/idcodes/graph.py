@@ -5,17 +5,18 @@ instances can be shared freely between threads and reused as dict keys.
 
 A graph stores its adjacency once, as int bitmasks, ``Graph.masks``: bit w
 of ``masks[v]`` is set when vw is an edge.  Every constructor builds the
-masks directly, and searches (breadth-first distances, components,
-complement components), twin detection and the verifiers in
-:mod:`idcodes.verify` run on them, expanding a whole frontier of vertices
-per step.  ``Graph.adj`` is a frozenset view derived from the masks on
-demand.
+masks directly.  One breadth-first kernel, :func:`_bfs_layers`, yields the
+vertex mask of each distance layer; distances, the diameter, the
+bipartition and the exact oracle's resolving pairs are read off its
+layers.  Components and complement components, and the verifiers in
+:mod:`idcodes.verify`, run on the masks too, expanding a whole frontier of
+vertices per step.  ``Graph.adj`` is a frozenset view derived from the
+masks on demand.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations, compress
+from itertools import compress
 from operator import lt
 from typing import Iterable, Iterator
 
@@ -30,22 +31,8 @@ __all__ = [
     "bits",
     "mask_components",
     "mask_distances",
-    "bfs_distances",
-    "all_pairs_distances",
     "diameter",
-    "closed_twins",
-    "open_twins",
-    "disjoint_union",
-    "complete_join",
-    "complement",
-    "connected_components",
-    "is_connected",
     "bipartition",
-    "empty_graph",
-    "complete_graph",
-    "path_graph",
-    "cycle_graph",
-    "star_graph",
 ]
 
 # Marker for unreachable vertices in distance vectors.
@@ -96,20 +83,6 @@ class Graph:
         self._hash = None
 
     @classmethod
-    def from_masks(cls, masks: Iterable[int]) -> "Graph":
-        """The graph whose adjacency masks are `masks` (see :attr:`masks`)."""
-        masks = tuple(masks)
-        n = len(masks)
-        for v, m in enumerate(masks):
-            if m < 0 or m >> n:
-                raise InvalidVertex(f"mask of vertex {v} out of range for n={n}")
-            if m >> v & 1:
-                raise GraphError(f"self-loop at vertex {v}")
-        if any(not masks[w] >> v & 1 for v, m in enumerate(masks) for w in bits(m)):
-            raise GraphError("adjacency masks are not symmetric")
-        return cls._adopt(masks)
-
-    @classmethod
     def _adopt(cls, masks: tuple[int, ...]) -> "Graph":
         """A graph on masks already known to be symmetric and loop-free."""
         g = cls.__new__(cls)
@@ -127,20 +100,6 @@ class Graph:
         return self._adj
 
     # -- basic queries ----------------------------------------------------
-
-    def check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise InvalidVertex(f"vertex {v} out of range for n={self.n}")
-
-    def open_nbhd(self, v: int) -> frozenset[int]:
-        """Neighbours of v, excluding v itself."""
-        self.check_vertex(v)
-        return frozenset(bits(self.masks[v]))
-
-    def closed_nbhd(self, v: int) -> frozenset[int]:
-        """Neighbours of v together with v."""
-        self.check_vertex(v)
-        return frozenset(bits(self.masks[v] | 1 << v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) pairs with u < v, sorted."""
@@ -317,17 +276,6 @@ def mask_distances(masks: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def bfs_distances(g: Graph, v: int) -> tuple[int, ...]:
-    """Breadth-first distances from v; unreachable vertices get INFINITE."""
-    g.check_vertex(v)
-    return mask_distances(g.masks, v)
-
-
-def all_pairs_distances(g: Graph) -> list[tuple[int, ...]]:
-    """One BFS distance vector per source vertex."""
-    return [bfs_distances(g, v) for v in range(g.n)]
-
-
 def diameter(g: Graph) -> int:
     """Largest distance between any two vertices of a connected graph.
 
@@ -359,43 +307,6 @@ def diameter(g: Graph) -> int:
     return lb
 
 
-def _equal_pairs(keys: Iterable) -> list[tuple[int, int]]:
-    """All pairs u < v of positions holding equal keys, sorted."""
-    groups: dict = {}
-    for v, key in enumerate(keys):
-        groups.setdefault(key, []).append(v)
-    return sorted(pair for members in groups.values() for pair in combinations(members, 2))
-
-
-def closed_twins(g: Graph) -> list[tuple[int, int]]:
-    """All pairs u < v with identical closed neighbourhoods."""
-    return _equal_pairs(m | 1 << v for v, m in enumerate(g.masks))
-
-
-def open_twins(g: Graph) -> list[tuple[int, int]]:
-    """All pairs u < v with identical open neighbourhoods."""
-    return _equal_pairs(g.masks)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Place g2 after g1 with no cross edges; g2's vertex v becomes g1.n + v."""
-    return Graph.from_masks(g1.masks + tuple(m << g1.n for m in g2.masks))
-
-
-def complete_join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus every edge between the two sides."""
-    left, right = (1 << g1.n) - 1, ((1 << g2.n) - 1) << g1.n
-    return Graph.from_masks(
-        tuple(m | right for m in g1.masks) + tuple(m << g1.n | left for m in g2.masks)
-    )
-
-
-def complement(g: Graph) -> Graph:
-    """Edge present exactly when absent in g."""
-    everything = (1 << g.n) - 1
-    return Graph.from_masks(everything ^ m ^ 1 << v for v, m in enumerate(g.masks))
-
-
 def mask_components(masks: tuple[int, ...], within: int, co: bool = False) -> list[int]:
     """Components of the subgraph induced by the vertex mask `within`.
 
@@ -423,60 +334,20 @@ def mask_components(masks: tuple[int, ...], within: int, co: bool = False) -> li
     return comps
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertices by reachability, ordered by smallest member."""
-    return [
-        frozenset(bits(comp))
-        for comp in mask_components(g.masks, (1 << g.n) - 1)
-    ]
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """A 2-colouring (sides as vertex sets), or None if an odd cycle exists."""
-    colour = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in bits(g.masks[u]):
-                if colour[w] == -1:
-                    colour[w] = 1 - colour[u]
-                    queue.append(w)
-                elif colour[w] == colour[u]:
-                    return None
-    side0 = frozenset(v for v in range(g.n) if colour[v] == 0)
-    side1 = frozenset(v for v in range(g.n) if colour[v] == 1)
-    return side0, side1
+    """A 2-colouring (sides as vertex sets), or None if an odd cycle exists.
 
-
-# -- small named constructors -----------------------------------------------
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycles need at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """Centre 0 joined to `leaves` leaf vertices."""
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    Each component is coloured by the parity of its breadth-first layers
+    from its lowest vertex.  Every edge joins two consecutive layers or lies
+    inside one, and an edge inside a layer closes an odd cycle.
+    """
+    masks = g.masks
+    sides = [0, 0]
+    rest = (1 << g.n) - 1
+    while rest:
+        for d, layer in enumerate(_bfs_layers(masks, (rest & -rest).bit_length() - 1)):
+            if any(masks[u] & layer for u in bits(layer)):
+                return None
+            sides[d & 1] |= layer
+            rest ^= layer
+    return frozenset(bits(sides[0])), frozenset(bits(sides[1]))

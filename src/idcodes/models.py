@@ -7,13 +7,13 @@ one tuple of ints in post-order; every cotree function here is a single
 loop over it.  Every model type rejects bad input when it is built, so no
 other function checks it.  The cotree builders (``leaf``, ``union_node``,
 ``join_node``) return raw codes, which ``Cotree`` or :func:`canonicalize`
-turns into a tree.
+turns into a tree, and :func:`_relabel_dfs` labels a shape's leaves in
+depth-first order.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
@@ -43,10 +43,6 @@ __all__ = [
     "permutation_graph",
     "cotree_to_graph",
     "cograph_recognize",
-    "complement_cotree",
-    "all_cotrees",
-    "random_cotree",
-    "random_twin_free_cotree",
     "normalized_segments",
     "model_to_graph",
     "parse_cotree",
@@ -185,10 +181,6 @@ class PermutationModel:
 
     def __repr__(self) -> str:
         return f"PermutationModel(n={len(self.segments)})"
-
-    def induced(self, keep: Sequence[int]) -> "PermutationModel":
-        """Sub-model on the given vertices, in the given order."""
-        return PermutationModel(self.segments[v] for v in keep)
 
 
 def normalized_segments(
@@ -474,124 +466,11 @@ def cograph_recognize(g: Graph) -> Cotree:
     return Cotree(codes)
 
 
-def complement_cotree(t: Cotree) -> Cotree:
-    """Cotree of the complement graph: swap UNION and JOIN everywhere."""
-    return Cotree(code ^ 1 if code < 0 else code for code in t.codes)
-
-
-# -- cotree enumeration and sampling -----------------------------------------
-
-
-def _shapes(n: int, root: int) -> list[tuple[int, ...]]:
-    """The codes of all canonical cotree shapes with n leaves whose root has
-    the given kind, every leaf 0.
-
-    :func:`_relabel_dfs` labels them 0..n-1 in depth-first order, which is
-    enough to enumerate every cograph on n vertices (vertex names do not
-    matter for the parameters computed here).
-    """
-    other = JOIN if root == UNION else UNION
-
-    def parts(total: int, max_part: int) -> Iterator[list[int]]:
-        # Nonincreasing partitions of `total` into at least 2 parts.
-        def rec(rest: int, cap: int, acc: list[int]) -> Iterator[list[int]]:
-            if rest == 0:
-                if len(acc) >= 2:
-                    yield list(acc)
-                return
-            for p in range(min(cap, rest), 0, -1):
-                acc.append(p)
-                yield from rec(rest - p, p, acc)
-                acc.pop()
-
-        yield from rec(total, max_part, [])
-
-    def options(size: int) -> list[tuple[int, ...]]:
-        if size == 1:
-            return [leaf(0)]
-        return _shapes(size, other)
-
-    results: list[tuple[int, ...]] = []
-    for partition in parts(n, n - 1):
-        groups: dict[int, int] = {}
-        for p in partition:
-            groups[p] = groups.get(p, 0) + 1
-        per_size = {size: options(size) for size in groups}
-        pools = [
-            list(itertools.combinations_with_replacement(range(len(per_size[size])), cnt))
-            for size, cnt in sorted(groups.items())
-        ]
-        sizes_sorted = sorted(groups.items())
-        for choice in itertools.product(*pools):
-            children: list[tuple[int, ...]] = []
-            for (size, _cnt), combo in zip(sizes_sorted, choice):
-                for idx in combo:
-                    children.append(per_size[size][idx])
-            results.append(_node(root, children))
-    return results
-
-
 def _relabel_dfs(codes: Iterable[int]) -> tuple[int, ...]:
     """The same shape with leaves labelled 0..n-1 in depth-first order; this
     commutes with :func:`canonicalize`, which only drops node codes."""
     labels = itertools.count()
     return tuple(next(labels) if code >= 0 else code for code in codes)
-
-
-def all_cotrees(n: int) -> list[Cotree]:
-    """Every canonical cotree shape on n leaves, one per unlabelled cograph."""
-    if n < 1:
-        return []
-    if n == 1:
-        return [Cotree(leaf(0))]
-    shapes = _shapes(n, UNION) + _shapes(n, JOIN)
-    return [Cotree(_relabel_dfs(s)) for s in shapes]
-
-
-def _merged_pair(parts: list[list[int]], i: int, j: int, kind: int) -> None:
-    """Replace parts i < j by the node of the given kind over both, in place."""
-    codes = parts[i]
-    codes += parts[j]
-    codes.append(node_code(kind, 2))
-    parts[j] = parts[-1]
-    parts.pop()
-
-
-def random_cotree(n: int, rng: random.Random) -> Cotree:
-    """Random canonical cotree on n leaves built by repeated pairwise merging."""
-    if n < 1:
-        raise ModelError("cotrees require at least one leaf")
-    parts = [[v] for v in range(n)]
-    while len(parts) > 1:
-        i, j = rng.sample(range(len(parts)), 2)
-        if j < i:
-            i, j = j, i
-        _merged_pair(parts, i, j, UNION if rng.random() < 0.5 else JOIN)
-    return canonicalize(parts[0])
-
-
-def random_twin_free_cotree(n: int, rng: random.Random) -> Cotree:
-    """Random canonical cotree whose graph has no closed twins.
-
-    Joining two parts that both contain a universal vertex would create
-    closed twins, so such a merge is demoted to a union.
-    """
-    if n < 1:
-        raise ModelError("cotrees require at least one leaf")
-    parts = [[v] for v in range(n)]
-    universal = [True] * n  # whether each part has a universal vertex
-    while len(parts) > 1:
-        i, j = rng.sample(range(len(parts)), 2)
-        if j < i:
-            i, j = j, i
-        kind = UNION if rng.random() < 0.5 else JOIN
-        if kind == JOIN and universal[i] and universal[j]:
-            kind = UNION
-        universal[i] = (universal[i] or universal[j]) if kind == JOIN else False
-        universal[j] = universal[-1]
-        universal.pop()
-        _merged_pair(parts, i, j, kind)
-    return canonicalize(parts[0])
 
 
 # -- file formats -------------------------------------------------------------

@@ -9,12 +9,19 @@ import statistics
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations, count, permutations
 
 import pytest
 
 from idcodes import verify
-from idcodes.bounds import GraphClass, certify, certify_instance
+from idcodes.bounds import (
+    BoundQuery,
+    GraphClass,
+    HypothesisNotMet,
+    certify,
+    certify_instance,
+    max_order,
+)
 from idcodes.cograph import solve_cotree
 from idcodes.exact import (
     NoSolution,
@@ -44,24 +51,19 @@ from idcodes.generators import (
     ext_unit_md,
     ext_unit_old,
 )
-from idcodes.graph import (
-    Graph,
-    bipartition,
-    closed_twins,
-    diameter,
-    is_connected,
-    open_twins,
-)
+from idcodes.graph import Disconnected, Graph, bipartition, diameter
 from idcodes.models import (
     IntervalModel,
-    all_cotrees,
+    PermutationModel,
     cotree_to_graph,
     interval_graph,
     is_unit_model,
-    random_cotree,
-    random_twin_free_cotree,
+    permutation_graph,
 )
 from idcodes.verify import ProblemKind
+
+from cotree_reference import all_cotrees, random_cotree, random_twin_free_cotree
+from graph_reference import closed_twins, is_connected, open_twins
 
 PK = ProblemKind
 GC = GraphClass
@@ -318,9 +320,7 @@ class TestCriterion7BipartitePermutation:
             inst = rng.choice(pool)
             size = rng.randint(2, min(14, inst.claimed_n))
             keep = sorted(rng.sample(range(inst.claimed_n), size))
-            sub = inst.model.induced(keep)
-            from idcodes.models import permutation_graph
-
+            sub = PermutationModel(inst.model.segments[v] for v in keep)
             g = permutation_graph(sub)
             checked += 1
             for kind, cls_kind in ((PK.IC, PK.IC), (PK.LD, PK.LD), (PK.OLD, PK.OLD)):
@@ -398,4 +398,104 @@ class TestCriterion9Performance:
         _report(
             "criterion 9 (amortized-linear fold)", t0, 120,
             f"1e5 leaves in {small:.3f}s, doubling ratio {per_leaf_ratio:.2f}",
+        )
+
+
+def _umbrellas(n):
+    """Every umbrella sequence of length n: r[i] >= i, non-decreasing, at
+    most n - 1.  Joining i to each j with i < j <= r[i] gives every unit
+    interval graph on n vertices with its vertices in a proper order, so the
+    sequences give each unit interval graph at least once (Catalan(n) of
+    them)."""
+    r = []
+
+    def extend(i):
+        if i == n:
+            yield tuple(r)
+            return
+        for x in range(max(i, r[-1] if r else 0), n):
+            r.append(x)
+            yield from extend(i + 1)
+            r.pop()
+
+    yield from extend(0)
+
+
+class TestBoundCensus:
+    """Every graph of each class up to a small order, against its class's
+    rows: every cograph of 2 to 12 vertices (``solve_cotree``), every unit
+    interval graph of 2 to 10 vertices and every permutation graph of 2 to 7
+    vertices (``min_set``), those also against the bipartite-permutation rows
+    when bipartite.  The census records the largest order for each (class,
+    kind, k), and D for resolving sets.  Each row is sound on it except the
+    three falsified formulas README lists, pinned here as measured.  The
+    one-vertex graph is left out: the cograph identifying-code row assumes
+    n >= 2, and K1 has a resolving set of size 0."""
+
+    # (class, kind, k, D) -> (largest order, bound) wherever the order is above it
+    FALSIFIED = {
+        **{(GC.COGRAPH, PK.IC, k, None): (2 * k - 1, 2 * k - 2) for k in range(2, 7)},
+        (GC.UNIT_INTERVAL, PK.OLD, 3, None): (6, 5),
+        (GC.UNIT_INTERVAL, PK.OLD, 4, None): (10, 7),
+        (GC.UNIT_INTERVAL, PK.OLD, 5, None): (10, 9),
+        # a path: dimension 1, order D + 1
+        **{(GC.UNIT_INTERVAL, PK.RS, 1, d): (d + 1, d) for d in range(1, 10)},
+    }
+
+    def test_every_small_graph_of_each_class(self):
+        t0 = time.monotonic()
+        largest = {}
+
+        def note(classes, kind, k, d, n):
+            for cls in classes:
+                key = (cls, kind, k, d)
+                largest[key] = max(largest.get(key, 0), n)
+
+        def solve_graph(classes, g):
+            for kind in (PK.IC, PK.LD, PK.OLD, PK.RS):
+                try:
+                    k = min_set(g, kind).size
+                except (TwinsPresent, OpenTwinsPresent, NoSolution, Disconnected):
+                    continue
+                note(classes, kind, k, diameter(g) if kind is PK.RS else None, g.n)
+
+        graphs = 0
+        for n in range(2, 13):
+            for t in all_cotrees(n):
+                graphs += 1
+                for kind in (PK.IC, PK.LD, PK.RS):
+                    try:
+                        k = solve_cotree(t, kind).value
+                    except (TwinsPresent, Disconnected):
+                        continue
+                    note((GC.COGRAPH,), kind, k, None, n)
+        for n in range(2, 11):
+            for r in _umbrellas(n):
+                graphs += 1
+                solve_graph((GC.UNIT_INTERVAL,), Graph(n, [
+                    (i, j) for i in range(n) for j in range(i + 1, r[i] + 1)
+                ]))
+        for n in range(2, 8):
+            for p in permutations(range(n)):
+                graphs += 1
+                g = permutation_graph(PermutationModel(enumerate(p)))
+                bipartite = bipartition(g) is not None
+                solve_graph((GC.PERMUTATION, GC.BIPARTITE_PERMUTATION)[:1 + bipartite], g)
+
+        violated, checked = {}, 0
+        for (cls, kind, k, d), n in largest.items():
+            try:
+                bound = max_order(BoundQuery(cls, kind, k, d))
+            except HypothesisNotMet:  # the permutation rows assume k >= 3
+                continue
+            checked += 1
+            if n > bound:
+                violated[cls, kind, k, d] = (n, bound)
+        assert violated == self.FALSIFIED
+        assert {cls for cls, *_ in largest} == {
+            GC.COGRAPH, GC.UNIT_INTERVAL, GC.PERMUTATION, GC.BIPARTITE_PERMUTATION
+        }
+        _report(
+            "census (bound rows on every small graph of each class)", t0, 120,
+            f"{graphs} graphs, {checked} rows checked, {len(violated)} pinned",
         )

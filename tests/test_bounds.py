@@ -17,10 +17,9 @@ from idcodes.bounds import (
     certify,
     max_order,
     min_parameter,
-    min_parameter_exact,
 )
 from idcodes.generators import ext_interval_ic
-from idcodes.graph import Graph, path_graph
+from idcodes.graph import Graph
 from idcodes.exact import min_set
 from idcodes.models import (
     Cotree,
@@ -32,6 +31,8 @@ from idcodes.models import (
     union_node,
 )
 from idcodes.verify import ProblemKind
+
+from graph_reference import path_graph
 
 PK = ProblemKind
 GC = GraphClass
@@ -103,13 +104,6 @@ class TestMinParameter:
                     n = max_order(BoundQuery(cls, kind, k))
                     assert min_parameter(cls, kind, n) == k
 
-    def test_exact_rationals(self):
-        assert min_parameter_exact(GC.UNIT_INTERVAL, PK.IC, 5) == Fraction(3)
-        assert min_parameter_exact(GC.UNIT_INTERVAL, PK.LD, 6) == Fraction(7, 3)
-        assert min_parameter_exact(GC.COGRAPH, PK.IC, 8) == Fraction(5)
-        with pytest.raises(UnsupportedCombination):
-            min_parameter_exact(GC.INTERVAL, PK.IC, 10)
-
 
 class TestAttestation:
     def test_interval(self):
@@ -155,7 +149,7 @@ class TestCertify:
     def test_random_unit_models_never_violate(self):
         from idcodes.exact import min_set
         from idcodes.models import interval_graph
-        from idcodes.graph import closed_twins
+        from graph_reference import closed_twins
 
         rng = random.Random(50)
         done = 0
@@ -193,12 +187,8 @@ class TestCertify:
             TwinsPresent,
             min_set,
         )
-        from idcodes.models import (
-            interval_graph,
-            permutation_graph,
-            cotree_to_graph,
-            random_cotree,
-        )
+        from idcodes.models import interval_graph, permutation_graph, cotree_to_graph
+        from cotree_reference import random_cotree
         from idcodes.cograph import solve_cotree
 
         rng = random.Random(51)
@@ -329,8 +319,8 @@ def _outcome(fn, *args) -> str:
 class TestGolden:
     def test_bound_table_digest(self):
         """One digest over every class and kind pins the whole bound table:
-        labels, max_order, min_parameter, min_parameter_exact and the
-        exception type wherever one is raised (9,450 entries)."""
+        labels, max_order, min_parameter and the exception type wherever one
+        is raised (7,728 entries)."""
         lines = []
         for cls in GC:
             for kind in PK:
@@ -343,8 +333,6 @@ class TestGolden:
                     for d in (None, 1, 3):
                         outcome = _outcome(min_parameter, cls, kind, n, d)
                         lines.append(f"min_parameter {n} {d} {outcome}")
-                    outcome = _outcome(min_parameter_exact, cls, kind, n)
-                    lines.append(f"min_parameter_exact {n} {outcome}")
-        assert len(lines) == 9450
+        assert len(lines) == 7728
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "57dfdfc4ae1e1a8ba93a71e81dfe19c4a32605f6991431bf0600bd24d92c6b6b"
+        assert digest == "e997445ec5d78a69d4bdd3dcf12e8bbe7677c8995f3a97b3eec0886495538c8c"

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idcodes
+from idcodes import cli
 from idcodes.cli import _COMMANDS, build_parser, main, read_args
 from idcodes.models import IntervalModel, format_interval_model
 
@@ -93,6 +94,21 @@ class TestSolve:
         big.write_text("graph 40\n" + "".join(f"e {i} {i+1}\n" for i in range(39)))
         code, _, err = run_cli(["solve", "--problem", "ic", "--input", big], capsys)
         assert code == 4
+
+    @pytest.mark.parametrize("name, text", [
+        ("big.graph", "graph 31\n"),
+        ("big.intervals", "intervals 31\n" + "".join(f"{i} {i} {i + 1}\n" for i in range(31))),
+        ("big.perm", "permutation 31\n" + "".join(f"{i} {i} {30 - i}\n" for i in range(31))),
+        ("big.cotree", "(U " + " ".join(map(str, range(31))) + ")\n"),
+    ], ids=["graph", "intervals", "perm", "cotree"])
+    def test_cap_is_checked_before_compiling(self, workdir, capsys, monkeypatch, name, text):
+        # the order is read off the model: an instance above the cap is never compiled
+        compiled = []
+        monkeypatch.setattr(cli, "model_to_graph", lambda model: compiled.append(model))
+        (workdir / name).write_text(text)
+        code, out, err = run_cli(["solve", "--problem", "ic", "--input", workdir / name], capsys)
+        assert (code, out, err) == (4, "", "error: cap exceeded n=31 exceeds the solver cap 30\n")
+        assert compiled == []
 
 
 class TestVerifyCmd:
@@ -415,13 +431,11 @@ DOMAIN_ERRORS = [
     (["certify", "--input", "p5.graph", "--set", "9", "--problem", "md"], 2,
      "error: vertex out of range"),
     (["bounds", "--class", "cograph", "--kind", "old", "--k", "4"], 2,
-     "error: no bound for GraphClass.COGRAPH / ProblemKind.OLD"),
+     "error: no bound for cograph / old"),
     (["bounds", "--class", "interval", "--kind", "md", "--k", "4"], 2,
-     "error: bound for (<GraphClass.INTERVAL: 'interval'>, <ProblemKind.RS: 'rs'>) "
-     "needs the diameter"),
+     "error: bound for interval / rs needs the diameter"),
     (["bounds", "--class", "permutation", "--kind", "ic", "--k", "2"], 2,
-     "error: bound for (<GraphClass.PERMUTATION: 'permutation'>, <ProblemKind.IC: 'ic'>) "
-     "assumes k >= 3"),
+     "error: bound for permutation / ic assumes k >= 3"),
     # models with no vertices
     (["cograph", "--problem", "ic", "--cotree", "empty.graph"], 2,
      "error: cotrees require at least one vertex"),

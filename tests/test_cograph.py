@@ -15,30 +15,33 @@ from idcodes.exact import (
     emp_univ_oracle,
     min_set,
 )
-from idcodes.graph import Disconnected, closed_twins, is_connected, open_twins
+from idcodes.graph import Disconnected
 from idcodes.models import (
     JOIN,
     UNION,
     Cotree,
     MalformedCotree,
-    all_cotrees,
     canonicalize,
     cograph_recognize,
-    complement_cotree,
     cotree_to_graph,
     format_cotree,
     join_node,
     leaf,
     node_code,
     parse_cotree,
-    random_cotree,
-    random_twin_free_cotree,
     union_node,
 )
 from idcodes.verify import ProblemKind, check
 
-from cotree_reference import fold_cotree, witness_fold
-
+from cotree_reference import (
+    all_cotrees,
+    complement_cotree,
+    fold_cotree,
+    random_cotree,
+    random_twin_free_cotree,
+    witness_fold,
+)
+from graph_reference import closed_twins, is_connected, open_twins
 
 
 def _rebuilt(t, node_fn=None):

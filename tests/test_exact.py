@@ -16,30 +16,29 @@ from idcodes.exact import (
     emp_univ_oracle,
     min_set,
 )
-from idcodes.graph import (
-    Disconnected,
-    Graph,
-    closed_twins,
-    complete_graph,
-    cycle_graph,
-    diameter,
-    empty_graph,
-    is_connected,
-    open_twins,
-    path_graph,
-    star_graph,
-)
+from idcodes.generators import generate
+from idcodes.graph import Disconnected, Graph, diameter
 from idcodes.models import (
     IntervalModel,
     PermutationModel,
-    all_cotrees,
     cotree_to_graph,
     interval_graph,
     permutation_graph,
-    random_cotree,
-    random_twin_free_cotree,
 )
 from idcodes.verify import ProblemKind, check
+
+from cotree_reference import all_cotrees, random_cotree, random_twin_free_cotree
+from graph_reference import (
+    closed_twins,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    is_connected,
+    open_twins,
+    pair_distance_masks,
+    path_graph,
+    star_graph,
+)
 
 
 def random_graph(n, p, rng):
@@ -101,6 +100,48 @@ class TestMinSet:
             if frozenset(subset) == a.witness:
                 break
             assert not check(g, subset, ProblemKind.IC)
+
+
+class TestResolvingPairsFromLayers:
+    """The resolving-set checker reads each pair's mask off the breadth-first
+    layers of the pair; the masks equal those of one distance vector per
+    vertex, and a disconnected graph is refused as before."""
+
+    @staticmethod
+    def _expected(g):
+        if not is_connected(g):
+            return Disconnected, "resolving sets need a connected graph"
+        return sorted(set(pair_distance_masks(g)), key=int.bit_count)
+
+    @staticmethod
+    def _got(g):
+        try:
+            return _Checker(g, ProblemKind.RS).hit
+        except Disconnected as e:
+            return type(e), str(e)
+
+    def test_every_graph_of_at_most_six_vertices(self):
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for m in range(1 << len(pairs)):
+                g = Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1])
+                assert self._got(g) == self._expected(g), (n, m)
+
+    def test_metric_dimension_members(self):
+        checked = 0
+        for family in ("interval-md", "unit-md", "perm-md", "bipperm-md"):
+            for k in (2, 4, 6):
+                for d in range(2, 6):
+                    g = generate(family, k=k, d=d).graph
+                    assert self._got(g) == self._expected(g), (family, k, d)
+                    checked += 1
+        assert checked == 48
+
+    def test_orders_zero_and_one(self):
+        assert min_set(Graph(0), ProblemKind.RS) == SolveResult(0, frozenset(), ProblemKind.RS)
+        assert min_set(Graph(1), ProblemKind.RS) == SolveResult(0, frozenset(), ProblemKind.RS)
+        with pytest.raises(Disconnected, match="^resolving sets need a connected graph$"):
+            min_set(Graph(2), ProblemKind.RS)
 
 
 class TestAllMinSets:

@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 
 from idcodes.cli import main
 from idcodes.generators import FAMILIES
-from idcodes.graph import path_graph
 from idcodes.models import (
     _TEXT_KIND,
     Cotree,
@@ -36,14 +35,15 @@ from idcodes.models import (
     ModelFormatError,
     PermutationModel,
     _first_line,
-    all_cotrees,
     cotree_to_graph,
     format_cotree,
     format_interval_model,
     format_permutation_model,
     parse_cotree,
-    random_cotree,
 )
+
+from cotree_reference import all_cotrees, random_cotree
+from graph_reference import path_graph
 
 SEEDS = [format_cotree(t) for n in range(1, 6) for t in all_cotrees(n)] + [
     format_cotree(random_cotree(n, random.Random(n))) for n in (8, 12, 20)

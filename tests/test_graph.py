@@ -16,25 +16,29 @@ from idcodes.graph import (
     GraphFormatError,
     INFINITE,
     InvalidVertex,
-    all_pairs_distances,
-    bfs_distances,
     bipartition,
     bits,
+    diameter,
+    mask_components,
+    mask_distances,
+)
+from idcodes.verify import vertex_mask
+
+from graph_reference import (
     closed_twins,
     complement,
     complete_graph,
     complete_join,
-    connected_components,
     cycle_graph,
-    diameter,
+    deque_bipartition,
+    diameter_all_sources,
     disjoint_union,
     empty_graph,
+    from_masks,
     open_twins,
     path_graph,
     star_graph,
 )
-
-from graph_reference import diameter_all_sources
 
 
 def k_power_of_path(n, k):
@@ -50,29 +54,31 @@ def random_graph(n, p, rng):
 
 
 class TestNeighbourhoods:
+    """A neighbourhood is read off the masks: ``bits(g.masks[v])``."""
+
     def test_open_nbhd(self):
-        p3 = path_graph(3)
-        assert p3.open_nbhd(1) == {0, 2}
-        assert empty_graph(2).open_nbhd(0) == frozenset()
-        assert complete_graph(3).open_nbhd(0) == {1, 2}
+        assert bits(path_graph(3).masks[1]) == [0, 2]
+        assert bits(empty_graph(2).masks[0]) == []
+        assert bits(complete_graph(3).masks[0]) == [1, 2]
 
     def test_closed_nbhd(self):
-        assert path_graph(3).closed_nbhd(1) == {0, 1, 2}
-        assert empty_graph(2).closed_nbhd(0) == {0}
-        assert cycle_graph(4).closed_nbhd(0) == {0, 1, 3}
+        assert bits(path_graph(3).masks[1] | 1 << 1) == [0, 1, 2]
+        assert bits(empty_graph(2).masks[0] | 1 << 0) == [0]
+        assert bits(cycle_graph(4).masks[0] | 1 << 0) == [0, 1, 3]
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidVertex):
-            path_graph(3).open_nbhd(3)
-        with pytest.raises(InvalidVertex):
-            path_graph(3).closed_nbhd(-1)
+        # a candidate vertex is range-checked in one place, verify.vertex_mask
+        with pytest.raises(InvalidVertex, match="^vertex 3 out of range for n=3$"):
+            vertex_mask({3}, 3)
+        with pytest.raises(InvalidVertex, match="^vertex -1 out of range for n=3$"):
+            vertex_mask({-1}, 3)
 
 
 class TestDistances:
     def test_bfs(self):
-        assert bfs_distances(path_graph(3), 0) == (0, 1, 2)
-        assert bfs_distances(empty_graph(2), 0) == (0, INFINITE)
-        assert bfs_distances(cycle_graph(4), 0) == (0, 1, 2, 1)
+        assert mask_distances(path_graph(3).masks, 0) == (0, 1, 2)
+        assert mask_distances(empty_graph(2).masks, 0) == (0, INFINITE)
+        assert mask_distances(cycle_graph(4).masks, 0) == (0, 1, 2, 1)
 
     def test_diameter(self):
         assert diameter(cycle_graph(4)) == 2
@@ -101,7 +107,7 @@ class TestDistances:
                         if d[i][m] + d[m][j] < d[i][j]:
                             d[i][j] = d[i][m] + d[m][j]
             for v in range(n):
-                got = bfs_distances(g, v)
+                got = mask_distances(g.masks, v)
                 want = tuple(d[v][j] if d[v][j] < big else INFINITE for j in range(n))
                 assert got == want
 
@@ -253,19 +259,42 @@ class TestOperations:
             assert complement(complement(g)) == g
 
     def test_connected_components(self):
-        assert connected_components(empty_graph(3)) == [
-            frozenset([0]),
-            frozenset([1]),
-            frozenset([2]),
-        ]
-        assert connected_components(cycle_graph(4)) == [frozenset(range(4))]
+        assert mask_components(empty_graph(3).masks, 0b111) == [0b001, 0b010, 0b100]
+        assert mask_components(cycle_graph(4).masks, 0b1111) == [0b1111]
         g = disjoint_union(complete_graph(2), complete_graph(1))
-        assert connected_components(g) == [frozenset([0, 1]), frozenset([2])]
+        assert mask_components(g.masks, 0b111) == [0b011, 0b100]
+        assert mask_components(g.masks, 0b111, co=True) == [0b111]
 
     def test_bipartition(self):
-        sides = bipartition(path_graph(4))
-        assert sides is not None and set().union(*sides) == set(range(4))
+        assert bipartition(path_graph(4)) == ({0, 2}, {1, 3})
         assert bipartition(complete_graph(3)) is None
+        assert bipartition(Graph(0)) == (frozenset(), frozenset())
+        # components are coloured from their lowest vertex, each on its own
+        assert bipartition(Graph(5, [(1, 3), (3, 4), (0, 2)])) == ({0, 1, 4}, {2, 3})
+        assert bipartition(disjoint_union(path_graph(2), cycle_graph(5))) is None
+
+
+class TestBipartitionAgainstQueue:
+    """bipartition colours each component by the parity of its breadth-first
+    layers and gives the sides, or None, of a queue search."""
+
+    def test_every_graph_of_at_most_six_vertices(self):
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            for m in range(1 << len(pairs)):
+                g = Graph(n, [p for i, p in enumerate(pairs) if m >> i & 1])
+                assert bipartition(g) == deque_bipartition(g), (n, m)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(30)
+        bipartite = 0
+        for _ in range(1000):
+            n = rng.randint(1, 14)
+            g = random_graph(n, rng.choice((0.1, 0.2, 0.3, 0.5)), rng)
+            expected = deque_bipartition(g)
+            assert bipartition(g) == expected, (n, g.masks)
+            bipartite += expected is not None
+        assert 100 < bipartite < 900
 
 
 class TestConstruction:
@@ -300,7 +329,7 @@ class TestConstruction:
     )
     def test_from_masks_rejects(self, masks, cls, message):
         with pytest.raises(cls, match=f"^{re.escape(message)}$") as caught:
-            Graph.from_masks(masks)
+            from_masks(masks)
         assert type(caught.value) is cls
 
     def test_constructors_agree_random(self):
@@ -308,7 +337,7 @@ class TestConstruction:
         for _ in range(50):
             n = rng.randint(0, 40)
             g = Graph(n, random_edges(n, rng.random(), rng))
-            for h in (Graph.from_masks(g.masks), Graph.from_text(g.to_text())):
+            for h in (from_masks(g.masks), Graph.from_text(g.to_text())):
                 assert h == g and hash(h) == hash(g)
             assert all(g.adj[v] == frozenset(bits(m)) for v, m in enumerate(g.masks))
 
@@ -362,7 +391,7 @@ class TestTextFormat:
 
     def test_all_pairs(self):
         g = path_graph(4)
-        dist = all_pairs_distances(g)
+        dist = [mask_distances(g.masks, v) for v in range(g.n)]
         assert dist[0][3] == 3 and dist[2][1] == 1
 
 

@@ -1,11 +1,13 @@
 """Every module of the package uses each name it imports, and every function,
-method and class the package defines is referenced somewhere.  The command's
-start-up imports neither ``dataclasses`` nor ``inspect``, adds exactly the
-pinned set of public modules, and builds no merge table.  A well-formed call
+method and class the package defines is referenced by the package itself or
+documented in README's module list, so no code ships for the tests alone.
+The command's start-up imports neither ``dataclasses`` nor ``inspect``, adds
+exactly the pinned set of public modules, and builds no merge table.  A well-formed call
 leaves ``argparse`` unloaded; help loads it."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ import pytest
 import idcodes
 
 MODULES = sorted(Path(idcodes.__file__).parent.glob("*.py"))
-TESTS = sorted(Path(__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,10 +51,25 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["path (line 1)", "json (line 2)"]
 
 
-def unreferenced_definitions(defining: str, sources: list[str]) -> list[str]:
+def documented_names(readme: str) -> set[str]:
+    """The identifiers in the code spans of README's module list, the text
+    from "The package provides:" to the next heading."""
+    start = readme.index("The package provides:")
+    module_list = readme[start:readme.index("\n## ", start)]
+    return {
+        name
+        for span in re.findall(r"`([^`]+)`", module_list)
+        for name in re.findall(r"[A-Za-z_]\w*", span)
+    }
+
+
+def unreferenced_definitions(
+    defining: str, sources: list[str], documented=frozenset()
+) -> list[str]:
     """Functions, methods and classes defined in ``defining`` whose names no
-    source reads, as a variable or an attribute; dunder methods are exempt."""
-    used = set()
+    source reads, as a variable or an attribute, and that are not
+    ``documented``; dunder methods are exempt."""
+    used = set(documented)
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
@@ -74,8 +91,11 @@ def unreferenced_definitions(defining: str, sources: list[str]) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_definition_is_referenced(path):
-    sources = [p.read_text(encoding="utf-8") for p in MODULES + TESTS]
-    assert unreferenced_definitions(path.read_text(encoding="utf-8"), sources) == []
+    # only the package and README's module list count: a name only the tests
+    # read belongs in a helper module under tests/
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    documented = documented_names(README.read_text(encoding="utf-8"))
+    assert unreferenced_definitions(path.read_text(encoding="utf-8"), sources, documented) == []
 
 
 def test_detects_an_unreferenced_definition():
@@ -89,8 +109,15 @@ def test_detects_an_unreferenced_definition():
         "    return 0\n"
         "def orphan():\n"
         "    return Box().size\n"
+        "def listed():\n"
+        "    return 1\n"
     )
-    assert unreferenced_definitions(source, [source]) == ["unused (line 4)", "orphan (line 8)"]
+    readme = "# x\n\nThe package provides:\n\n- **box**: `listed(x)`, not orphan\n\n## Next\n`orphan`\n"
+    documented = documented_names(readme)
+    assert documented == {"listed", "x"}
+    assert unreferenced_definitions(source, [source], documented) == [
+        "unused (line 4)", "orphan (line 8)"
+    ]
 
 
 def _fresh_interpreter(code: str) -> str:

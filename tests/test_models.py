@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from idcodes.graph import Graph, complete_graph, cycle_graph, empty_graph, path_graph, star_graph
+from idcodes.graph import Graph
 from idcodes.models import (
     JOIN,
     UNION,
@@ -18,10 +18,8 @@ from idcodes.models import (
     ModelFormatError,
     NotCograph,
     PermutationModel,
-    all_cotrees,
     canonicalize,
     cograph_recognize,
-    complement_cotree,
     cotree_to_graph,
     format_cotree,
     format_interval_model,
@@ -37,18 +35,31 @@ from idcodes.models import (
     parse_model,
     parse_permutation_model,
     permutation_graph,
-    random_cotree,
-    random_twin_free_cotree,
     read_model,
     union_node,
     write_model,
 )
 from idcodes.models import _checked_codes
-from idcodes.graph import closed_twins
 from idcodes import verify
 from idcodes.verify import ProblemKind
 
-from cotree_reference import fold_cotree
+from cotree_reference import (
+    all_cotrees,
+    complement_cotree,
+    fold_cotree,
+    random_cotree,
+    random_twin_free_cotree,
+)
+from graph_reference import (
+    closed_twins,
+    complement,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    from_masks,
+    path_graph,
+    star_graph,
+)
 
 
 class TestIntervalGraph:
@@ -155,7 +166,7 @@ class TestSweepsAgainstPairs:
     @staticmethod
     def _check(g, reference):
         assert g == reference
-        assert Graph.from_masks(g.masks) == g
+        assert from_masks(g.masks) == g
 
     def test_all_small_interval_models(self):
         # touching, shared endpoints, nested and identical intervals
@@ -293,8 +304,6 @@ class TestCotree:
 
     def test_complement_cotree(self):
         rng = random.Random(14)
-        from idcodes.graph import complement
-
         for _ in range(30):
             t = random_cotree(rng.randint(1, 9), rng)
             assert cotree_to_graph(complement_cotree(t)) == complement(cotree_to_graph(t))
@@ -306,13 +315,13 @@ class TestCotree:
             assert closed_twins(cotree_to_graph(t)) == []
 
     def test_adopted_masks_pass_the_symmetry_checks(self):
-        # cotree_to_graph skips Graph.from_masks' checks; they must hold anyway
+        # cotree_to_graph skips from_masks' checks; they must hold anyway
         rng = random.Random(18)
         trees = [t for n in range(1, 9) for t in all_cotrees(n)]
         trees += [random_cotree(rng.randint(9, 60), rng) for _ in range(50)]
         for t in trees:
             g = cotree_to_graph(t)
-            assert g == Graph.from_masks(g.masks)
+            assert g == from_masks(g.masks)
 
     def test_all_cotrees_counts(self):
         # one shape per unlabelled cograph

@@ -3,25 +3,11 @@ import random
 import pytest
 
 from idcodes import verify
-from idcodes.graph import (
-    Disconnected,
-    Graph,
-    InvalidVertex,
-    closed_twins,
-    complete_graph,
-    cycle_graph,
-    diameter,
-    empty_graph,
-    is_connected,
-    open_twins,
-    path_graph,
-    star_graph,
-)
+from idcodes.graph import Disconnected, Graph, InvalidVertex, bits, diameter
 from idcodes.exact import NoSolution, OpenTwinsPresent, SolverError, TwinsPresent, _Checker
 from idcodes.models import (
     IntervalModel,
     PermutationModel,
-    all_cotrees,
     cotree_to_graph,
     interval_graph,
     permutation_graph,
@@ -33,6 +19,18 @@ from idcodes.verify import (
     separation_violation,
     undominated,
     vertex_mask,
+)
+
+from cotree_reference import all_cotrees
+from graph_reference import (
+    closed_twins,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    is_connected,
+    open_twins,
+    path_graph,
+    star_graph,
 )
 
 IC, LD, OLD, RS = ProblemKind.IC, ProblemKind.LD, ProblemKind.OLD, ProblemKind.RS
@@ -249,7 +247,9 @@ SIGNATURE_KINDS = [kind for kind in ProblemKind if kind is not RS]
 
 
 def _nbhd(g, kind):
-    return g.open_nbhd if kind in OPEN_KINDS else g.closed_nbhd
+    if kind in OPEN_KINDS:
+        return lambda v: frozenset(bits(g.masks[v]))
+    return lambda v: frozenset(bits(g.masks[v] | 1 << v))
 
 
 def _signatures(g, s, kind):
