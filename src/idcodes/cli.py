@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 domain error (twins, disconnected input, vertex out
 of range, failed verification, bound violation), 3 input parse error or a
-file that cannot be read or written, 4 resource cap exceeded.
+file that cannot be read or written, stdout included, 4 resource cap
+exceeded.
 All output is line-oriented and deterministic so shell harnesses can diff it.
 
 A well-formed call is read straight from the subcommand table; argparse is
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import os
 import sys
 from types import SimpleNamespace
 
@@ -346,10 +348,18 @@ def main(argv=None) -> int:
         command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
         args = build_parser(command).parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except OSError as exc:
+        # Files fail in _load_model or _writing, so this is stdout; what it still
+        # buffers goes to the null device, or the flush at exit fails again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except Exception as exc:
         for types, line, code in _ERRORS:
             if isinstance(exc, _raised_types(types)):

@@ -10,7 +10,6 @@ construction.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import verify
@@ -132,17 +131,16 @@ def _braid_width(family: str, k: int, d: int) -> int:
 # -- interval families --------------------------------------------------------
 
 
-def _interval_staircase(k: int) -> tuple[list[tuple[Fraction, Fraction]], list[int]]:
-    """All intervals ]i,j[ with 1 <= i < j <= k+1; returns model rows and the
-    indices of the unit steps ]i,i+1[."""
-    rows = []
-    code = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 2):
-            if j == i + 1:
-                code.append(len(rows))
-            rows.append((Fraction(i), Fraction(j)))
-    return rows, code
+def _interval_staircase(k: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """All intervals ]i,j[ with 1 <= i < j <= k+1, on the integer grid;
+    returns model rows and the indices of the unit steps ]i,i+1[."""
+    rows = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 2)]
+    return rows, [v for v, (i, j) in enumerate(rows) if j == i + 1]
+
+
+def _grid_model(rows: list[tuple[int, int]], scale: int) -> IntervalModel:
+    """The intervals ]l/scale, r/scale[ of integer rows (l, r)."""
+    return IntervalModel._on_grid([x for row in rows for x in row], scale)
 
 
 def ext_interval_ic(k: int) -> ExtremalInstance:
@@ -150,10 +148,8 @@ def ext_interval_ic(k: int) -> ExtremalInstance:
     if k < 1:
         raise GeneratorError("k must be at least 1")
     rows, code = _interval_staircase(k)
-    model = IntervalModel(rows)
-    return _validated(
-        model, code, ProblemKind.IC, k * (k + 1) // 2, k, "interval-ic"
-    )
+    model = _grid_model(rows, 1)
+    return _validated(model, code, ProblemKind.IC, k * (k + 1) // 2, k, "interval-ic")
 
 
 def ext_interval_old(k: int) -> ExtremalInstance:
@@ -163,32 +159,30 @@ def ext_interval_old(k: int) -> ExtremalInstance:
     neighbour.  Each pair boundary point 2p is widened into a gap
     ]2p, 2p+1/2[ that no other family interval enters, and the two steps of
     the pair are extended into that gap to overlap there; every other
-    intersection of the family is unchanged.
+    intersection of the family is unchanged.  Endpoints lie on the grid of
+    eighths.
     """
     if k < 2 or k % 2:
         raise GeneratorError("k must be even and at least 2")
     pair_points = {2 * p for p in range(1, k // 2 + 1) if 2 * p <= k}
-    half = Fraction(1, 2)
 
-    def start(m: int) -> Fraction:
-        return Fraction(m) + (half if m in pair_points else 0)
+    def start(m: int) -> int:
+        return 8 * m + (4 if m in pair_points else 0)
 
-    rows: list[tuple[Fraction, Fraction]] = []
+    rows: list[tuple[int, int]] = []
     code: list[int] = []
     for i in range(1, k + 1):
         for j in range(i + 1, k + 2):
             if j == i + 1:
                 code.append(len(rows))
                 if i % 2 == 1:  # first of its pair: reach into the gap at i+1
-                    rows.append((start(i), Fraction(i + 1) + Fraction(3, 8)))
+                    rows.append((start(i), 8 * (i + 1) + 3))
                 else:  # second of its pair: start inside the gap at i
-                    rows.append((Fraction(i) + Fraction(1, 8), Fraction(j)))
+                    rows.append((8 * i + 1, 8 * j))
             else:
-                rows.append((start(i), Fraction(j)))
-    model = IntervalModel(rows)
-    return _validated(
-        model, code, ProblemKind.OLD, k * (k + 1) // 2, k, "interval-old"
-    )
+                rows.append((start(i), 8 * j))
+    model = _grid_model(rows, 8)
+    return _validated(model, code, ProblemKind.OLD, k * (k + 1) // 2, k, "interval-old")
 
 
 def ext_interval_ld(k: int) -> ExtremalInstance:
@@ -198,31 +192,27 @@ def ext_interval_ld(k: int) -> ExtremalInstance:
         raise GeneratorError("k must be at least 1")
     rows, code = _interval_staircase(k)
     rows.extend(rows[idx] for idx in code)
-    model = IntervalModel(rows)
-    return _validated(
-        model, code, ProblemKind.LD, k * (k + 3) // 2, k, "interval-ld"
-    )
+    model = _grid_model(rows, 1)
+    return _validated(model, code, ProblemKind.LD, k * (k + 3) // 2, k, "interval-ld")
 
 
 def _build_interval_md(k: int, cols: int) -> tuple[IntervalModel, list[int], int]:
     """Interval braid with filler pockets; returns (model, solution, n).
 
     Braid vertex i*cols + j is I[i][j] = ]jL+i+1, (j+1)L+i+3/2[ with
-    L = k/2+1, for row i < k/2 and column j < cols.
+    L = k/2+1, for row i < k/2 and column j < cols.  Endpoints lie on the
+    grid of eighths, where every filler's midpoint is exact.
     """
     half_k = k // 2
     big_l = half_k + 1
-    half = Fraction(1, 2)
     rows = [
-        (Fraction(j * big_l + i + 1), Fraction((j + 1) * big_l + i + 1) + half)
+        (8 * (j * big_l + i + 1), 8 * ((j + 1) * big_l + i + 1) + 4)
         for i in range(half_k)
         for j in range(cols)
     ]
-    solution = [i * cols for i in range(half_k)] + [
-        i * cols + cols - 1 for i in range(half_k)
-    ]
+    solution = [i * cols for i in range(half_k)] + [i * cols + cols - 1 for i in range(half_k)]
     base_sorted = sorted(range(len(rows)), key=lambda v: rows[v][0])
-    fillers: list[tuple[Fraction, Fraction]] = []
+    fillers: list[tuple[int, int]] = []
     for i in range(half_k):
         for j in range(1, cols - 2):  # pockets after I[i][j]
             r_end = rows[i * cols + j][1]
@@ -231,14 +221,11 @@ def _build_interval_md(k: int, cols: int) -> tuple[IntervalModel, list[int], int
                 continue  # incomplete pocket: skip rather than trim
             succ = following[: half_k + 1]
             window_lo, window_hi = r_end, rows[succ[0]][0]
-            start = (window_lo + window_hi) / 2
-            ends = [(start + window_hi) / 2]
-            ends.extend(
-                (rows[succ[s - 1]][0] + rows[succ[s]][0]) / 2
-                for s in range(1, half_k + 1)
-            )
+            start = (window_lo + window_hi) // 2
+            ends = [(start + window_hi) // 2]
+            ends += [(rows[succ[s - 1]][0] + rows[succ[s]][0]) // 2 for s in range(1, half_k + 1)]
             fillers.extend((start, e) for e in ends)
-    model = IntervalModel(rows + fillers)
+    model = _grid_model(rows + fillers, 8)
     return model, solution, len(rows) + len(fillers)
 
 
@@ -246,19 +233,16 @@ def ext_interval_md(k: int, d: int) -> ExtremalInstance:
     """Interval graph of diameter d with a resolving set of size k.
 
     Order grows like d*k^2: k/2 braided rows of d intervals plus k/2+1 short
-    fillers behind every interior interval that has enough successors.
+    fillers behind every interior interval that has enough successors, on
+    eighths; for k = 2 the path of d+1 intervals ]3m/4, 3m/4+1[, on quarters.
     """
     if k < 2 or k % 2:
         raise GeneratorError("k must be even and at least 2")
     if d < 2:
         raise GeneratorError("d must be at least 2")
     if k == 2:
-        # A single row is a plain path; use d+1 intervals so the diameter is d.
-        rows = [(Fraction(3 * m, 4), Fraction(3 * m, 4) + 1) for m in range(d + 1)]
-        model = IntervalModel(rows)
-        return _validated(
-            model, [0, d], ProblemKind.RS, d + 1, 2, "interval-md", claimed_d=d
-        )
+        model = _grid_model([(3 * m, 3 * m + 4) for m in range(d + 1)], 4)
+        return _validated(model, [0, d], ProblemKind.RS, d + 1, 2, "interval-md", claimed_d=d)
     model, solution, n = _build_interval_md(k, _braid_width("interval-md", k, d))
     return _validated(model, solution, ProblemKind.RS, n, k, "interval-md", claimed_d=d)
 
@@ -266,15 +250,17 @@ def ext_interval_md(k: int, d: int) -> ExtremalInstance:
 # -- unit interval families ---------------------------------------------------
 
 
-def _unit_path(n: int, step: Fraction) -> list[tuple[Fraction, Fraction]]:
-    return [(step * m, step * m + 1) for m in range(n)]
+def _unit_path(n: int, scale: int) -> list[tuple[int, int]]:
+    """Unit intervals ]m/scale, m/scale+1[ for m < n, on the grid of 1/scale."""
+    return [(m, m + scale) for m in range(n)]
 
 
 def ext_unit_ic(k: int) -> ExtremalInstance:
-    """Path on 2k-1 unit intervals; every other interval forms the code."""
+    """Path on 2k-1 unit intervals, on the grid of halves; every other
+    interval forms the code."""
     if k < 1:
         raise GeneratorError("k must be at least 1")
-    model = IntervalModel(_unit_path(2 * k - 1, Fraction(1, 2)))
+    model = _grid_model(_unit_path(2 * k - 1, 2), 2)
     code = list(range(0, 2 * k - 1, 2))
     inst = _validated(model, code, ProblemKind.IC, 2 * k - 1, k, "unit-ic")
     assert is_unit_model(model)
@@ -285,35 +271,29 @@ def ext_unit_old(k: int) -> ExtremalInstance:
     """Path on 3k-1 unit intervals plus k pendant intervals, solution 2k.
 
     Pendant i must meet exactly path intervals 3i and 3i+1 (0-based), which
-    forces uneven spacing: consecutive starts differ by 1/4 inside a solution
-    pair and by 3/4 elsewhere.
+    forces uneven spacing: path starts are 3/4 apart, and pendant i starts
+    1/4 after path interval 3i.  Endpoints lie on the grid of quarters.
     """
     if k < 1:
         raise GeneratorError("k must be at least 1")
-    starts: list[Fraction] = []
-    pos = Fraction(0)
-    for m in range(3 * k - 1):
-        starts.append(pos)
-        pos += Fraction(3, 4)
-    rows = [(s, s + 1) for s in starts]
+    rows = [(3 * m, 3 * m + 4) for m in range(3 * k - 1)]
     solution = [m for m in range(3 * k - 1) if m % 3 != 2]
-    for i in range(k):
-        q = starts[3 * i] + Fraction(1, 4)
-        rows.append((q, q + 1))
-    model = IntervalModel(rows)
+    rows += [(9 * i + 1, 9 * i + 5) for i in range(k)]
+    model = _grid_model(rows, 4)
     inst = _validated(model, solution, ProblemKind.OLD, 4 * k - 1, 2 * k, "unit-old")
     assert is_unit_model(model)
     return inst
 
 
 def ext_unit_ld(k: int) -> ExtremalInstance:
-    """Path on 2k-1 unit intervals plus a copy of each code interval."""
+    """Path on 2k-1 unit intervals plus a copy of each code interval, on the
+    grid of halves."""
     if k < 1:
         raise GeneratorError("k must be at least 1")
-    rows = _unit_path(2 * k - 1, Fraction(1, 2))
+    rows = _unit_path(2 * k - 1, 2)
     code = list(range(0, 2 * k - 1, 2))
     rows.extend(rows[idx] for idx in code)
-    model = IntervalModel(rows)
+    model = _grid_model(rows, 2)
     inst = _validated(model, code, ProblemKind.LD, 3 * k - 1, k, "unit-ld")
     assert is_unit_model(model)
     return inst
@@ -321,15 +301,13 @@ def ext_unit_ld(k: int) -> ExtremalInstance:
 
 def ext_unit_md(k: int, d: int) -> ExtremalInstance:
     """k-th power of a path on k*d+1 vertices: diameter d, resolving set of
-    the first k vertices.  Interval m is ]m/(k+1), m/(k+1)+1[, making two
-    vertices adjacent exactly when their indices differ by at most k."""
+    the first k vertices.  Interval m is ]m/(k+1), m/(k+1)+1[, on the grid
+    of 1/(k+1), making two vertices adjacent exactly when their indices
+    differ by at most k."""
     if k < 1 or d < 1:
         raise GeneratorError("k and d must be at least 1")
-    step = Fraction(1, k + 1)
-    model = IntervalModel(_unit_path(k * d + 1, step))
-    inst = _validated(
-        model, range(k), ProblemKind.RS, k * d + 1, k, "unit-md", claimed_d=d
-    )
+    model = _grid_model(_unit_path(k * d + 1, k + 1), k + 1)
+    inst = _validated(model, range(k), ProblemKind.RS, k * d + 1, k, "unit-md", claimed_d=d)
     assert is_unit_model(model)
     return inst
 
@@ -417,8 +395,9 @@ def ext_perm_ld(k: int) -> ExtremalInstance:
 # -- braided paths (permutation diagrams) --------------------------------------
 
 
-def _braid_positions(k: int, cols: int) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
-    """Segment positions for k/2 translated paths with `cols` vertices each.
+def _braid_positions(k: int, cols: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """Segment positions for k/2 translated paths with `cols` vertices each,
+    on the grid of halves.
 
     Vertex (a, j): path a in 1..k/2, position j in 1..cols.  Odd positions
     slope upward, even ones downward; (a, j) meets (a', j+1) iff a' <= a.
@@ -426,16 +405,15 @@ def _braid_positions(k: int, cols: int) -> dict[tuple[int, int], tuple[Fraction,
     half_k = k // 2
     big_c = max(k, 4)
     v_off = big_c - 1
-    half = Fraction(1, 2)
     out = {}
     for a in range(1, half_k + 1):
         for j in range(1, cols + 1):
             if j % 2 == 1:
-                p = Fraction(big_c * ((j - 1) // 2) + 2 * (a - 1))
-                out[(a, j)] = (p, p - 1)
+                p = 2 * (big_c * ((j - 1) // 2) + 2 * (a - 1))
+                out[(a, j)] = (p, p - 2)
             else:
-                q = Fraction(big_c * ((j - 2) // 2) + 2 * (a - 1))
-                out[(a, j)] = (q - 1, q + v_off + half)
+                q = 2 * (big_c * ((j - 2) // 2) + 2 * (a - 1))
+                out[(a, j)] = (q - 2, q + 2 * v_off + 1)
     return out
 
 
@@ -450,17 +428,28 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
     when (a) its neighbours are pairwise within distance 2, so no existing
     shortest path changes, and (b) its distance vector to the solution is
     new; this keeps the whole instance resolving by construction.
+
+    Pocket p of P steps 1/(P+1) of a top gap and 1/(T+1) of its bottom window,
+    T = k/2+2 the most a pocket keeps, so with fillers the braid's grid of
+    halves is refined to 1/(2(P+1)(T+1)), where every step is exact.
     """
     half_k = k // 2
     pos = _braid_positions(k, cols)
     order = [(a, j) for a in range(1, half_k + 1) for j in range(1, cols + 1)]
     index = {v: i for i, v in enumerate(order)}
-    positions = [pos[v] for v in order]
     solution = [index[(a, 1)] for a in range(1, half_k + 1)] + [
         index[(a, cols)] for a in range(1, half_k + 1)
     ]
     if not with_fillers:
-        return normalized_segments(positions), solution, len(positions)
+        return normalized_segments([pos[v] for v in order]), solution, len(order)
+
+    target = half_k + 2
+    pockets = [
+        (a, j) for a in range(1, half_k + 1) for j in range(1, (cols - 1) // 2 + 1)
+    ]
+    unit = (len(pockets) + 1) * (target + 1)
+    pos = {v: (t * unit, b * unit) for v, (t, b) in pos.items()}
+    positions = [pos[v] for v in order]
 
     base_masks = permutation_graph(normalized_segments(positions)).masks
     masks = list(base_masks)
@@ -493,24 +482,19 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
         return masks[u] >> w & 1 or masks[u] & masks[w]
 
     all_tops = sorted(t for t, _ in positions)
-    target = half_k + 2
-    pockets = [
-        (a, j) for a in range(1, half_k + 1) for j in range(1, (cols - 1) // 2 + 1)
-    ]
     for p_rank, (a, j) in enumerate(pockets):
         down_b = pos[(a, 2 * j)][1]
         up_b = pos[(a, 2 * j + 1)][1]
         lo, hi = min(down_b, up_b), max(down_b, up_b)
         anchor = pos[(a, 2 * j - 1)][0]
         start = all_tops.index(anchor)
-        seq = all_tops[start:] + [all_tops[-1] + 2]
-        frac = Fraction(p_rank + 1, len(pockets) + 1)
+        seq = all_tops[start:] + [all_tops[-1] + 4 * unit]
         accepted = 0
         for s in range(len(seq) - 1):
             if accepted == target:
                 break
-            t_f = seq[s] + (seq[s + 1] - seq[s]) * frac
-            b_f = lo + (hi - lo) * Fraction(accepted + 1, target + 1)
+            t_f = seq[s] + (seq[s + 1] - seq[s]) // (len(pockets) + 1) * (p_rank + 1)
+            b_f = lo + (hi - lo) // (target + 1) * (accepted + 1)
             cand = (t_f, b_f)
             row = crossing(cand)
             if not row:
@@ -538,12 +522,9 @@ def _build_perm_md(k: int, cols: int, with_fillers: bool):
 
 
 def _cocktail_party_model(pairs: int) -> tuple[PermutationModel, list[int]]:
-    """Join of `pairs` two-vertex independent sets; one vertex per pair resolves."""
-    positions = []
-    for i in range(pairs):
-        rev = pairs - 1 - i
-        positions.append((Fraction(2 * i), Fraction(2 * rev)))
-        positions.append((Fraction(2 * i + 1), Fraction(2 * rev + 1)))
+    """Join of `pairs` two-vertex independent sets, on the integer grid; one
+    vertex per pair resolves."""
+    positions = [(2 * i + s, 2 * (pairs - 1 - i) + s) for i in range(pairs) for s in (0, 1)]
     return normalized_segments(positions), list(range(0, 2 * pairs, 2))
 
 
@@ -556,9 +537,7 @@ def ext_perm_md(k: int, d: int) -> ExtremalInstance:
     if d == 2 and k >= 4:
         # No braid width reaches diameter 2; use the join of k point pairs.
         model, solution = _cocktail_party_model(k)
-        return _validated(
-            model, solution, ProblemKind.RS, 2 * k, k, "perm-md", claimed_d=2
-        )
+        return _validated(model, solution, ProblemKind.RS, 2 * k, k, "perm-md", claimed_d=2)
     model, solution, n = _build_perm_md(k, _braid_width("perm-md", k, d), with_fillers=True)
     return _validated(model, solution, ProblemKind.RS, n, k, "perm-md", claimed_d=d)
 
@@ -576,9 +555,7 @@ def ext_bipperm_md(k: int, d: int) -> ExtremalInstance:
         side = (k + 2) // 2
         model = _bipperm_from_intervals(side, [(0, side - 1)] * side)
         solution = list(range(side - 1)) + list(range(side, 2 * side - 1))
-        return _validated(
-            model, solution, ProblemKind.RS, k + 2, k, "bipperm-md", claimed_d=2
-        )
+        return _validated(model, solution, ProblemKind.RS, k + 2, k, "bipperm-md", claimed_d=2)
     cols = _braid_width("bipperm-md", k, d)
     model, solution, n = _build_perm_md(k, cols, with_fillers=False)
     inst = _validated(model, solution, ProblemKind.RS, n, k, "bipperm-md", claimed_d=d)
@@ -595,20 +572,19 @@ def _bipperm_from_intervals(
 ) -> PermutationModel:
     """Diagram for a bipartite graph whose B-side neighbourhoods are intervals
     of consecutive A-positions.  Vertices: 0..a_count-1 are the A side in
-    order, then one B vertex per (lo, hi) pair in sorted order."""
+    order, then one B vertex per (lo, hi) pair in sorted order.  A vertex i
+    sits at (i, i) and the B vertex of rank r < m at (hi + e, lo - 1 + e),
+    e = (r+1)/(m+1): positions lie on the grid of 1/(m+1)."""
     order = sorted(range(len(b_nbhds)), key=lambda i: b_nbhds[i])
     his = [b_nbhds[i][1] for i in order]
     if any(his[i] > his[i + 1] for i in range(len(his) - 1)):
         raise GeneratorError("B-side neighbourhoods are nested; no diagram")
-    positions: list[tuple[Fraction, Fraction]] = [
-        (Fraction(i), Fraction(i)) for i in range(a_count)
-    ]
     m = len(order)
-    slots: list[tuple[Fraction, Fraction]] = [None] * m
+    positions: list[tuple[int, int]] = [((m + 1) * i, (m + 1) * i) for i in range(a_count)]
+    slots: list[tuple[int, int]] = [None] * m
     for rank, i in enumerate(order):
         lo, hi = b_nbhds[i]
-        eps = Fraction(rank + 1, m + 1)
-        slots[i] = (Fraction(hi) + eps, Fraction(lo) - 1 + eps)
+        slots[i] = ((m + 1) * hi + rank + 1, (m + 1) * (lo - 1) + rank + 1)
     positions.extend(slots)
     return normalized_segments(positions)
 

@@ -1,8 +1,9 @@
 """Geometric and structural graph models: intervals, permutation diagrams, cotrees.
 
 Each model compiles to a plain :class:`~idcodes.graph.Graph`.  Interval
-endpoints are exact rationals and intervals are open, so two intervals that
-merely touch at a point are not adjacent.  A cotree is a :class:`Cotree`,
+endpoints are exact rationals, stored as integer keys over one denominator,
+and intervals are open, so two intervals that merely touch at a point are
+not adjacent.  A cotree is a :class:`Cotree`,
 one tuple of ints in post-order; every cotree function here is a single
 loop over it.  Every model type rejects bad input when it is built, so no
 other function checks it.  The cotree builders (``leaf``, ``union_node``,
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .graph import Graph, mask_components
@@ -81,30 +82,54 @@ class ModelFormatError(ModelError):
 
 
 class IntervalModel:
-    """Open intervals with exact rational endpoints, one per vertex."""
+    """Open intervals with exact rational endpoints, one per vertex.
 
-    __slots__ = ("intervals",)
+    Vertex v is ]keys[2v]/scale, keys[2v+1]/scale[, on one canonical grid:
+    gcd(scale, *keys) == 1, so equal models have equal keys and scales.  The
+    constructor reads the numerator and denominator of (left, right) pairs of
+    ints or Fractions; the parser and the generators use :meth:`_on_grid`.
+    """
 
-    def __init__(self, intervals: Iterable[tuple[Fraction | int, Fraction | int]]):
-        ivs = []
-        for left, right in intervals:
-            left, right = Fraction(left), Fraction(right)
+    __slots__ = ("keys", "scale")
+
+    def __init__(self, intervals: Iterable[tuple]):
+        ends = [(x.numerator, x.denominator) for left, right in intervals for x in (left, right)]
+        m = self._on_grid(*_common_grid(ends))
+        self.keys, self.scale = m.keys, m.scale
+
+    @classmethod
+    def _on_grid(cls, keys: list[int], scale: int) -> IntervalModel:
+        """The model whose vertex v is ]keys[2v]/scale, keys[2v+1]/scale[."""
+        for left, right in zip(keys[0::2], keys[1::2]):
             if left >= right:
-                raise DegenerateInterval(f"interval ]{left},{right}[ is empty")
-            ivs.append((left, right))
-        self.intervals: tuple[tuple[Fraction, Fraction], ...] = tuple(ivs)
+                raise DegenerateInterval(
+                    f"interval ]{_key_text(left, scale)},{_key_text(right, scale)}[ is empty"
+                )
+        g = gcd(scale, *keys)
+        m = cls.__new__(cls)
+        m.keys, m.scale = tuple(key // g for key in keys), scale // g
+        return m
 
     def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __iter__(self) -> Iterator[tuple[Fraction, Fraction]]:
-        return iter(self.intervals)
+        return len(self.keys) >> 1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalModel) and self.intervals == other.intervals
+        return isinstance(other, IntervalModel) and (self.keys, self.scale) == (other.keys, other.scale)
 
     def __repr__(self) -> str:
-        return f"IntervalModel(n={len(self.intervals)})"
+        return f"IntervalModel(n={len(self)})"
+
+
+def _common_grid(ends: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(numerator, denominator) pairs as integer keys over the lcm of the denominators."""
+    scale = lcm(*(den for _, den in ends))
+    return [num * (scale // den) for num, den in ends], scale
+
+
+def _key_text(key: int, scale: int) -> str:
+    """key/scale in lowest terms, as ``str(Fraction)`` writes it."""
+    g = gcd(key, scale)
+    return str(key // g) if g == scale else f"{key // g}/{scale // g}"
 
 
 def interval_graph(m: IntervalModel) -> Graph:
@@ -116,10 +141,9 @@ def interval_graph(m: IntervalModel) -> Graph:
     The intervals starting before r_v are ``PL[bisect_left(lefts, r_v)]``.
     Those ending by l_v, ``PR[bisect_right(rights, l_v)]``, all start before
     r_v too and exclude v, so v's row is the XOR of the two masks without v.
-    The sorts and searches run on exact integer keys (:func:`_integer_keys`).
+    The sorts and searches run on the model's integer keys.
     """
-    keys = _integer_keys([x for interval in m.intervals for x in interval])
-    left_of, right_of = keys[0::2], keys[1::2]
+    left_of, right_of = m.keys[0::2], m.keys[1::2]
     by_left = sorted(range(len(left_of)), key=left_of.__getitem__)
     by_right = sorted(range(len(right_of)), key=right_of.__getitem__)
     lefts = [left_of[v] for v in by_left]
@@ -133,12 +157,6 @@ def interval_graph(m: IntervalModel) -> Graph:
     ))
 
 
-def _integer_keys(values: list[Fraction | int]) -> list[int]:
-    """The values scaled by the lcm of their denominators: exact ints in the same order."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
-
-
 def _prefix_masks(order: Sequence[int]) -> list[int]:
     """``masks[k]`` is the vertex mask of ``order[:k]``, for k = 0..len(order)."""
     masks = [0]
@@ -149,7 +167,7 @@ def _prefix_masks(order: Sequence[int]) -> list[int]:
 
 def is_unit_model(m: IntervalModel) -> bool:
     """True when every interval has length exactly 1."""
-    return all(right - left == 1 for left, right in m.intervals)
+    return all(length == m.scale for length in map(sub, m.keys[1::2], m.keys[0::2]))
 
 
 # -- permutation models ------------------------------------------------------
@@ -183,14 +201,12 @@ class PermutationModel:
         return f"PermutationModel(n={len(self.segments)})"
 
 
-def normalized_segments(
-    positions: Iterable[tuple[Fraction | int, Fraction | int]]
-) -> PermutationModel:
-    """Rank arbitrary rational (top, bottom) positions down to integer indices.
+def normalized_segments(positions: Iterable[tuple]) -> PermutationModel:
+    """Rank (top, bottom) positions down to integer indices.
 
-    Each line is ranked by one sort of exact integer keys, the positions
-    scaled by the least common multiple of their denominators.  Equal
-    positions get equal ranks, which ``PermutationModel`` rejects.
+    The positions may be any exact, totally ordered numbers, such as ints and
+    Fractions; each line is ranked by one sort of its distinct positions.
+    Equal positions get equal ranks, which ``PermutationModel`` rejects.
     """
     pos = list(positions)
     tops = _dense_ranks([t for t, _ in pos])
@@ -198,11 +214,10 @@ def normalized_segments(
     return PermutationModel(zip(tops, bottoms))
 
 
-def _dense_ranks(values: list[Fraction | int]) -> list[int]:
+def _dense_ranks(values: list) -> list[int]:
     """The rank of each value among the distinct values, smallest first."""
-    keys = _integer_keys(values)
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return [rank[key] for key in keys]
+    rank = {x: i for i, x in enumerate(sorted(set(values)))}
+    return [rank[x] for x in values]
 
 
 def permutation_graph(m: PermutationModel) -> Graph:
@@ -476,18 +491,16 @@ def _relabel_dfs(codes: Iterable[int]) -> tuple[int, ...]:
 # -- file formats -------------------------------------------------------------
 
 
-def _parse_rational(token: str) -> Fraction:
+def _parse_rational(token: str) -> tuple[int, int]:
+    """A token ``n`` or ``n/d`` as (numerator, denominator), which may share a
+    factor or be negative: the model's grid reduces them all at once."""
     try:
-        if "/" in token:
-            num, den = token.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(token))
-    except (ValueError, ZeroDivisionError):
-        raise ModelFormatError(f"bad rational: {token!r}") from None
-
-
-def _format_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        num, den = map(int, token.split("/")) if "/" in token else (int(token), 1)
+        if den:
+            return num, den
+    except ValueError:
+        pass
+    raise ModelFormatError(f"bad rational: {token!r}")
 
 
 def _parse_rows(text: str, keyword: str, noun: str, convert) -> list:
@@ -531,13 +544,14 @@ def parse_interval_model(text: str) -> IntervalModel:
     rows = _parse_rows(
         text, "intervals", "interval", lambda a, b: (_parse_rational(a), _parse_rational(b))
     )
-    return IntervalModel(rows)
+    return IntervalModel._on_grid(*_common_grid([end for row in rows for end in row]))
 
 
 def format_interval_model(m: IntervalModel) -> str:
+    keys, scale = m.keys, m.scale
     lines = [f"intervals {len(m)}"]
-    for i, (left, right) in enumerate(m):
-        lines.append(f"{i} {_format_rational(left)} {_format_rational(right)}")
+    for i in range(len(m)):
+        lines.append(f"{i} {_key_text(keys[2 * i], scale)} {_key_text(keys[2 * i + 1], scale)}")
     return "\n".join(lines) + "\n"
 
 

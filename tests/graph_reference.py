@@ -5,12 +5,16 @@ every vertex, as ``graph.diameter`` computed it before it stopped early on
 the iFUB bounds.  ``deque_bipartition`` and ``pair_distance_masks`` are the
 queue search and the per-pair distance comparison that ``graph.bipartition``
 and the exact oracle's resolving pairs replaced with breadth-first layers.
-The tests compare each with the package on values and errors.  The rest
+``pair_interval_graph`` tests every pair of intervals for an overlap on
+Fraction endpoints, which ``models.interval_graph`` replaced with one sweep
+over integer keys.  The tests compare each with the package on values and
+errors.  The rest
 build and inspect test graphs: named graphs, union, join, complement, twin
 lists and a mask constructor that checks its input.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 from idcodes.graph import (
@@ -73,6 +77,17 @@ def pair_distance_masks(g):
         sum(1 << x for x in range(g.n) if dist[x][u] != dist[x][v])
         for u, v in combinations(range(g.n), 2)
     ]
+
+
+def pair_interval_graph(rows):
+    """The graph of open intervals given as (left, right) pairs: u ~ v exactly
+    when l_u < r_v and l_v < r_u, compared as Fractions."""
+    ivs = [(Fraction(left), Fraction(right)) for left, right in rows]
+    return Graph(len(ivs), [
+        (u, v)
+        for u, v in combinations(range(len(ivs)), 2)
+        if ivs[u][0] < ivs[v][1] and ivs[v][0] < ivs[u][1]
+    ])
 
 
 def is_connected(g):

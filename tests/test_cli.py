@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -539,15 +540,45 @@ class TestCompileModel:
 
     def test_installed_entry_point(self, workdir):
         # byte-identical output across runs of the real process
-        cmd = [sys.executable, "-m", "idcodes.cli", "solve", "--problem", "ic",
-               "--input", str(workdir / "p5.graph")]
-        # the child imports the same package as this test, installed or not
-        src = str(Path(idcodes.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        r1 = subprocess.run(cmd, capture_output=True, env=env)
-        r2 = subprocess.run(cmd, capture_output=True, env=env)
+        args = ["solve", "--problem", "ic", "--input", workdir / "p5.graph"]
+        r1 = run_child(args, subprocess.PIPE)
+        r2 = run_child(args, subprocess.PIPE)
         assert r1.returncode == 0 and r1.stdout == r2.stdout
+
+
+def run_child(args, stdout):
+    """The command run as its own process, writing stdout to ``stdout``; the
+    child imports the same package as this test, installed or not."""
+    src = str(Path(idcodes.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    cmd = [sys.executable, "-m", "idcodes.cli", *map(str, args)]
+    return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+class TestStdoutFailures:
+    """A failed write to stdout ends in exit 3 and one stderr line, as a file
+    that cannot be written does, not in a traceback."""
+
+    @staticmethod
+    def _line(code):
+        return [f"cannot write stdout: [Errno {code}] {os.strerror(code)}"]
+
+    def test_closed_pipe(self, workdir):
+        read, write = os.pipe()
+        os.close(read)  # no reader: every write to the pipe fails
+        try:
+            r = run_child(["generate", "--family", "unit-old", "--k", 3, "--out", workdir / "u"], write)
+        finally:
+            os.close(write)
+        assert (r.returncode, r.stderr.decode().splitlines()) == (3, self._line(errno.EPIPE))
+        assert (workdir / "u.intervals").is_file() and (workdir / "u.manifest").is_file()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "wb") as full:
+            r = run_child(["bounds", "--class", "interval", "--kind", "ic", "--k", 4], full)
+        assert (r.returncode, r.stderr.decode().splitlines()) == (3, self._line(errno.ENOSPC))
 
 
 # Every help, usage and error text the parser prints, recorded with COLUMNS=80

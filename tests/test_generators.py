@@ -1,9 +1,11 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from idcodes import generators, verify
 from idcodes.bounds import certify_instance
+from idcodes.cli import main
 from idcodes.cograph import solve_cotree
 from idcodes.exact import emp_univ_oracle, min_set
 from idcodes.generators import (
@@ -350,3 +352,46 @@ def test_bench_md_digest(tmp_path):
         write_model(inst.model, str(path))
         h.update(inst.manifest_line().encode() + b"\n" + path.read_bytes())
     assert h.hexdigest() == "3d28a01c8c61578560bb7435f8472ae920706f15cc22ce07f581376f873151da"
+
+
+# One small member of every interval, unit, permutation and bipartite
+# permutation family, with each builder of the metric-dimension families:
+# the short path and the braid of interval-md, the cocktail party and the
+# filled braid of perm-md, the complete bipartite graph and the plain braid
+# of bipperm-md.
+NO_FRACTION_MEMBERS = [
+    ("interval-ic", {"k": 3}), ("interval-old", {"k": 2}), ("interval-ld", {"k": 3}),
+    ("interval-md", {"k": 2, "d": 3}), ("interval-md", {"k": 4, "d": 3}),
+    ("unit-ic", {"k": 3}), ("unit-old", {"k": 2}), ("unit-ld", {"k": 3}),
+    ("unit-md", {"k": 2, "d": 3}),
+    ("perm-ic", {"k": 3}), ("perm-old", {"k": 4}), ("perm-ld", {"k": 3}),
+    ("perm-md", {"k": 4, "d": 2}), ("perm-md", {"k": 2, "d": 4}), ("perm-md", {"k": 4, "d": 4}),
+    ("bipperm-ic", {"k": 3}), ("bipperm-old", {"k": 4}), ("bipperm-ld", {"k": 3}),
+    ("bipperm-md", {"k": 4, "d": 2}), ("bipperm-md", {"k": 4, "d": 4}),
+]
+
+
+def test_no_fraction_is_built_to_generate_certify_and_solve(monkeypatch, tmp_path, capsys):
+    # endpoints and positions are integer keys from the builder to the file
+    # and back; every Fraction built is counted
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for i, (family, params) in enumerate(NO_FRACTION_MEMBERS):
+        flags = [str(x) for key, value in params.items() for x in (f"--{key}", value)]
+        problem = family.rsplit("-", 1)[1]
+        assert main(["generate", "--family", family, *flags, "--out", str(tmp_path / f"m{i}")]) == 0
+        manifest, wrote = capsys.readouterr().out.splitlines()
+        model = wrote[len("wrote "):].rsplit(" and ", 1)[0]
+        solution = manifest.rsplit("solution=", 1)[1]
+        assert main(["certify", "--problem", problem, "--input", model, "--set", solution]) == 0
+        assert main(["solve", "--problem", problem, "--input", model]) == 0
+        capsys.readouterr()
+    assert built == []
+    Fraction(1, 2)
+    assert built == [(1, 2)]

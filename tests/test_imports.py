@@ -136,14 +136,15 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert _fresh_interpreter(code) == "[]\n"
 
 
-# The standard modules the package imports itself, and re, which fractions
-# loads: whether start-up has loaded them already differs between installs, so
-# they are imported before the count starts.
-START_UP = "bisect, collections, contextlib, enum, itertools, math, operator, random, re, types, typing"
+# The standard modules the package imports itself: whether start-up has
+# loaded them already differs between installs, so they are imported before
+# the count starts.
+START_UP = "bisect, collections, contextlib, enum, itertools, math, operator, random, types, typing"
 # bounds and generators are left out: only the subcommands that run them
 # import them.  So are argparse and gettext: only help and errors build the
-# parser.
-CLI_ADDS = ["decimal", "fractions", "numbers"] + [
+# parser.  No standard module is added: interval endpoints are integer keys,
+# so fractions (with decimal and numbers) is not loaded.
+CLI_ADDS = [
     "idcodes" if p.stem == "__init__" else f"idcodes.{p.stem}"
     for p in MODULES
     if p.stem not in ("bounds", "generators")

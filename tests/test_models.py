@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idcodes.graph import Graph
 from idcodes.models import (
@@ -57,6 +59,7 @@ from graph_reference import (
     cycle_graph,
     empty_graph,
     from_masks,
+    pair_interval_graph,
     path_graph,
     star_graph,
 )
@@ -82,6 +85,11 @@ class TestIntervalGraph:
     def test_degenerate(self):
         with pytest.raises(DegenerateInterval):
             IntervalModel([(1, 1)])
+        # the first empty interval, written in lowest terms
+        with pytest.raises(DegenerateInterval, match=r"^interval \]-3/2,-2\[ is empty$"):
+            IntervalModel([(0, 1), (Fraction(-3, 2), -2), (5, 5)])
+        with pytest.raises(DegenerateInterval, match=r"^interval \]1/2,1/2\[ is empty$"):
+            parse_interval_model("intervals 2\n0 0 1\n1 3/6 1/2\n")
 
     def test_unit_model(self):
         assert is_unit_model(IntervalModel([(0, 1), (Fraction(1, 2), Fraction(3, 2))]))
@@ -101,6 +109,53 @@ class TestIntervalGraph:
             assert g1 == g2
             for u in range(n):
                 assert u not in g1.adj[u]
+
+
+# Rows of (left, right) endpoints: ints or Fractions of small denominators,
+# every interval of positive length.
+_ENDS = st.one_of(st.integers(-40, 40), st.fractions(-40, 40, max_denominator=12))
+_LENGTHS = st.one_of(st.integers(1, 30), st.fractions(Fraction(1, 12), 30, max_denominator=12))
+_ROWS = st.lists(st.tuples(_ENDS, _LENGTHS).map(lambda p: (p[0], p[0] + p[1])), max_size=12)
+
+
+class TestIntegerGrid:
+    """Interval endpoints are integer keys over one canonical denominator."""
+
+    @settings(deadline=None)
+    @given(_ROWS)
+    def test_format_parse_round_trip(self, rows):
+        m = IntervalModel(rows)
+        assert parse_interval_model(format_interval_model(m)) == m
+
+    @settings(deadline=None)
+    @given(_ROWS, st.integers(1, 6))
+    def test_constructors_agree(self, rows, factor):
+        # the same rationals placed on any common grid give the same model
+        ends = [Fraction(x) for row in rows for x in row]
+        scale = factor * math.lcm(*(x.denominator for x in ends))
+        m = IntervalModel(rows)
+        assert IntervalModel._on_grid([int(x * scale) for x in ends], scale) == m
+        assert math.gcd(m.scale, *m.keys) == 1
+        assert [Fraction(key, m.scale) for key in m.keys] == ends
+
+    @settings(deadline=None)
+    @given(_ROWS)
+    def test_graph_against_pairs(self, rows):
+        assert interval_graph(IntervalModel(rows)) == pair_interval_graph(rows)
+
+    def test_equality_is_exact(self):
+        assert IntervalModel([(0, Fraction(4, 2))]) == IntervalModel([(0, 2)])
+        assert IntervalModel([(0, 1)]) != IntervalModel([(0, Fraction(1, 2))])
+        assert IntervalModel([(0, 1)]) != IntervalModel([(0, 1), (0, 1)])
+
+    # Each token as a left endpoint and the file it writes back; the tokens
+    # that fail are among BAD_ROW_FILES.
+    @pytest.mark.parametrize("token,written", [
+        ("2/4", "1/2"), ("1/-2", "-1/2"), ("+3", "3"), ("-0", "0"),
+    ])
+    def test_good_rational_token(self, token, written):
+        m = parse_interval_model(f"intervals 1\n0 {token} 4\n")
+        assert format_interval_model(m) == f"intervals 1\n0 {written} 4\n"
 
 
 class TestPermutationGraph:
@@ -139,16 +194,6 @@ class TestPermutationGraph:
             normalized_segments([(0, 3), (Fraction(1, 3), Fraction(6, 2)), (1, Fraction(-1, 7))])
 
 
-def _pair_interval_graph(m):
-    """Reference: test every pair for a strict overlap of the open intervals."""
-    ivs = m.intervals
-    return Graph(len(ivs), [
-        (u, v)
-        for u, v in itertools.combinations(range(len(ivs)), 2)
-        if ivs[u][0] < ivs[v][1] and ivs[v][0] < ivs[u][1]
-    ])
-
-
 def _pair_permutation_graph(m):
     """Reference: test every pair for segments whose two orders disagree."""
     segs = m.segments
@@ -176,7 +221,7 @@ class TestSweepsAgainstPairs:
         for n in range(5):
             for rows in itertools.product(intervals, repeat=n):
                 m = IntervalModel(rows)
-                self._check(interval_graph(m), _pair_interval_graph(m))
+                self._check(interval_graph(m), pair_interval_graph(rows))
                 count += 1
         assert count == 11_111
 
@@ -200,7 +245,7 @@ class TestSweepsAgainstPairs:
                 a = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
                 rows.append((a, a + Fraction(rng.randint(1, 20), rng.randint(1, 4))))
             m = IntervalModel(rows)
-            self._check(interval_graph(m), _pair_interval_graph(m))
+            self._check(interval_graph(m), pair_interval_graph(rows))
             p = PermutationModel(zip(rng.sample(range(-n, 3 * n), n), rng.sample(range(-2 * n, 2 * n), n)))
             self._check(permutation_graph(p), _pair_permutation_graph(p))
 
@@ -520,6 +565,7 @@ class TestFileFormats:
         (parse_interval_model, "intervals 2\n0 0 1\n0 x 2\n", "bad rational: 'x'"),
         (parse_interval_model, "intervals 1\n0 a 1\n", "bad rational: 'a'"),
         (parse_interval_model, "intervals 1\n0 1/0 1\n", "bad rational: '1/0'"),
+        (parse_interval_model, "intervals 1\n0 1/-0 1\n", "bad rational: '1/-0'"),
         (parse_interval_model, "intervals 1\n0 0 1/2/3\n", "bad rational: '1/2/3'"),
         (parse_interval_model, "intervals 2\n0 0 1\n", "interval ids must be exactly 0..n-1"),
         (parse_interval_model, "intervals 1\n1 0 1\n", "interval ids must be exactly 0..n-1"),
@@ -553,7 +599,7 @@ class TestFileFormats:
 
     def test_rational_endpoints(self):
         m = parse_interval_model("intervals 1\n0 1/2 5/2\n")
-        assert m.intervals[0] == (Fraction(1, 2), Fraction(5, 2))
+        assert (m.keys, m.scale) == ((1, 5), 2)
 
 
 class TestVerifyExamples:
